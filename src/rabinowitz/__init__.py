@@ -76,4 +76,21 @@ from .vanishing import (
     verify_primitive,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "BundleParams", "CaseTag", "CritPoint", "SemiPositivity", "TheoremCase",
+    "ValidationReport", "is_semi_positive", "minimal_chern_number", "theorem_case",
+    "validate",
+    "AddResult", "Chain", "WindowCounts", "add", "apply_scalar", "build_chain",
+    "canonical_terms", "chains_equal", "novikov_window_counts", "scalar_shift",
+    "serialize_chain", "truncate", "zero_chain",
+    "FilteredDifferential", "HigherDifferentialEntry", "TableValidationError",
+    "apply_d0", "apply_table", "apply_total", "check_d_squared_window", "d0_primitive",
+    "load_table", "split_by_level", "validate_entry",
+    "Generator", "InfiniteSliceError", "ProjectedGenerator", "action", "canonical_sort",
+    "cz_fiber_disk", "cz_flat_capping", "enumerate_generators", "eta", "grading",
+    "level", "project_to_base", "sphere_class_floor",
+    "random_admissible_table", "random_boundary", "random_chain",
+    "Scenario", "ScenarioError", "load_scenario", "parse_scenario",
+    "ClassReport", "InductionError", "LevelBound", "NotClosedError", "PrimitiveResult",
+    "find_primitive", "level_ceiling", "level_floor", "verify_primitive",
+]

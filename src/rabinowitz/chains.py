@@ -19,6 +19,7 @@ from typing import Iterable, NamedTuple
 from .bundle import BundleParams, CaseTag, theorem_case
 from .generators import (
     Generator,
+    _require_odd,
     action,
     canonical_sort,
     grading,
@@ -70,7 +71,9 @@ def build_chain(
     floor: Fraction,
     degree: int | None = None,
 ) -> Chain:
-    """Validated constructor: homogeneous degree, every action >= floor."""
+    """Validated constructor: odd homogeneous degree, every action >= floor."""
+    if degree is not None:
+        _require_odd(degree)
     floor = Fraction(floor)
     term_set = frozenset(terms)
     for g in term_set:
@@ -107,15 +110,6 @@ def add(params: BundleParams, x: Chain, y: Chain) -> AddResult:
     floor = max(x.floor, y.floor)
     combined = Chain(x.degree, floor, x.terms ^ y.terms)
     return truncate(params, combined, floor)
-
-
-def add_all(params: BundleParams, chains: Iterable[Chain], degree: int, floor: Fraction) -> AddResult:
-    total = zero_chain(degree, floor)
-    dropped: list[Generator] = []
-    for ch in chains:
-        total, lost = add(params, total, ch)
-        dropped.extend(lost)
-    return AddResult(total, canonical_sort(params, dropped))
 
 
 def chains_equal(params: BundleParams, x: Chain, y: Chain) -> bool:
@@ -163,8 +157,12 @@ def apply_scalar(params: BundleParams, coefficients: Iterable[int], x: Chain) ->
             "Novikov scalar mixes degrees: shifts land in degrees "
             + ", ".join(str(d) for d in sorted(degrees))
         )
-    top = max(ch.floor for ch in shifted)
-    return add_all(params, shifted, degrees.pop(), top)
+    total = zero_chain(degrees.pop(), max(ch.floor for ch in shifted))
+    dropped: list[Generator] = []
+    for ch in shifted:
+        total, lost = add(params, total, ch)
+        dropped.extend(lost)
+    return AddResult(total, canonical_sort(params, dropped))
 
 
 def novikov_window_counts(

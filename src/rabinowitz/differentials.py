@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundle import BundleParams, CaseTag, TheoremCase, theorem_case
-from .chains import AddResult, Chain, add
+from .chains import AddResult, Chain, add, truncate
 from .generators import (
     Generator,
     action,
@@ -53,6 +53,10 @@ class HigherDifferentialEntry:
     def __str__(self) -> str:
         return f"d{self.drop} {self.source} -> {self.target}"
 
+    def order_key(self, params: BundleParams):
+        """Canonical table order: drop, then source and target in canonical order."""
+        return (self.drop, sort_key(params, self.source), sort_key(params, self.target))
+
 
 class TableValidationError(ValueError):
     def __init__(self, report: tuple[str, ...]):
@@ -66,9 +70,7 @@ def apply_d0(params: BundleParams, x: Chain) -> Chain:
     Every image term has action exactly tau below its preimage, so the result
     is exact above ``x.floor - tau``; re-truncate to ``x.floor`` on demand.
     """
-    terms = frozenset(
-        Generator(g.base, g.cover - 1, g.sphere, "+") for g in x.terms if g.sign == "-"
-    )
+    terms = frozenset(g.fiber_partner() for g in x.terms if g.sign == "-")
     return Chain(x.degree - 2, x.floor - params.tau, terms)
 
 
@@ -83,7 +85,7 @@ def d0_primitive(params: BundleParams, x: Chain) -> Chain:
     if minus:
         bad = " ".join(str(g) for g in canonical_sort(params, minus))
         raise ValueError(f"not d0-closed: chain contains - generators: {bad}")
-    terms = frozenset(Generator(g.base, g.cover + 1, g.sphere, "-") for g in x.terms)
+    terms = frozenset(g.fiber_partner() for g in x.terms)
     return Chain(x.degree + 2, x.floor + params.tau, terms)
 
 
@@ -174,7 +176,7 @@ def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[
     acc: set[Generator] = set()
     for g in gens:
         if g.sign == "-":
-            acc ^= {Generator(g.base, g.cover - 1, g.sphere, "+")}
+            acc ^= {g.fiber_partner()}
         acc ^= d.targets_of(g)
     return frozenset(acc)
 
@@ -190,8 +192,7 @@ def check_d_squared_window(d: FilteredDifferential) -> tuple[str, ...]:
     for e in d.entries:
         probes.add(e.source)
         if e.source.sign == "+":
-            s = e.source
-            probes.add(Generator(s.base, s.cover + 1, s.sphere, "-"))
+            probes.add(e.source.fiber_partner())
     bad: list[str] = []
     for w in sorted(probes, key=lambda g: sort_key(d.params, g)):
         dd = _raw_step(d, _raw_step(d, frozenset({w})))
@@ -227,7 +228,7 @@ def load_table(
         normalized.append(norm)
     if report:
         raise TableValidationError(tuple(report))
-    normalized.sort(key=lambda e: (e.drop, sort_key(params, e.source), sort_key(params, e.target)))
+    normalized.sort(key=lambda e: e.order_key(params))
     d = FilteredDifferential(params, tuple(normalized))
     square = check_d_squared_window(d)
     if square:
@@ -241,18 +242,12 @@ def apply_table(d: FilteredDifferential, x: Chain) -> AddResult:
     for g in x.terms:
         acc ^= d.targets_of(g)
     raw = Chain(x.degree - 2, Fraction(x.floor), frozenset(acc))
-    return _truncate_reporting(d.params, raw, x.floor)
-
-
-def _truncate_reporting(params: BundleParams, raw: Chain, floor: Fraction) -> AddResult:
-    kept = frozenset(g for g in raw.terms if action(params, g) >= floor)
-    dropped = canonical_sort(params, raw.terms - kept)
-    return AddResult(Chain(raw.degree, Fraction(floor), kept), dropped)
+    return truncate(d.params, raw, x.floor)
 
 
 def apply_total(d: FilteredDifferential, x: Chain) -> AddResult:
     """Full differential d0 + sum of d_i, truncated to x.floor with drop report."""
-    fiber = _truncate_reporting(d.params, apply_d0(d.params, x), x.floor)
+    fiber = truncate(d.params, apply_d0(d.params, x), x.floor)
     higher = apply_table(d, x)
     total, lost = add(d.params, fiber.chain, higher.chain)
     dropped = canonical_sort(d.params, set(fiber.dropped) | set(higher.dropped) | set(lost))

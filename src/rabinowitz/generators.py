@@ -39,6 +39,12 @@ class Generator:
     def __str__(self) -> str:
         return f"({self.base},{self.cover},{self.sphere},{self.sign})"
 
+    def fiber_partner(self) -> Generator:
+        """The other end of the fiber pairing (q, n, a, -) <-> (q, n-1, a, +)."""
+        minus = self.sign == "-"
+        cover = self.cover - 1 if minus else self.cover + 1
+        return Generator(self.base, cover, self.sphere, "+" if minus else "-")
+
 
 class ProjectedGenerator(NamedTuple):
     """Image of a generator downstairs: cover and sign are forgotten."""
@@ -154,6 +160,11 @@ def sphere_class_floor(params: BundleParams, twice_mu: int, action_floor: Fracti
     return -((-per_nu.numerator) // per_nu.denominator)  # ceil
 
 
+def _require_odd(twice_mu: int) -> None:
+    if twice_mu % 2 == 0:
+        raise ValueError(f"degree must be odd (doubled half-integer grading), got {twice_mu}")
+
+
 def _degree_quarter(params: BundleParams, twice_mu: int, cp, sign: str) -> int | None:
     """(n + (c-1)*nu*a) pinned by the degree, or None if parity rules it out."""
     s = 1 if sign == "+" else -1
@@ -161,6 +172,25 @@ def _degree_quarter(params: BundleParams, twice_mu: int, cp, sign: str) -> int |
     if num % 4:
         return None
     return num // 4
+
+
+def _class_zero_slice(
+    params: BundleParams, twice_mu: int, action_floor: Fraction, lo: int, hi: int
+) -> tuple[Generator, ...]:
+    """Sphere-class-0 generators of one degree above the floor, levels in [lo, hi].
+
+    With the class fixed the degree pins the cover, so the slice is finite.
+    """
+    found: list[Generator] = []
+    for cp in params.morse:
+        for sign in SIGNS:
+            quarter = _degree_quarter(params, twice_mu, cp, sign)
+            if quarter is None:
+                continue
+            g = Generator(cp.name, quarter, 0, sign)
+            if lo <= level(params, g) <= hi and action(params, g) >= action_floor:
+                found.append(g)
+    return canonical_sort(params, found)
 
 
 def _resolve_window(
@@ -215,12 +245,13 @@ def enumerate_generators(
     infinitely many generators raise :class:`InfiniteSliceError`.  The result
     is in canonical order: level desc, action desc, base id, cover, sign.
     """
-    if twice_mu % 2 == 0:
-        raise ValueError(f"degree must be odd (doubled half-integer grading), got {twice_mu}")
+    _require_odd(twice_mu)
     action_floor = Fraction(action_floor)
     lo, hi = _resolve_window(params, twice_mu, action_floor, level_lo, level_hi)
     if lo > hi:
         return ()
+    if params.aspherical:
+        return _class_zero_slice(params, twice_mu, action_floor, lo, hi)
     half = params.dim_m // 2
     found: list[Generator] = []
     for cp in params.morse:
@@ -228,11 +259,7 @@ def enumerate_generators(
             quarter = _degree_quarter(params, twice_mu, cp, sign)
             if quarter is None:
                 continue
-            if params.aspherical:
-                g = Generator(cp.name, quarter, 0, sign)
-                if lo <= level(params, g) <= hi and action(params, g) >= action_floor:
-                    found.append(g)
-            elif params.c == 0:
+            if params.c == 0:
                 # Level ignores the sphere class entirely; once a critical
                 # point sits in the window every sphere class contributes.
                 if lo <= -cp.index + half <= hi:

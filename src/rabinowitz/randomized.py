@@ -28,7 +28,7 @@ from .differentials import (
     load_table,
     validate_entry,
 )
-from .generators import Generator, action, enumerate_generators, level, sort_key
+from .generators import Generator, _class_zero_slice, enumerate_generators, level
 
 
 def _pool(
@@ -47,17 +47,7 @@ def _pool(
     """
     if params.aspherical or params.c != 0:
         return enumerate_generators(params, degree, floor, level_lo, level_hi)
-    reps: list[Generator] = []
-    for cp in params.morse:
-        for sign in ("+", "-"):
-            s = 1 if sign == "+" else -1
-            num = degree + 2 * cp.index - params.dim_m - s
-            if num % 4:
-                continue
-            g = Generator(cp.name, num // 4, 0, sign)
-            if level_lo <= level(params, g) <= level_hi and action(params, g) >= floor:
-                reps.append(g)
-    return tuple(sorted(reps, key=lambda g: sort_key(params, g)))
+    return _class_zero_slice(params, degree, floor, level_lo, level_hi)
 
 
 def _candidate_entries(
@@ -78,7 +68,7 @@ def _candidate_entries(
             continue
         for src in pool[deg]:
             for tgt in pool[deg - 2]:
-                drop = _level_drop(params, src, tgt)
+                drop = level(params, src) - level(params, tgt)
                 if drop < 1:
                     continue
                 entry = HigherDifferentialEntry(drop, src, tgt)
@@ -87,17 +77,10 @@ def _candidate_entries(
     return out
 
 
-def _level_drop(params: BundleParams, src: Generator, tgt: Generator) -> int:
-    return level(params, src) - level(params, tgt)
-
-
 def _lift(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
     """Companion entry between the fiber preimages of a +-to-+ entry."""
-    s, t = entry.source, entry.target
     return HigherDifferentialEntry(
-        entry.drop,
-        Generator(s.base, s.cover + 1, s.sphere, "-"),
-        Generator(t.base, t.cover + 1, t.sphere, "-"),
+        entry.drop, entry.source.fiber_partner(), entry.target.fiber_partner()
     )
 
 
@@ -118,7 +101,7 @@ def random_admissible_table(
     """
     rng = random.Random(seed)
     candidates = _candidate_entries(params, degrees, Fraction(floor), level_lo, level_hi)
-    candidates.sort(key=lambda e: (e.drop, sort_key(params, e.source), sort_key(params, e.target)))
+    candidates.sort(key=lambda e: e.order_key(params))
     rng.shuffle(candidates)
     chosen: list[HigherDifferentialEntry] = []
     used: set[Generator] = set()
@@ -156,10 +139,7 @@ def _load_with_repair(
                 for e in work
                 if any(str(e.source) in line or str(e.target) in line for line in err.report)
             ]
-            victim = max(
-                offenders or work,
-                key=lambda e: (e.drop, sort_key(params, e.source), sort_key(params, e.target)),
-            )
+            victim = max(offenders or work, key=lambda e: e.order_key(params))
             work.remove(victim)
 
 

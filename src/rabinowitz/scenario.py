@@ -65,6 +65,13 @@ def parse_fraction(text: str, line: int | None = None) -> Fraction:
         raise ScenarioError(f"bad rational {text!r}: {err}", line) from None
 
 
+def _parse_int(name: str, text: str, line: int) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioError(f"{name} must be an integer, got {text!r}", line) from None
+
+
 def parse_generator(text: str, line: int | None = None) -> Generator:
     m = _GEN_RE.fullmatch(text.strip())
     if not m:
@@ -100,7 +107,7 @@ def parse_scenario(text: str) -> Scenario:
             key, value, lineno2 = _split_kv(stripped, lineno)
             if key != "seed":
                 raise ScenarioError(f"unknown meta key {key!r}", lineno2)
-            seed = int(value)
+            seed = _parse_int("seed", value, lineno2)
     bundle = _assemble_bundle(bundle_kv, crits)
     report = validate(bundle)
     if not report.ok:
@@ -178,11 +185,7 @@ def _assemble_bundle(kv: dict, crits: list[CritPoint]) -> BundleParams:
             raise ScenarioError(f"missing bundle key {key!r}")
         return kv[key]
 
-    dim_text, dim_line = need("dim_m")
-    try:
-        dim_m = int(dim_text)
-    except ValueError:
-        raise ScenarioError(f"dim_M must be an integer, got {dim_text!r}", dim_line) from None
+    dim_m = _parse_int("dim_M", *need("dim_m"))
     tau_text, tau_line = need("tau")
     tau = parse_fraction(tau_text, tau_line)
     sph_text, sph_line = need("sphericity")
@@ -200,12 +203,6 @@ def _assemble_bundle(kv: dict, crits: list[CritPoint]) -> BundleParams:
         )
     nu_text, nu_line = need("nu")
     c_text, c_line = need("c")
-    try:
-        nu = int(nu_text)
-    except ValueError:
-        raise ScenarioError(f"nu must be an integer, got {nu_text!r}", nu_line) from None
-    try:
-        c = int(c_text)
-    except ValueError:
-        raise ScenarioError(f"c must be an integer, got {c_text!r}", c_line) from None
+    nu = _parse_int("nu", nu_text, nu_line)
+    c = _parse_int("c", c_text, c_line)
     return BundleParams(dim_m, tau, tuple(crits), nu, c)

@@ -165,29 +165,30 @@ def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> Verify
 
 
 def _descend(
-    d: FilteredDifferential,
-    parts: dict[int, Chain],
-    degree: int,
-    floor: Fraction,
-    l_top: int,
-    stop: int,
-) -> tuple[dict[int, Chain], list[Generator]]:
-    """Shared level induction: build theta parts from l_top down to stop.
+    d: FilteredDifferential, x: Chain, stop: int
+) -> tuple[list[tuple[int, Chain]], list[Generator]]:
+    """Shared level induction: theta parts for x, highest level first.
 
-    Each correction term r = xi_part + (higher differentials of the theta
-    parts already built) must consist of + generators only; its canonical
-    fiber primitive becomes the next theta part.
+    Only levels that hold terms are visited.  Each correction term r = x_part +
+    (higher differentials of the theta parts already built) must consist of +
+    generators only; its canonical fiber primitive becomes the next theta
+    part.  A nonzero correction below ``stop`` breaks the certified bound.
     """
     params = d.params
-    theta: dict[int, Chain] = {}
-    pending: dict[int, set[Generator]] = {}
+    pending = {lv: set(part.terms) for lv, part in split_by_level(params, x).items()}
+    theta: list[tuple[int, Chain]] = []
     dropped: list[Generator] = []
-    for l in range(l_top, stop - 1, -1):
-        terms = set(parts[l].terms) if l in parts else set()
-        terms ^= pending.pop(l, set())
-        r = Chain(degree, floor, frozenset(terms))
-        if r.is_zero:
+    while pending:
+        l = max(pending)
+        terms = pending.pop(l)
+        if not terms:
             continue
+        if l < stop:
+            leftovers = sorted([l] + [lv for lv, gens in pending.items() if gens])
+            raise InductionError(
+                f"correction terms survived below the certified stop level {stop}: levels {leftovers}"
+            )
+        r = Chain(x.degree, x.floor, frozenset(terms))
         try:
             th = d0_primitive(params, r)
         except ValueError as err:
@@ -197,18 +198,13 @@ def _descend(
         # d0 of the primitive must reproduce r on the nose.
         if apply_d0(params, th).terms != r.terms:
             raise InductionError(f"fiber primitive round-trip failed at level {l}")
-        theta[l] = th
-        image, lost = apply_table(d, Chain(th.degree, floor, th.terms))
+        theta.append((l, th))
+        image, lost = apply_table(d, Chain(th.degree, x.floor, th.terms))
         dropped.extend(lost)
         for lv, part in split_by_level(params, image).items():
             if lv >= l:
                 raise InductionError(f"higher differential failed to drop the level at {l}")
             pending[lv] = pending.get(lv, set()) ^ set(part.terms)
-    if any(pending.values()):
-        leftovers = sorted(lv for lv, gens in pending.items() if gens)
-        raise InductionError(
-            f"correction terms survived below the certified stop level {stop}: levels {leftovers}"
-        )
     return theta, dropped
 
 
@@ -217,7 +213,8 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
 
     Rejects scenarios outside the supported cases, non-closed cycles (the
     differential image travels with the error), and c >= 1 scenarios with
-    (c-1)*tau >= 1 where the level bounds are unavailable.
+    (c-1)*tau >= 1 where the level bounds are unavailable.  In the
+    very-negative regime the induction runs independently per sphere class.
     """
     params = d.params
     case = theorem_case(params)
@@ -242,21 +239,48 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
             (),
         )
 
+    ceiling = stop = gap_bound = None
+    bounds: tuple[LevelBound, ...] = ()
     if case.tag is CaseTag.C_VERY_NEGATIVE:
-        return _find_primitive_by_class(d, xi, case)
+        half = params.dim_m // 2
+        gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value
+        by_class: dict[int, set[Generator]] = {}
+        for g in xi.terms:
+            by_class.setdefault(g.sphere, set()).add(g)
+        # Each class stops at the least level any generator of that class has.
+        components = [
+            (a, Chain(xi.degree, xi.floor, frozenset(by_class[a])),
+             2 * params.c * params.nu * a - half)
+            for a in sorted(by_class)
+        ]
+    else:
+        ceiling = level_ceiling(params, xi)
+        bounds = (level_floor(params, xi.degree, xi.floor),
+                  level_floor(params, xi.degree + 2, xi.floor))
+        stop = min(b.l_min for b in bounds)
+        components = [(None, xi, stop)]
 
-    l_top = level_ceiling(params, xi)
-    bound_xi = level_floor(params, xi.degree, xi.floor)
-    bound_theta = level_floor(params, xi.degree + 2, xi.floor)
-    stop = min(bound_xi.l_min, bound_theta.l_min)
-    parts = split_by_level(params, xi)
-    theta_by_level, drops = _descend(d, parts, xi.degree, xi.floor, l_top, stop)
     theta_terms: set[Generator] = set()
     labelled: list[tuple[str, Chain]] = []
-    for l in sorted(theta_by_level, reverse=True):
-        th = theta_by_level[l]
-        theta_terms ^= th.terms
-        labelled.append((f"level={l}", th))
+    reports: list[ClassReport] = []
+    dropped: list[Generator] = []
+    for a, part, part_stop in components:
+        theta_parts, drops = _descend(d, part, part_stop)
+        dropped.extend(drops)
+        prefix = "" if a is None else f"class={a},"
+        part_theta: set[Generator] = set()
+        for l, th in theta_parts:
+            part_theta ^= th.terms
+            labelled.append((f"{prefix}level={l}", th))
+        theta_terms ^= part_theta
+        if a is not None:
+            xi_actions = [action(params, g) for g in part.terms]
+            gaps = [min(abs(action(params, g) - av) for av in xi_actions) for g in part_theta]
+            max_gap = max(gaps) if gaps else None
+            reports.append(ClassReport(
+                a, len(part), len(part_theta), max_gap,
+                max_gap is None or max_gap <= gap_bound,
+            ))
     theta = Chain(xi.degree + 2, theta_floor, frozenset(theta_terms))
     residual, res_drops = verify_primitive(d, xi, theta)
     return PrimitiveResult(
@@ -264,62 +288,10 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
         theta,
         tuple(labelled),
         residual,
-        canonical_sort(params, set(drops) | set(res_drops)),
-        level_ceiling=l_top,
-        stop_level=stop,
-        bounds=(bound_xi, bound_theta),
-    )
-
-
-def _find_primitive_by_class(
-    d: FilteredDifferential, xi: Chain, case: TheoremCase
-) -> PrimitiveResult:
-    """Very-negative regime: independent induction per sphere class."""
-    params = d.params
-    half = params.dim_m // 2
-    gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value
-    by_class: dict[int, set[Generator]] = {}
-    for g in xi.terms:
-        by_class.setdefault(g.sphere, set()).add(g)
-    theta_terms: set[Generator] = set()
-    labelled: list[tuple[str, Chain]] = []
-    reports: list[ClassReport] = []
-    dropped: list[Generator] = []
-    for a in sorted(by_class):
-        part = Chain(xi.degree, xi.floor, frozenset(by_class[a]))
-        parts = split_by_level(params, part)
-        l_top = max(parts)
-        stop = 2 * params.c * params.nu * a - half  # least level any generator of class a has
-        theta_by_level, drops = _descend(d, parts, xi.degree, xi.floor, l_top, stop)
-        dropped.extend(drops)
-        class_theta: set[Generator] = set()
-        for l in sorted(theta_by_level, reverse=True):
-            th = theta_by_level[l]
-            class_theta ^= th.terms
-            labelled.append((f"class={a},level={l}", th))
-        theta_terms ^= class_theta
-        xi_actions = [action(params, g) for g in by_class[a]]
-        gaps = [
-            min(abs(action(params, g) - av) for av in xi_actions) for g in class_theta
-        ]
-        max_gap = max(gaps) if gaps else None
-        reports.append(
-            ClassReport(
-                a,
-                len(by_class[a]),
-                len(class_theta),
-                max_gap,
-                max_gap is None or max_gap <= gap_bound,
-            )
-        )
-    theta = Chain(xi.degree + 2, xi.floor + params.tau, frozenset(theta_terms))
-    residual, res_drops = verify_primitive(d, xi, theta)
-    return PrimitiveResult(
-        case,
-        theta,
-        tuple(labelled),
-        residual,
         canonical_sort(params, set(dropped) | set(res_drops)),
+        level_ceiling=ceiling,
+        stop_level=stop,
+        bounds=bounds,
         gap_constant=gap_bound,
         class_reports=tuple(reports),
     )

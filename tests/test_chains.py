@@ -38,6 +38,11 @@ def test_build_chain_rejects_below_floor(cp1_params):
         build_chain(cp1_params, [G("q0", 1, 0, "-")], Fraction(1))
 
 
+def test_build_chain_rejects_even_degree(cp1_params):
+    with pytest.raises(ValueError, match="degree must be odd"):
+        build_chain(cp1_params, [], FLOOR, degree=4)
+
+
 def test_build_chain_empty_needs_degree(cp1_params):
     with pytest.raises(ValueError):
         build_chain(cp1_params, [], FLOOR)

@@ -121,6 +121,24 @@ def test_cmd_validate_parse_error(tmp_path):
     code, out = run_cli("validate", "--scenario", str(bad))
     assert code == 4
     assert "parse error" in out and "line 7" in out
+    cp1_text = scenario_path("cp1").read_text()
+    cp1_lines = cp1_text.splitlines()
+    for text, message in (
+        (MINIMAL.replace("dim_M = 2", "dim_M = 2.0"), "line 3: dim_M must be an integer, got '2.0'"),
+        (MINIMAL.replace("nu = 1", "nu = x"), "line 5: nu must be an integer, got 'x'"),
+        (MINIMAL.replace("c = 2", "c = 1/2"), "line 6: c must be an integer, got '1/2'"),
+        (
+            cp1_text.replace("seed = 7", "seed = 1.5"),
+            f"line {cp1_lines.index('seed = 7') + 1}: seed must be an integer, got '1.5'",
+        ),
+        (
+            cp1_text.replace("[meta]", "cycle e degree 4 floor 0\n[meta]"),
+            f"line {cp1_lines.index('[meta]') + 1}: cycle 'e': "
+            "degree must be odd (doubled half-integer grading), got 4",
+        ),
+    ):
+        bad.write_text(text)
+        assert run_cli("validate", "--scenario", str(bad)) == (4, f"parse error: {message}\n")
 
 
 def test_cmd_validate_missing_file():

@@ -1,3 +1,4 @@
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,10 @@ import pytest
 from rabinowitz import (
     CaseTag,
     Chain,
+    FilteredDifferential,
     Generator,
+    HigherDifferentialEntry,
+    InductionError,
     NotClosedError,
     action,
     add,
@@ -20,6 +24,7 @@ from rabinowitz import (
     verify_primitive,
     zero_chain,
 )
+from rabinowitz import vanishing
 from rabinowitz.bundle import BundleParams, CritPoint
 
 G = Generator
@@ -135,6 +140,50 @@ def test_cp1_with_scenario_table(cp1):
     assert result.level_ceiling == 1
     assert [label for label, _ in result.theta_parts] == ["level=1", "level=-1"]
     assert len(result.bounds) == 2
+
+
+def test_theta_parts_independent_of_floor_depth(cp1):
+    # The induction visits only levels that hold terms, so moving the floor
+    # down changes the certified stop level but not the construction.
+    d = load_table(cp1.bundle, cp1.entries)
+    xi = cp1.cycles["xi0"]
+    for floor in (-1, -1000, -20000):
+        result = find_primitive(d, Chain(xi.degree, Fraction(floor), xi.terms))
+        assert result.ok
+        assert [(label, part.terms) for label, part in result.theta_parts] == [
+            ("level=1", {G("q0", 1, 0, "-")}),
+            ("level=-1", {G("q2", 2, 0, "-")}),
+        ]
+
+
+@pytest.mark.parametrize(
+    "target, message",
+    [
+        # the correction at level -1 holds a - generator
+        (G("q2", 1, 0, "-"), "inconsistent with the level induction at level -1: not d0-closed"),
+        # the image stays at level 1
+        (G("q0", 0, 0, "+"), "higher differential failed to drop the level at 1"),
+    ],
+)
+def test_induction_rejects_inconsistent_table(cp1, target, message):
+    # Built directly, so the table is never validated.
+    entry = HigherDifferentialEntry(2, G("q0", 1, 0, "-"), target)
+    d = FilteredDifferential(cp1.bundle, (entry,))
+    with pytest.raises(InductionError, match=message):
+        find_primitive(d, cp1.cycles["xi0"])
+
+
+def test_induction_rejects_terms_below_stop(cp1, monkeypatch):
+    real = vanishing.level_floor
+    monkeypatch.setattr(
+        vanishing, "level_floor", lambda *args: dataclasses.replace(real(*args), l_min=0)
+    )
+    d = load_table(cp1.bundle, cp1.entries)
+    with pytest.raises(InductionError) as info:
+        find_primitive(d, cp1.cycles["xi0"])
+    assert str(info.value) == (
+        "correction terms survived below the certified stop level 0: levels [-1]"
+    )
 
 
 def test_rejects_non_closed(cp1):
