@@ -4,7 +4,8 @@ A :class:`Chain` asserts that its term set is *exact above its floor* and says
 nothing below: the differential never increases action, so generators below
 any action level span a subcomplex and working in the quotient above the floor
 is well-defined.  Every operation that can push terms below the active floor
-reports the dropped terms instead of discarding them silently.
+computes its Z/2 result first and truncates it once: "dropped below floor"
+lists the terms of that result below the floor, each once, after cancellation.
 
 Chains are homogeneous in degree; mixed-degree data are maps degree -> Chain.
 Coefficients are Z/2 throughout, so term sets combine by symmetric difference.
@@ -141,28 +142,25 @@ def apply_scalar(params: BundleParams, coefficients: Iterable[int], x: Chain) ->
     """Act by a Z/2 Novikov scalar: the sum of the shifts by each coordinate.
 
     The scalar is a *set* of sphere coordinates (Z/2 support); duplicates in
-    the input collapse.  The summands are exact above different floors, so the
-    result carries the coarsest one (floor + nu * max coordinate) and reports
-    what fell below.
+    the input collapse.  The summands are exact above different floors, so their
+    Z/2 sum is truncated once at the coarsest one (floor + nu * max coordinate),
+    reporting the terms of the sum that fall below it.
     """
     coords = sorted(set(coefficients))
     if not coords:
         raise ValueError("empty Novikov scalar (zero) has no well-defined degree")
     shifted = [scalar_shift(params, x, a0) for a0 in coords]
-    if len(shifted) == 1:
-        return AddResult(shifted[0], ())
     degrees = {ch.degree for ch in shifted}
     if len(degrees) > 1:
         raise ValueError(
             "Novikov scalar mixes degrees: shifts land in degrees "
             + ", ".join(str(d) for d in sorted(degrees))
         )
-    total = zero_chain(degrees.pop(), max(ch.floor for ch in shifted))
-    dropped: list[Generator] = []
+    terms: frozenset[Generator] = frozenset()
     for ch in shifted:
-        total, lost = add(params, total, ch)
-        dropped.extend(lost)
-    return AddResult(total, canonical_sort(params, dropped))
+        terms ^= ch.terms
+    floor = max(ch.floor for ch in shifted)
+    return truncate(params, Chain(degrees.pop(), floor, terms), floor)
 
 
 def novikov_window_counts(

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .bundle import BundleParams, CaseTag, TheoremCase, theorem_case
-from .chains import AddResult, Chain, add, truncate
+from .chains import AddResult, Chain, truncate
 from .generators import (
     Generator,
     action,
@@ -59,9 +59,12 @@ class HigherDifferentialEntry:
 
 
 class TableValidationError(ValueError):
-    def __init__(self, report: tuple[str, ...]):
+    """Report lines of a rejected table, and the set of generators they name."""
+
+    def __init__(self, report: tuple[str, ...], generators: frozenset[Generator]):
         super().__init__("\n".join(report))
         self.report = report
+        self.generators = generators
 
 
 def apply_d0(params: BundleParams, x: Chain) -> Chain:
@@ -181,25 +184,24 @@ def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[
     return frozenset(acc)
 
 
-def check_d_squared_window(d: FilteredDifferential) -> tuple[str, ...]:
+def check_d_squared_window(
+    d: FilteredDifferential,
+) -> tuple[tuple[Generator, tuple[Generator, ...]], ...]:
     """Brute-force the square of the differential on the table's window.
 
     A nonzero composite can only show up at a table source or at the canonical
     d0-preimage of a + source, so those are the test points; shift-equivariance
-    reduces the check to the stored representatives.
+    reduces the check to the stored representatives.  Returns each failing
+    probe with its residue in canonical order (empty = squares to zero).
     """
     probes: set[Generator] = set()
     for e in d.entries:
         probes.add(e.source)
         if e.source.sign == "+":
             probes.add(e.source.fiber_partner())
-    bad: list[str] = []
-    for w in sorted(probes, key=lambda g: sort_key(d.params, g)):
-        dd = _raw_step(d, _raw_step(d, frozenset({w})))
-        if dd:
-            residue = " ".join(str(g) for g in canonical_sort(d.params, dd))
-            bad.append(f"d-squared: composite at {w} is nonzero: {residue}")
-    return tuple(bad)
+    ordered = sorted(probes, key=lambda g: sort_key(d.params, g))
+    squares = ((w, _raw_step(d, _raw_step(d, frozenset({w})))) for w in ordered)
+    return tuple((w, canonical_sort(d.params, dd)) for w, dd in squares if dd)
 
 
 def load_table(
@@ -213,26 +215,32 @@ def load_table(
     """
     case = theorem_case(params)
     report: list[str] = []
+    named: set[Generator] = set()
     normalized: list[HigherDifferentialEntry] = []
     seen: set[HigherDifferentialEntry] = set()
     for entry in entries:
-        for line in validate_entry(params, case, entry):
-            report.append(f"entry [{entry}] rejected: {line}")
+        broken = list(validate_entry(params, case, entry))
         norm = _normalize(entry)
         if norm in seen:
-            report.append(
-                f"entry [{entry}] rejected: shift-duplicate: "
-                "coincides with an earlier entry modulo Novikov shift"
-            )
+            broken.append("shift-duplicate: coincides with an earlier entry modulo Novikov shift")
+        if broken:
+            report.extend(f"entry [{entry}] rejected: {line}" for line in broken)
+            named.update((entry.source, entry.target))
         seen.add(norm)
         normalized.append(norm)
     if report:
-        raise TableValidationError(tuple(report))
+        raise TableValidationError(tuple(report), frozenset(named))
     normalized.sort(key=lambda e: e.order_key(params))
     d = FilteredDifferential(params, tuple(normalized))
     square = check_d_squared_window(d)
     if square:
-        raise TableValidationError(square)
+        raise TableValidationError(
+            tuple(
+                f"d-squared: composite at {w} is nonzero: {' '.join(str(g) for g in residue)}"
+                for w, residue in square
+            ),
+            frozenset(g for w, residue in square for g in (w, *residue)),
+        )
     return d
 
 
@@ -246,12 +254,12 @@ def apply_table(d: FilteredDifferential, x: Chain) -> AddResult:
 
 
 def apply_total(d: FilteredDifferential, x: Chain) -> AddResult:
-    """Full differential d0 + sum of d_i, truncated to x.floor with drop report."""
-    fiber = truncate(d.params, apply_d0(d.params, x), x.floor)
-    higher = apply_table(d, x)
-    total, lost = add(d.params, fiber.chain, higher.chain)
-    dropped = canonical_sort(d.params, set(fiber.dropped) | set(higher.dropped) | set(lost))
-    return AddResult(total, dropped)
+    """Full differential d0 + sum of d_i, truncated once to x.floor.
+
+    "Dropped below floor" lists the terms of the Z/2 image that lie below
+    x.floor, each once, after cancellation.
+    """
+    return truncate(d.params, Chain(x.degree - 2, x.floor, _raw_step(d, x.terms)), x.floor)
 
 
 def split_by_level(params: BundleParams, x: Chain) -> dict[int, Chain]:

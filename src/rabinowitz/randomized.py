@@ -126,7 +126,7 @@ def random_admissible_table(
 def _load_with_repair(
     params: BundleParams, entries: list[HigherDifferentialEntry]
 ) -> FilteredDifferential:
-    """Drop square-check offenders (canonically last first) until the table loads."""
+    """Drop entries the error names, canonically last first, until the table loads."""
     work = list(entries)
     while True:
         try:
@@ -134,11 +134,7 @@ def _load_with_repair(
         except TableValidationError as err:
             if not work:
                 raise
-            offenders = [
-                e
-                for e in work
-                if any(str(e.source) in line or str(e.target) in line for line in err.report)
-            ]
+            offenders = [e for e in work if {e.source, e.target} & err.generators]
             victim = max(offenders or work, key=lambda e: e.order_key(params))
             work.remove(victim)
 

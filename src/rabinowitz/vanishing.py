@@ -24,9 +24,10 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .bundle import BundleParams, CaseTag, TheoremCase, theorem_case
-from .chains import Chain, add, serialize_chain, zero_chain
+from .chains import Chain, serialize_chain, truncate, zero_chain
 from .differentials import (
     FilteredDifferential,
+    _raw_step,
     apply_d0,
     apply_table,
     apply_total,
@@ -36,7 +37,6 @@ from .differentials import (
 from .generators import (
     Generator,
     action,
-    canonical_sort,
     enumerate_generators,
     level,
     sphere_class_floor,
@@ -153,20 +153,20 @@ def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> 
 
 
 def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> VerifyResult:
-    """Unconditional check: d(theta) + xi truncated at xi's floor."""
+    """Unconditional check: d(theta) + xi, truncated once at xi's floor.
+
+    "Dropped below floor" lists the terms of the Z/2 sum d(theta) + xi that lie
+    below xi's floor, each once, after cancellation.
+    """
     if theta.degree != xi.degree + 2:
         raise ValueError(
             f"degree mismatch: theta has degree {theta.degree}, expected {xi.degree + 2}"
         )
-    work = Chain(theta.degree, xi.floor, theta.terms)
-    image, dropped = apply_total(d, work)
-    residual, lost = add(d.params, image, xi)
-    return VerifyResult(residual, canonical_sort(d.params, set(dropped) | set(lost)))
+    raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)
+    return VerifyResult(*truncate(d.params, raw, xi.floor))
 
 
-def _descend(
-    d: FilteredDifferential, x: Chain, stop: int
-) -> tuple[list[tuple[int, Chain]], list[Generator]]:
+def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Chain]]:
     """Shared level induction: theta parts for x, highest level first.
 
     Only levels that hold terms are visited.  Each correction term r = x_part +
@@ -177,7 +177,6 @@ def _descend(
     params = d.params
     pending = {lv: set(part.terms) for lv, part in split_by_level(params, x).items()}
     theta: list[tuple[int, Chain]] = []
-    dropped: list[Generator] = []
     while pending:
         l = max(pending)
         terms = pending.pop(l)
@@ -199,13 +198,12 @@ def _descend(
         if apply_d0(params, th).terms != r.terms:
             raise InductionError(f"fiber primitive round-trip failed at level {l}")
         theta.append((l, th))
-        image, lost = apply_table(d, Chain(th.degree, x.floor, th.terms))
-        dropped.extend(lost)
+        image = apply_table(d, Chain(th.degree, x.floor, th.terms)).chain
         for lv, part in split_by_level(params, image).items():
             if lv >= l:
                 raise InductionError(f"higher differential failed to drop the level at {l}")
             pending[lv] = pending.get(lv, set()) ^ set(part.terms)
-    return theta, dropped
+    return theta
 
 
 def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
@@ -263,10 +261,8 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     theta_terms: set[Generator] = set()
     labelled: list[tuple[str, Chain]] = []
     reports: list[ClassReport] = []
-    dropped: list[Generator] = []
     for a, part, part_stop in components:
-        theta_parts, drops = _descend(d, part, part_stop)
-        dropped.extend(drops)
+        theta_parts = _descend(d, part, part_stop)
         prefix = "" if a is None else f"class={a},"
         part_theta: set[Generator] = set()
         for l, th in theta_parts:
@@ -282,13 +278,13 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
                 max_gap is None or max_gap <= gap_bound,
             ))
     theta = Chain(xi.degree + 2, theta_floor, frozenset(theta_terms))
-    residual, res_drops = verify_primitive(d, xi, theta)
+    residual, dropped = verify_primitive(d, xi, theta)
     return PrimitiveResult(
         case,
         theta,
         tuple(labelled),
         residual,
-        canonical_sort(params, set(dropped) | set(res_drops)),
+        dropped,
         level_ceiling=ceiling,
         stop_level=stop,
         bounds=bounds,

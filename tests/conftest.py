@@ -15,6 +15,17 @@ def params_of(name: str):
     return load_scenario(scenario_path(name)).bundle
 
 
+# Golden scenarios covering every case tag: aspherical, c = 0, c >= 1, very negative.
+CASE_SCENARIOS = ("aspherical4", "c0", "c1", "cp1", "neg2", "neg4")
+
+
+def assert_drop_partition(kept, dropped, untruncated):
+    """Kept terms and the drop report split the untruncated Z/2 result, each term once."""
+    assert len(set(dropped)) == len(dropped)
+    assert not kept & set(dropped)
+    assert kept | set(dropped) == untruncated
+
+
 @pytest.fixture(scope="session")
 def cp1():
     return load_scenario(scenario_path("cp1"))

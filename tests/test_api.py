@@ -1,9 +1,29 @@
+import ast
 import types
+from pathlib import Path
 
 import rabinowitz
+
+SRC = Path(rabinowitz.__file__).resolve().parent
 
 
 def test_all_lists_resolvable_non_module_names():
     assert len(set(rabinowitz.__all__)) == len(rabinowitz.__all__)
     for name in rabinowitz.__all__:
         assert not isinstance(getattr(rabinowitz, name), types.ModuleType), name
+
+
+def test_every_import_is_used():
+    # __init__.py imports only to re-export.
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"

@@ -180,6 +180,14 @@ def test_apply_scalar_unit_and_degree_mixing(cp1_params, c1_params):
     assert res.chain.floor == Fraction(-10) + 2 * c1_params.nu
 
 
+def test_apply_scalar_drops_the_sum_not_the_summands(c1_params):
+    # (q0,0,1,+) comes from the shifts by 0 and by 1 and cancels mod 2.
+    x = build_chain(c1_params, [G("q0", 0, 0, "+"), G("q0", 0, 1, "+")], Fraction(-1))
+    res = apply_scalar(c1_params, [0, 1, 5], x)
+    assert res.chain.terms == {G("q0", 0, 5, "+"), G("q0", 0, 6, "+")}
+    assert res.dropped == (G("q0", 0, 2, "+"), G("q0", 0, 0, "+"))
+
+
 def test_chains_equal_compares_above_coarser_floor(cp1_params):
     shared = G("q0", 0, 1, "-")  # action 17/20
     low = G("q0", 1, 0, "-")     # action 7/20

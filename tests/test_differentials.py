@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CASE_SCENARIOS, assert_drop_partition, params_of
 from rabinowitz import (
     Chain,
     Generator,
@@ -24,6 +25,8 @@ from rabinowitz import (
     validate_entry,
     zero_chain,
 )
+from rabinowitz.differentials import _raw_step
+from rabinowitz.randomized import _load_with_repair
 
 G = Generator
 E = HigherDifferentialEntry
@@ -156,8 +159,9 @@ def test_rule_depth_cutoff(c0_params):
 def test_rule_shift_duplicate(cp1_params):
     base = E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+"))
     shifted = E(2, G("q0", 1, 1, "-"), G("q2", 1, 1, "+"))
-    with pytest.raises(TableValidationError, match="shift-duplicate"):
+    with pytest.raises(TableValidationError, match="shift-duplicate") as info:
         load_table(cp1_params, [base, shifted])
+    assert info.value.generators == {shifted.source, shifted.target}
     distinct = E(2, G("q2", 1, 0, "-"), G("q0", 0, -1, "+"))
     d = load_table(cp1_params, [base, distinct])
     assert len(d.entries) == 2
@@ -181,8 +185,25 @@ def test_square_check_catches_unpaired_entry(cp1_params):
     bad = E(6, G("q0", 0, 0, "+"), G("q2", 2, -1, "-"))
     case = theorem_case(cp1_params)
     assert validate_entry(cp1_params, case, bad) == ()
-    with pytest.raises(TableValidationError, match="d-squared"):
+    with pytest.raises(TableValidationError, match="d-squared") as info:
         load_table(cp1_params, [bad])
+    assert info.value.report == (
+        "d-squared: composite at (q0,1,0,-) is nonzero: (q2,2,-1,-)",
+        "d-squared: composite at (q0,0,0,+) is nonzero: (q2,1,-1,+)",
+    )
+    assert info.value.generators == {
+        G("q0", 1, 0, "-"), G("q2", 2, -1, "-"), G("q0", 0, 0, "+"), G("q2", 1, -1, "+"),
+    }
+
+
+def test_repair_drops_the_entry_the_square_check_names(cp1):
+    # The unpaired d6 entry breaks the square check.  The d8 entry is harmless
+    # but canonically last, so it survives only if the offender is chosen
+    # among the entries the error names.
+    bad = E(6, G("q0", 0, 0, "+"), G("q2", 2, -1, "-"))
+    harmless = E(8, G("q0", 5, 0, "-"), G("q0", 6, -2, "+"))
+    d = _load_with_repair(cp1.bundle, [*cp1.entries, bad, harmless])
+    assert set(d.entries) == {*cp1.entries, harmless}
 
 
 def test_scenario_table_loads(cp1):
@@ -242,6 +263,28 @@ def test_apply_total_drop_report(cp1_params):
     total, dropped = apply_total(d, x)
     assert total.is_zero
     assert dropped == (G("q0", 0, 0, "+"),)
+
+
+def test_apply_total_drops_only_terms_that_survive_cancellation(cp1):
+    # (q2,1,0,+) is d0 of (q2,2,0,-) and the d2 image of (q0,1,0,-), so it
+    # cancels mod 2 and is neither kept nor dropped.
+    d = load_table(cp1.bundle, cp1.entries)
+    y = build_chain(cp1.bundle, [G("q0", 1, 0, "-"), G("q2", 2, 0, "-")], Fraction(1, 4))
+    image, dropped = apply_total(d, y)
+    assert image.is_zero
+    assert dropped == (G("q0", 0, 0, "+"),)
+
+
+@pytest.mark.parametrize("name", CASE_SCENARIOS)
+def test_apply_total_drop_report_partitions_the_image(name):
+    params = params_of(name)
+    floor = Fraction(-1)  # close enough to the window that images cross it
+    for seed in range(10):
+        d = random_admissible_table(params, seed, (3, 5, 7), floor, -8, 8, size=8)
+        for k in range(10):
+            x = random_chain(params, 1000 * seed + k, 5 + 2 * (k % 2), floor, -8, 8, size=10)
+            image, dropped = apply_total(d, x)
+            assert_drop_partition(image.terms, dropped, _raw_step(d, x.terms))
 
 
 def test_apply_total_commutes_with_shift(cp1):

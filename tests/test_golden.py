@@ -5,9 +5,12 @@ refactor of the engine must leave it unchanged.  To re-record it after an
 intended change of output, run ``PYTHONPATH=src python tests/test_golden.py``.
 """
 
+import difflib
 import io
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
 
 from rabinowitz.cli import main
 
@@ -63,7 +66,15 @@ def transcript() -> str:
 
 
 def test_cli_transcript_unchanged():
-    assert transcript() == TRANSCRIPT.read_text()
+    expected, actual = TRANSCRIPT.read_text(), transcript()
+    if actual != expected:
+        diff = difflib.unified_diff(
+            expected.splitlines(keepends=True),
+            actual.splitlines(keepends=True),
+            str(TRANSCRIPT.relative_to(ROOT)),
+            "actual",
+        )
+        pytest.fail("CLI transcript changed:\n" + "".join(diff), pytrace=False)
 
 
 if __name__ == "__main__":

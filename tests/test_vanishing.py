@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import CASE_SCENARIOS, assert_drop_partition, scenario_path
 from rabinowitz import (
     CaseTag,
     Chain,
@@ -18,6 +19,7 @@ from rabinowitz import (
     find_primitive,
     level_ceiling,
     level_floor,
+    load_scenario,
     load_table,
     random_admissible_table,
     random_boundary,
@@ -26,6 +28,8 @@ from rabinowitz import (
 )
 from rabinowitz import vanishing
 from rabinowitz.bundle import BundleParams, CritPoint
+from rabinowitz.cli import _default_window
+from rabinowitz.differentials import _raw_step
 
 G = Generator
 FLOOR = Fraction(-30)
@@ -184,6 +188,18 @@ def test_induction_rejects_terms_below_stop(cp1, monkeypatch):
     assert str(info.value) == (
         "correction terms survived below the certified stop level 0: levels [-1]"
     )
+
+
+@pytest.mark.parametrize("name", CASE_SCENARIOS)
+def test_primitive_drop_report_partitions_the_residual(name):
+    scenario = load_scenario(scenario_path(name))
+    params, xi = scenario.bundle, scenario.cycles["xi0"]
+    window = _default_window(params, xi)  # as `primitive --random-table` samples
+    for seed in range(40):
+        d = random_admissible_table(params, seed, (xi.degree, xi.degree + 2), xi.floor, *window)
+        result = find_primitive(d, xi)
+        untruncated = _raw_step(d, result.theta.terms) ^ xi.terms
+        assert_drop_partition(result.residual.terms, result.dropped, untruncated)
 
 
 def test_rejects_non_closed(cp1):
