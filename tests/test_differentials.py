@@ -278,7 +278,7 @@ def test_apply_total_drops_only_terms_that_survive_cancellation(cp1):
 @pytest.mark.parametrize("name", CASE_SCENARIOS)
 def test_apply_total_drop_report_partitions_the_image(name):
     params = params_of(name)
-    floor = Fraction(-1)  # close enough to the window that images cross it
+    floor = Fraction(-1)  # inside the window's actions, so images cross the floor
     for seed in range(10):
         d = random_admissible_table(params, seed, (3, 5, 7), floor, -8, 8, size=8)
         for k in range(10):
