@@ -9,9 +9,11 @@ the sphere group is trivial and ``a = 0`` everywhere.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from functools import cached_property
 
 
 @dataclass(frozen=True)
@@ -31,7 +33,8 @@ class BundleParams:
     ``nu * Z`` on spheres, and the first Chern class of the base equals
     ``c * omega`` on spheres) and are both ``None`` for aspherical ones.  The
     C^2-smallness of the Morse function is an unchecked modelling assumption;
-    no quantitative bound is available, so none is validated.
+    no quantitative bound is available, so none is validated.  The per-point
+    constants are cached, not fields, so equality, hashing and repr ignore them.
     """
 
     dim_m: int
@@ -44,11 +47,29 @@ class BundleParams:
     def aspherical(self) -> bool:
         return self.nu is None and self.c is None
 
+    @cached_property
+    def action_denominator(self) -> int:
+        """L: every action is an integer multiple of 1/L."""
+        return math.lcm(self.tau.denominator,
+                        *(((self.tau + 1) * cp.value).denominator for cp in self.morse))
+
+    @cached_property
+    def points(self) -> dict[str, tuple[CritPoint, int, int]]:
+        """By id: (point, its level at class 0 = -index + dim_M/2, L*(tau+1)*f(q)).
+
+        Built in reverse, so the first of duplicate ids wins.
+        """
+        scale, half = (self.tau + 1) * self.action_denominator, self.dim_m // 2
+        return {cp.name: (cp, half - cp.index, int(scale * cp.value)) for cp in reversed(self.morse)}
+
+    def point(self, name: str) -> tuple[CritPoint, int, int]:
+        try:
+            return self.points[name]
+        except KeyError:
+            raise KeyError(f"unknown critical point id {name!r}") from None
+
     def crit(self, name: str) -> CritPoint:
-        for cp in self.morse:
-            if cp.name == name:
-                return cp
-        raise KeyError(f"unknown critical point id {name!r}")
+        return self.point(name)[0]
 
     @property
     def min_value(self) -> Fraction:

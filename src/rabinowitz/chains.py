@@ -20,6 +20,7 @@ from typing import Iterable, NamedTuple
 from .bundle import BundleParams, CaseTag, theorem_case
 from .generators import (
     Generator,
+    _above_floor,
     _require_odd,
     action,
     canonical_sort,
@@ -76,6 +77,7 @@ def build_chain(
     if degree is not None:
         _require_odd(degree)
     floor = Fraction(floor)
+    above = _above_floor(params, floor)
     term_set = frozenset(terms)
     for g in term_set:
         validate_generator(params, g)
@@ -84,9 +86,8 @@ def build_chain(
             degree = d
         elif d != degree:
             raise ValueError(f"mixed degrees: term {g} has grading {d}, expected {degree}")
-        a = action(params, g)
-        if a < floor:
-            raise ValueError(f"term {g} has action {a} below the floor {floor}")
+        if not above(g):
+            raise ValueError(f"term {g} has action {action(params, g)} below the floor {floor}")
     if degree is None:
         raise ValueError("degree required for a chain with no terms")
     return Chain(degree, floor, term_set)
@@ -99,7 +100,7 @@ def truncate(params: BundleParams, x: Chain, floor: Fraction) -> AddResult:
         raise ValueError(
             f"cannot refine a floor: chain is only exact above {x.floor}, requested {floor}"
         )
-    kept = frozenset(g for g in x.terms if action(params, g) >= floor)
+    kept = frozenset(filter(_above_floor(params, floor), x.terms))
     dropped = canonical_sort(params, x.terms - kept)
     return AddResult(Chain(x.degree, floor, kept), dropped)
 
@@ -180,7 +181,7 @@ def novikov_window_counts(
         raise ValueError(
             f"probe {action_probe} below the floor {x.floor}: window not represented"
         )
-    n_action = sum(1 for g in x.terms if action(params, g) >= action_probe)
+    n_action = sum(map(_above_floor(params, action_probe), x.terms))
     n_level = None
     if level_probe is not None:
         n_level = sum(1 for g in x.terms if level(params, g) >= level_probe)

@@ -35,9 +35,9 @@ from .bundle import BundleParams, CaseTag, TheoremCase, theorem_case
 from .chains import AddResult, Chain, truncate
 from .generators import (
     Generator,
+    _invariants,
     action,
     canonical_sort,
-    grading,
     level,
     sort_key,
     validate_generator,
@@ -118,17 +118,17 @@ def validate_entry(
             bad.append(f"malformed: {err}")
     if bad:
         return tuple(bad)
-    gs, gt = grading(params, entry.source), grading(params, entry.target)
+    ls, gs, key_s = _invariants(params, entry.source)
+    lt, gt, key_t = _invariants(params, entry.target)
     if gt != gs - 2:
         bad.append(f"grading: target grading {gt} != source grading {gs} - 2")
-    ls, lt = level(params, entry.source), level(params, entry.target)
     if entry.drop < 1 or lt != ls - entry.drop:
         bad.append(
             f"level: declared drop {entry.drop} but levels go {ls} -> {lt}"
             + ("" if entry.drop >= 1 else " (drop must be >= 1)")
         )
-    act_s, act_t = action(params, entry.source), action(params, entry.target)
-    if act_t > act_s:
+    if key_t > key_s:
+        act_s, act_t = action(params, entry.source), action(params, entry.target)
         bad.append(f"action: target action {act_t} exceeds source action {act_s}")
     if case.tag is CaseTag.C_VERY_NEGATIVE and entry.target.sphere != entry.source.sphere:
         bad.append(

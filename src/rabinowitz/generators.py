@@ -16,13 +16,19 @@ formulas used throughout:
     cz_fiber_disk   = 2n + 2*(c-1)*nu*a
     twice_mu        = 2*cz_fiber_disk - 2*morse_index + dim_M -+ 1   (+1 for '+')
     cz_base (level) = -morse_index + dim_M/2 + 2*c*nu*a
+
+Comparisons run on integers: :func:`_invariants` turns the per-point constants
+cached on :class:`BundleParams` into (level, twice_mu, L*action), where L =
+``params.action_denominator``, and :func:`_above_floor` holds the one floor
+test.  :func:`action` still returns the exact ``Fraction``, built only where a
+report prints an action or an error message quotes one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import BundleParams
 
@@ -71,11 +77,28 @@ def eta(params: BundleParams, g: Generator) -> Fraction:
     return Fraction(g.cover) - params.crit(g.base).value
 
 
+def _invariants(params: BundleParams, g: Generator) -> tuple[int, int, int]:
+    """(level, twice_mu, L*action) of ``g`` in integer arithmetic."""
+    cp, lv, key = params.point(g.base)
+    cz = cz_fiber_disk(params, g.cover, g.sphere)
+    L, tau = params.action_denominator, params.tau
+    key = L // tau.denominator * tau.numerator * g.cover - key
+    if g.sphere:
+        lv += 2 * params.c * params.nu * g.sphere
+        key += params.nu * L * g.sphere
+    return lv, 2 * cz - 2 * cp.index + params.dim_m + (1 if g.sign == "+" else -1), key
+
+
+def _above_floor(params: BundleParams, floor: Fraction) -> Callable[[Generator], bool]:
+    """The predicate ``action(g) >= floor``, decided on the integer action key."""
+    floor = Fraction(floor)
+    bar, den = floor.numerator * params.action_denominator, floor.denominator
+    return lambda g: _invariants(params, g)[2] * den >= bar
+
+
 def action(params: BundleParams, g: Generator) -> Fraction:
     """tau*n + nu*a - (tau+1)*f(q), exactly."""
-    cp = params.crit(g.base)
-    omega_a = 0 if params.aspherical else params.nu * g.sphere
-    return params.tau * g.cover + omega_a - (params.tau + 1) * cp.value
+    return Fraction(_invariants(params, g)[2], params.action_denominator)
 
 
 def cz_fiber_disk(params: BundleParams, n: int, a: int) -> int:
@@ -109,26 +132,23 @@ def cz_flat_capping(params: BundleParams, n: int) -> int:
 
 def grading(params: BundleParams, g: Generator) -> int:
     """Doubled half-integer grading; always odd."""
-    cp = params.crit(g.base)
-    s = 1 if g.sign == "+" else -1
-    return 2 * cz_fiber_disk(params, g.cover, g.sphere) - 2 * cp.index + params.dim_m + s
+    return _invariants(params, g)[1]
 
 
 def project_to_base(params: BundleParams, g: Generator) -> ProjectedGenerator:
     """Project to the base critical point with its capping; cover and sign drop."""
-    cp = params.crit(g.base)
-    c_term = 0 if params.aspherical else 2 * params.c * params.nu * g.sphere
-    return ProjectedGenerator(g.base, g.sphere, -cp.index + params.dim_m // 2 + c_term)
+    return ProjectedGenerator(g.base, g.sphere, level(params, g))
 
 
 def level(params: BundleParams, g: Generator) -> int:
     """Filtration level: the downstairs Conley-Zehnder index of the projection."""
-    return project_to_base(params, g).cz_base
+    return _invariants(params, g)[0]
 
 
 def sort_key(params: BundleParams, g: Generator):
     """Canonical order: level desc, action desc, base id, cover, sign."""
-    return (-level(params, g), -action(params, g), g.base, g.cover, g.sign)
+    lv, _, key = _invariants(params, g)
+    return (-lv, -key, g.base, g.cover, g.sign)
 
 
 def canonical_sort(params: BundleParams, gens: Iterable[Generator]) -> tuple[Generator, ...]:
@@ -165,32 +185,22 @@ def _require_odd(twice_mu: int) -> None:
         raise ValueError(f"degree must be odd (doubled half-integer grading), got {twice_mu}")
 
 
-def _degree_quarter(params: BundleParams, twice_mu: int, cp, sign: str) -> int | None:
-    """(n + (c-1)*nu*a) pinned by the degree, or None if parity rules it out."""
-    s = 1 if sign == "+" else -1
-    num = twice_mu + 2 * cp.index - params.dim_m - s
-    if num % 4:
-        return None
-    return num // 4
+def _class_zero_of_degree(params: BundleParams, twice_mu: int) -> Iterator[Generator]:
+    """Sphere-class-0 generators of one degree: it pins the cover, parity the sign."""
+    for cp in params.morse:
+        for sign, s in (("+", 1), ("-", -1)):
+            num = twice_mu + 2 * cp.index - params.dim_m - s
+            if num % 4 == 0:
+                yield Generator(cp.name, num // 4, 0, sign)
 
 
 def _class_zero_slice(
     params: BundleParams, twice_mu: int, action_floor: Fraction, lo: int, hi: int
 ) -> tuple[Generator, ...]:
-    """Sphere-class-0 generators of one degree above the floor, levels in [lo, hi].
-
-    With the class fixed the degree pins the cover, so the slice is finite.
-    """
-    found: list[Generator] = []
-    for cp in params.morse:
-        for sign in SIGNS:
-            quarter = _degree_quarter(params, twice_mu, cp, sign)
-            if quarter is None:
-                continue
-            g = Generator(cp.name, quarter, 0, sign)
-            if lo <= level(params, g) <= hi and action(params, g) >= action_floor:
-                found.append(g)
-    return canonical_sort(params, found)
+    """Sphere-class-0 generators of one degree above the floor, levels in [lo, hi]."""
+    above = _above_floor(params, action_floor)
+    gens = _class_zero_of_degree(params, twice_mu)
+    return canonical_sort(params, (g for g in gens if lo <= level(params, g) <= hi and above(g)))
 
 
 def _resolve_window(
@@ -252,30 +262,35 @@ def enumerate_generators(
         return ()
     if params.aspherical:
         return _class_zero_slice(params, twice_mu, action_floor, lo, hi)
-    half = params.dim_m // 2
+    c, nu = params.c, params.nu
+    above = _above_floor(params, action_floor)
+    bar, den = action_floor.numerator * params.action_denominator, action_floor.denominator
     found: list[Generator] = []
-    for cp in params.morse:
-        for sign in SIGNS:
-            quarter = _degree_quarter(params, twice_mu, cp, sign)
-            if quarter is None:
-                continue
-            if params.c == 0:
-                # Level ignores the sphere class entirely; once a critical
-                # point sits in the window every sphere class contributes.
-                if lo <= -cp.index + half <= hi:
-                    raise InfiniteSliceError(
-                        "infinite slice: c = 0 leaves the sphere class "
-                        f"unconstrained for critical point {cp.name!r}"
-                    )
-            else:
-                den = 2 * params.c * params.nu
-                for lv in range(lo, hi + 1):
-                    q, r = divmod(lv + cp.index - half, den)
-                    if r:
-                        continue
-                    a = q
-                    n = quarter - (params.c - 1) * params.nu * a
-                    g = Generator(cp.name, n, a, sign)
-                    if action(params, g) >= action_floor:
-                        found.append(g)
+    for g0 in _class_zero_of_degree(params, twice_mu):
+        lv0, _, key0 = _invariants(params, g0)
+        if c == 0:
+            # Level ignores the sphere class entirely; once a critical
+            # point sits in the window every sphere class contributes.
+            if lo <= lv0 <= hi:
+                raise InfiniteSliceError(
+                    "infinite slice: c = 0 leaves the sphere class "
+                    f"unconstrained for critical point {g0.base!r}"
+                )
+            continue
+        # Along the slice n = n0 - (c-1)*nu*a (the degree pins n0), level and
+        # L*action are linear in the sphere class a: solve both windows for a.
+        lv1, _, key1 = _invariants(params, Generator(g0.base, g0.cover - (c - 1) * nu, 1, g0.sign))
+        step, slope, rest = lv1 - lv0, (key1 - key0) * den, bar - key0 * den
+        if step > 0:
+            a_lo, a_hi = -((lv0 - lo) // step), (hi - lv0) // step
+        else:
+            a_lo, a_hi = -((hi - lv0) // -step), (lv0 - lo) // -step
+        if slope > 0:
+            a_lo = max(a_lo, -(-rest // slope))
+        elif slope < 0:
+            a_hi = min(a_hi, rest // slope)
+        for a in range(a_lo, a_hi + 1):
+            g = Generator(g0.base, g0.cover - (c - 1) * nu * a, a, g0.sign)
+            if above(g):
+                found.append(g)
     return canonical_sort(params, found)

@@ -1,9 +1,9 @@
 """Seed-reproducible admissible differential tables and boundary cycles.
 
 Trajectory counts cannot be computed at a desk, so test fixtures sample them:
-candidate entries are drawn from enumerated generator windows, filtered by the
-structural validator, assembled into units that keep the square of the total
-differential zero, and finally repaired by dropping offenders in canonical
+candidate entries are the pairs of enumerated generators the per-entry rules
+admit, assembled into units that keep the square of the total differential
+zero, then loaded through the full validator, dropping offenders in canonical
 order until the windowed square check passes.  Everything is a pure function
 of (scenario, seed), which keeps reports byte-reproducible.
 
@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from operator import itemgetter
 
-from .bundle import BundleParams, theorem_case
+from .bundle import BundleParams, CaseTag, theorem_case
 from .chains import Chain
 from .differentials import (
     FilteredDifferential,
@@ -26,9 +27,8 @@ from .differentials import (
     TableValidationError,
     apply_total,
     load_table,
-    validate_entry,
 )
-from .generators import Generator, _class_zero_slice, enumerate_generators, level
+from .generators import Generator, _class_zero_slice, enumerate_generators, sort_key
 
 
 def _pool(
@@ -57,24 +57,27 @@ def _candidate_entries(
     level_lo: int,
     level_hi: int,
 ) -> list[HigherDifferentialEntry]:
-    """All single-entry-valid table lines on the enumerated window."""
-    case = theorem_case(params)
-    pool: dict[int, tuple[Generator, ...]] = {
-        deg: _pool(params, deg, floor, level_lo, level_hi) for deg in degrees
-    }
-    out: list[HigherDifferentialEntry] = []
+    """All single-entry-valid table lines on the window, in canonical table order.
+
+    Pools are per degree, so the grading rule holds; the other rules are integer
+    tests on the sort keys (-level, -L*action, ...) computed once per generator.
+    """
+    same_class = theorem_case(params).tag is CaseTag.C_VERY_NEGATIVE
+    max_drop = params.dim_m if not params.aspherical and params.c == 0 else None
+    pools = {deg: _pool(params, deg, floor, level_lo, level_hi) for deg in degrees}
+    keyed = {deg: [(sort_key(params, g), g) for g in pool] for deg, pool in pools.items()}
+    out: list[tuple[tuple, HigherDifferentialEntry]] = []
     for deg in degrees:
-        if deg - 2 not in pool:
-            continue
-        for src in pool[deg]:
-            for tgt in pool[deg - 2]:
-                drop = level(params, src) - level(params, tgt)
-                if drop < 1:
+        for key_s, src in keyed[deg]:
+            for key_t, tgt in keyed.get(deg - 2, ()):
+                drop = key_t[0] - key_s[0]
+                if (drop < 1 or key_t[1] < key_s[1]
+                        or (same_class and tgt.sphere != src.sphere)
+                        or (max_drop is not None and drop > max_drop)):
                     continue
-                entry = HigherDifferentialEntry(drop, src, tgt)
-                if not validate_entry(params, case, entry):
-                    out.append(entry)
-    return out
+                out.append(((drop, key_s, key_t), HigherDifferentialEntry(drop, src, tgt)))
+    out.sort(key=itemgetter(0))
+    return [entry for _, entry in out]
 
 
 def _lift(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
@@ -101,7 +104,6 @@ def random_admissible_table(
     """
     rng = random.Random(seed)
     candidates = _candidate_entries(params, degrees, Fraction(floor), level_lo, level_hi)
-    candidates.sort(key=lambda e: e.order_key(params))
     rng.shuffle(candidates)
     chosen: list[HigherDifferentialEntry] = []
     used: set[Generator] = set()

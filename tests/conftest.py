@@ -1,8 +1,9 @@
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rabinowitz import load_scenario
+from rabinowitz import BundleParams, CritPoint, load_scenario
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -17,6 +18,29 @@ def params_of(name: str):
 
 # Golden scenarios covering every case tag: aspherical, c = 0, c >= 1, very negative.
 CASE_SCENARIOS = ("aspherical4", "c0", "c1", "cp1", "neg2", "neg4")
+
+
+def synthetic_params(ncrit: int, dim: int, c: int, nu: int, tau: Fraction) -> BundleParams:
+    """Critical point i has index i mod (dim+1) and value (i+1)/(ncrit+2)."""
+    crits = (CritPoint(f"q{i}", i % (dim + 1), Fraction(i + 1, ncrit + 2)) for i in range(ncrit))
+    return BundleParams(dim, tau, tuple(crits), nu, c)
+
+
+def fraction_action(params, g) -> Fraction:
+    """Reference closed form tau*n + nu*a - (tau+1)*f(q) in exact rationals."""
+    omega = 0 if params.aspherical else params.nu * g.sphere
+    return params.tau * g.cover + omega - (params.tau + 1) * params.crit(g.base).value
+
+
+def fraction_level(params, g) -> int:
+    """Reference closed form -index + dim_M/2 + 2*c*nu*a."""
+    c_term = 0 if params.aspherical else 2 * params.c * params.nu * g.sphere
+    return -params.crit(g.base).index + params.dim_m // 2 + c_term
+
+
+def fraction_sort_key(params, g):
+    """Reference canonical order on exact rationals: level desc, action desc, id, cover, sign."""
+    return (-fraction_level(params, g), -fraction_action(params, g), g.base, g.cover, g.sign)
 
 
 def assert_drop_partition(kept, dropped, untruncated):

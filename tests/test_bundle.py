@@ -6,7 +6,10 @@ from rabinowitz import (
     BundleParams,
     CaseTag,
     CritPoint,
+    Generator,
+    action,
     is_semi_positive,
+    level,
     minimal_chern_number,
     theorem_case,
     validate,
@@ -111,3 +114,32 @@ def test_theorem_case_c0_needs_semi_positivity():
     crits = (("p", 0, Fraction(1, 3)),)
     case = theorem_case(mk(dim_m=6, nu=1, c=0, crits=crits))
     assert case.tag is CaseTag.NOT_APPLICABLE
+
+
+# --- cached per-point constants -----------------------------------------------
+
+
+def test_crit_unknown_id_message():
+    with pytest.raises(KeyError) as err:
+        mk().crit("x")
+    assert err.value.args == ("unknown critical point id 'x'",)
+    with pytest.raises(KeyError) as err:
+        level(mk(), Generator("x", 0, 0, "+"))
+    assert err.value.args == ("unknown critical point id 'x'",)
+
+
+def test_crit_duplicate_ids_first_wins():
+    params = mk(crits=(("x", 2, Fraction(1, 3)), ("x", 0, Fraction(1, 2)), ("y", 1, Fraction(1, 7))))
+    first = params.morse[0]
+    assert params.crit("x") is first
+    g = Generator("x", 1, 0, "+")
+    assert level(params, g) == -first.index + params.dim_m // 2
+    assert action(params, g) == params.tau - (params.tau + 1) * first.value
+
+
+def test_cached_constants_leave_equality_hash_and_repr_alone():
+    warm, cold = mk(), mk()
+    assert warm.action_denominator == 20 and warm.points["q2"][1:] == (-1, 6)
+    assert "points" in vars(warm) and "points" not in vars(cold)
+    assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
+    assert len({warm, cold}) == 1

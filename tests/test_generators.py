@@ -4,19 +4,28 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import fraction_action, fraction_sort_key
 from rabinowitz import (
     BundleParams,
+    Chain,
     CritPoint,
     Generator,
+    HigherDifferentialEntry,
     InfiniteSliceError,
     action,
+    build_chain,
+    canonical_sort,
     cz_fiber_disk,
     cz_flat_capping,
     enumerate_generators,
     eta,
     grading,
     level,
+    novikov_window_counts,
     project_to_base,
+    theorem_case,
+    truncate,
+    validate_entry,
 )
 
 G = Generator
@@ -278,3 +287,119 @@ def test_cz_fiber_disk_property(n, a, nu, c):
     params = BundleParams(2, Fraction(1, 2), (CritPoint("p", 0, Fraction(1, 3)),), nu, c)
     assert cz_fiber_disk(params, n, a) == 2 * n + 2 * (c - 1) * nu * a
     assert cz_fiber_disk(params, n, 0) == 2 * n
+
+
+# --- enumeration cost follows the output, not the window -------------------
+
+
+def test_enumerate_deep_window_returns_the_same_slice(c1_params):
+    # The action floor pins the sphere classes, so a lower level bound a
+    # million levels down changes neither the result nor (much) the cost.
+    near = enumerate_generators(c1_params, 3, Fraction(-2), -1000, 40)
+    assert len(near) == 22
+    assert enumerate_generators(c1_params, 3, Fraction(-2), -10**6, 40) == near
+
+
+def _level_walk(params, twice_mu, floor, lo, hi):
+    """Enumeration by walking every level of the window (c != 0), exact rationals."""
+    half = params.dim_m // 2
+    den = 2 * params.c * params.nu
+    found = []
+    for cp in params.morse:
+        for sign, s in (("+", 1), ("-", -1)):
+            num = twice_mu + 2 * cp.index - params.dim_m - s
+            if num % 4:
+                continue
+            for lv in range(lo, hi + 1):
+                a, r = divmod(lv + cp.index - half, den)
+                if r:
+                    continue
+                g = G(cp.name, num // 4 - (params.c - 1) * params.nu * a, a, sign)
+                if fraction_action(params, g) >= floor:
+                    found.append(g)
+    return sorted(found, key=lambda g: fraction_sort_key(params, g))
+
+
+# Denominators are drawn from pairwise coprime pools, so no one divides another
+# and the common action denominator really mixes all of them.
+TAU_DENS, VALUE_DENS, FLOOR_DENS = (1, 3, 9), (5, 7, 11, 25), (1, 4, 8, 13)
+
+
+@st.composite
+def integer_key_params(draw, c_values=(-3, -2, -1, 0, 1, 2, 3)):
+    dim = draw(st.sampled_from((0, 2, 4)))
+    ncrit = draw(st.integers(1, 3))
+    crits = []
+    for k in range(ncrit):
+        den = draw(st.sampled_from(VALUE_DENS))
+        value = Fraction(draw(st.integers(1, den - 1)), den)
+        crits.append(CritPoint(f"w{k}", draw(st.integers(0, dim)), value))
+    tau_den = draw(st.sampled_from(TAU_DENS))
+    tau = Fraction(draw(st.integers(1, 4 * tau_den)), tau_den)
+    return BundleParams(
+        dim, tau, tuple(crits), draw(st.integers(1, 3)), draw(st.sampled_from(c_values))
+    )
+
+
+def floors():
+    return st.builds(
+        Fraction, st.integers(-60, 60), st.sampled_from(FLOOR_DENS)
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    params=integer_key_params(c_values=(-3, -2, -1, 1, 2, 3)),
+    twice_mu=st.integers(-6, 6).map(lambda k: 2 * k + 1),
+    floor=floors(),
+    lo=st.integers(-15, 15),
+    width=st.integers(0, 20),
+)
+def test_enumerate_matches_level_walk(params, twice_mu, floor, lo, width):
+    got = enumerate_generators(params, twice_mu, floor, lo, lo + width)
+    assert list(got) == _level_walk(params, twice_mu, floor, lo, lo + width)
+
+
+def generators_of(params):
+    return st.builds(
+        G,
+        st.sampled_from([cp.name for cp in params.morse]),
+        st.integers(-8, 8),
+        st.integers(-4, 4),
+        st.sampled_from("+-"),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), params=integer_key_params(), floor=floors())
+def test_integer_keys_agree_with_exact_rationals(data, params, floor):
+    gens = data.draw(st.lists(generators_of(params), min_size=1, max_size=12, unique=True))
+    exact = {g: fraction_action(params, g) for g in gens}
+    assert all(action(params, g) == exact[g] for g in gens)
+    # canonical order
+    assert list(canonical_sort(params, gens)) == sorted(gens, key=lambda g: fraction_sort_key(params, g))
+    # every floor test (truncation, window counts, the chain constructor), also
+    # at a floor that one generator's action meets exactly
+    for bar in (floor, exact[gens[0]]):
+        above = {g for g in gens if exact[g] >= bar}
+        x = Chain(7, bar - 100, frozenset(gens))
+        kept, dropped = truncate(params, x, bar)
+        assert kept.terms == above and set(dropped) == set(gens) - above
+        assert novikov_window_counts(params, x, bar).action_count == len(above)
+        for g in gens:
+            if exact[g] >= bar:
+                build_chain(params, [g], bar)
+            else:
+                with pytest.raises(ValueError, match="below the floor"):
+                    build_chain(params, [g], bar)
+    # validate_entry's action rule, including the exact values it quotes
+    case = theorem_case(params)
+    for src, tgt in zip(gens, gens[1:]):
+        lines = validate_entry(params, case, HigherDifferentialEntry(1, src, tgt))
+        action_lines = [line for line in lines if line.startswith("action:")]
+        if exact[tgt] > exact[src]:
+            assert action_lines == [
+                f"action: target action {exact[tgt]} exceeds source action {exact[src]}"
+            ]
+        else:
+            assert action_lines == []

@@ -1,0 +1,143 @@
+"""Candidate generation and table sampling checked against a brute-force rule scan."""
+
+import sys
+from fractions import Fraction
+
+import pytest
+
+from conftest import CASE_SCENARIOS, fraction_sort_key, scenario_path, synthetic_params
+from rabinowitz import (
+    BundleParams,
+    CritPoint,
+    HigherDifferentialEntry,
+    level,
+    load_scenario,
+    random_admissible_table,
+    theorem_case,
+    validate_entry,
+    zero_chain,
+)
+from rabinowitz import differentials
+from rabinowitz.cli import _default_window
+from rabinowitz.randomized import _candidate_entries, _pool
+
+# The benchmark's sampling bases: c = 2 (sample_table) and c = 1, tau = 3/4
+# (wide_primitive), each with the window it samples on.
+SAMPLE_TABLE = (synthetic_params(3, 2, 2, 1, Fraction(1, 2)), (3, 5, 7), Fraction(-20), -20, 20)
+WIDE_PRIMITIVE = (synthetic_params(3, 2, 1, 2, Fraction(3, 4)), (3, 5, 7), Fraction(-20), -12, 12)
+# Extra windows with floors whose denominators differ from every tau and f(q).
+EXTRA_WINDOWS = (
+    ((3, 5, 7), Fraction(-30), -8, 8),
+    ((1, 3, 5), Fraction(-7, 3), -4, 6),
+    ((5, 7, 9), Fraction(1, 2), -12, 3),
+)
+
+
+def brute_candidates(params, degrees, floor, lo, hi):
+    """Every pool pair run through validate_entry, in canonical table order (exact rationals)."""
+    case = theorem_case(params)
+    pool = {deg: _pool(params, deg, floor, lo, hi) for deg in degrees}
+    out = []
+    for deg in degrees:
+        if deg - 2 not in pool:
+            continue
+        for src in pool[deg]:
+            for tgt in pool[deg - 2]:
+                drop = level(params, src) - level(params, tgt)
+                if drop < 1:
+                    continue
+                entry = HigherDifferentialEntry(drop, src, tgt)
+                if not validate_entry(params, case, entry):
+                    out.append(entry)
+    return sorted(out, key=lambda e: (
+        e.drop, fraction_sort_key(params, e.source), fraction_sort_key(params, e.target)))
+
+
+def _scenario_windows(name):
+    """The CLI's sampling windows on a golden scenario, plus the extra windows."""
+    scenario = load_scenario(scenario_path(name))
+    params = scenario.bundle
+    windows = [((c.degree, c.degree + 2), c.floor, *_default_window(params, c))
+               for c in scenario.cycles.values()]
+    check_floor = Fraction(-20)
+    windows.append(((3, 5, 7), check_floor, *_default_window(params, zero_chain(3, check_floor))))
+    return params, windows + list(EXTRA_WINDOWS)
+
+
+@pytest.mark.parametrize("name", CASE_SCENARIOS)
+def test_candidates_match_brute_scan_on_golden_scenarios(name):
+    params, windows = _scenario_windows(name)
+    for window in windows:
+        assert _candidate_entries(params, *window) == brute_candidates(params, *window)
+
+
+@pytest.mark.parametrize("base", [SAMPLE_TABLE, WIDE_PRIMITIVE], ids=["c2", "c1"])
+def test_candidates_match_brute_scan_on_benchmark_bases(base):
+    params, *window = base
+    got = _candidate_entries(params, *window)
+    assert got and got == brute_candidates(params, *window)
+    for extra in EXTRA_WINDOWS:
+        assert _candidate_entries(params, *extra) == brute_candidates(params, *extra)
+
+
+# Morse data outside the admissible ranges (the sampler does not require a
+# validated bundle): here the class-preservation and depth-cutoff rules reject
+# pairs that the level and action rules admit.
+OFF_RANGE = {
+    "class-preservation": BundleParams(2, Fraction(2), (
+        CritPoint("w0", -1, Fraction(7, 10)), CritPoint("w1", 3, Fraction(-37, 20)),
+        CritPoint("w2", 2, Fraction(-3, 5))), 1, -2),
+    "depth-cutoff": BundleParams(2, Fraction(1, 2), (
+        CritPoint("q0", 0, Fraction(1, 10)), CritPoint("q4", 4, Fraction(5, 2))), 1, 0),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(OFF_RANGE))
+def test_candidates_match_brute_scan_where_class_and_depth_rules_bite(rule):
+    params = OFF_RANGE[rule]
+    case = theorem_case(params)
+    for window in EXTRA_WINDOWS:
+        assert _candidate_entries(params, *window) == brute_candidates(params, *window)
+    degrees, floor, lo, hi = EXTRA_WINDOWS[0]
+    pools = {deg: _pool(params, deg, floor, lo, hi) for deg in degrees}
+    verdicts = [
+        validate_entry(params, case, HigherDifferentialEntry(level(params, s) - level(params, t), s, t))
+        for deg in degrees if deg - 2 in pools for s in pools[deg] for t in pools[deg - 2]
+    ]
+    assert any(len(v) == 1 and v[0].startswith(rule) for v in verdicts)
+
+
+def test_sampling_validates_only_the_loaded_entries(monkeypatch):
+    # Candidates come from integer tests, so the per-entry validator runs only
+    # inside load_table, once per entry it is handed, never once per pool pair.
+    params, degrees, floor, lo, hi = SAMPLE_TABLE
+    real_validate, real_load = differentials.validate_entry, differentials.load_table
+    calls = {"validate": 0, "outside_load": 0}
+    loads: list[int] = []
+    depth = [0]
+
+    def counting_validate(*args):
+        calls["validate"] += 1
+        calls["outside_load"] += depth[0] == 0
+        return real_validate(*args)
+
+    def tracking_load(p, entries):
+        loads.append(len(entries))
+        depth[0] += 1
+        try:
+            return real_load(p, entries)
+        finally:
+            depth[0] -= 1
+
+    for mod in [m for n, m in sys.modules.items() if n.split(".")[0] == "rabinowitz"]:
+        if hasattr(mod, "validate_entry"):
+            monkeypatch.setattr(mod, "validate_entry", counting_validate)
+        if hasattr(mod, "load_table"):
+            monkeypatch.setattr(mod, "load_table", tracking_load)
+    d = random_admissible_table(params, 0, degrees, floor, lo, hi, size=3)
+    pools = {deg: _pool(params, deg, floor, lo, hi) for deg in degrees}
+    pairs = sum(len(pools[deg]) * len(pools[deg - 2]) for deg in degrees if deg - 2 in pools)
+    assert pairs == 1922
+    assert loads and calls["outside_load"] == 0
+    assert calls["validate"] == sum(loads)
+    assert len(d.entries) <= loads[0] <= 2 * 3
