@@ -7,28 +7,30 @@ Commands:
     primitive  construct and verify a primitive for a named cycle
     check      run the scenario's property suite (seeded tables and cycles)
 
-Exit codes: 0 success, 2 validation failure, 3 nonzero verification residual,
-4 parse error.  All output is a pure function of (scenario, seed, command,
-flags).
+Exit codes:
+    0  success
+    2  the request was refused after the scenario loaded (unknown cycle,
+       invalid table, infinite slice, unsupported case, non-closed cycle,
+       induction failure); argparse usage errors also exit 2
+    3  nonzero verification residual
+    4  the scenario could not be read or parsed
+
+After the scenario loads, ``main`` is the one place that turns an exception
+into an exit code.  ``check`` reports an unsupported case as a ``FAIL`` line.
+All output is a pure function of (scenario, seed, command, flags).
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from fractions import Fraction
 
 from .bundle import CaseTag, is_semi_positive, minimal_chern_number, theorem_case, validate
 from .chains import serialize_chain, zero_chain
 from .differentials import TableValidationError, apply_total, load_table
-from .generators import (
-    InfiniteSliceError,
-    action,
-    enumerate_generators,
-    eta,
-    grading,
-    level,
-)
+from .generators import action, enumerate_generators, eta, grading, level
 from .randomized import random_admissible_table, random_boundary, random_chain
 from .scenario import ScenarioError, load_scenario, parse_fraction
 from .vanishing import InductionError, NotClosedError, find_primitive
@@ -43,6 +45,7 @@ def _parse_window(text: str) -> tuple[int, int]:
     return int(lo), int(hi)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rabinowitz",
@@ -99,19 +102,18 @@ def main(argv: list[str] | None = None) -> int:
         "primitive": cmd_primitive,
         "check": cmd_check,
     }[args.command]
-    return handler(scenario, args)
+    try:
+        return handler(scenario, args)
+    except NotClosedError as err:
+        print(f"not closed: {err}")
+    except (ValueError, InductionError) as err:
+        print(f"error: {err}")
+    return FAIL_VALIDATION
 
 
 def cmd_validate(scenario, args) -> int:
     params = scenario.bundle
-    report = validate(params)
-    code = OK
-    if report.ok:
-        print("bundle: valid")
-    else:
-        code = FAIL_VALIDATION
-        for line in report.violations:
-            print(f"bundle: violation: {line}")
+    print("bundle: valid")  # load_scenario refuses an invalid bundle
     case = theorem_case(params)
     extra = ""
     if case.cz_finiteness_ok is not None:
@@ -121,8 +123,7 @@ def cmd_validate(scenario, args) -> int:
     print(f"semi-positive={'yes' if sp.holds else 'no'} ({sp.reason})")
     if not params.aspherical:
         print(f"N_E={minimal_chern_number(params)}")
-    if case.tag is CaseTag.NOT_APPLICABLE:
-        code = FAIL_VALIDATION
+    code = FAIL_VALIDATION if case.tag is CaseTag.NOT_APPLICABLE else OK
     try:
         load_table(params, scenario.entries)
         print(f"differentials: {len(scenario.entries)} entries valid")
@@ -139,11 +140,7 @@ def cmd_validate(scenario, args) -> int:
 def cmd_enumerate(scenario, args) -> int:
     params = scenario.bundle
     lo, hi = args.window if args.window else (None, None)
-    try:
-        gens = enumerate_generators(params, args.degree, args.floor, lo, hi)
-    except (InfiniteSliceError, ValueError) as err:
-        print(f"error: {err}")
-        return FAIL_VALIDATION
+    gens = enumerate_generators(params, args.degree, args.floor, lo, hi)
     print("generator | action | twice_mu | level | eta")
     for g in gens:
         print(
@@ -162,12 +159,8 @@ def _require_cycle(scenario, name: str):
 
 def cmd_diff(scenario, args) -> int:
     params = scenario.bundle
-    try:
-        cycle = _require_cycle(scenario, args.cycle)
-        d = load_table(params, scenario.entries)
-    except (ScenarioError, TableValidationError) as err:
-        print(f"error: {err}")
-        return FAIL_VALIDATION
+    cycle = _require_cycle(scenario, args.cycle)
+    d = load_table(params, scenario.entries)
     image, dropped = apply_total(d, cycle)
     print(f"cycle {args.cycle}: {serialize_chain(params, cycle)}")
     print(f"differential: {serialize_chain(params, image)}")
@@ -178,29 +171,18 @@ def cmd_diff(scenario, args) -> int:
 def cmd_primitive(scenario, args) -> int:
     params = scenario.bundle
     seed = scenario.seed if args.seed is None else args.seed
-    try:
-        cycle = _require_cycle(scenario, args.cycle)
-        if args.random_table:
-            window = _default_window(params, cycle)
-            d = random_admissible_table(
-                params, seed, (cycle.degree, cycle.degree + 2), cycle.floor, *window
-            )
-            print(f"table: seeded ({seed}), {len(d.entries)} entries")
-            for e in d.entries:
-                print(f"  {e}")
-        else:
-            d = load_table(params, scenario.entries)
-    except (ScenarioError, TableValidationError) as err:
-        print(f"error: {err}")
-        return FAIL_VALIDATION
-    try:
-        result = find_primitive(d, cycle)
-    except NotClosedError as err:
-        print(f"not closed: {err}")
-        return FAIL_VALIDATION
-    except (ValueError, InductionError) as err:
-        print(f"error: {err}")
-        return FAIL_VALIDATION
+    cycle = _require_cycle(scenario, args.cycle)
+    if args.random_table:
+        window = _default_window(params, cycle)
+        d = random_admissible_table(
+            params, seed, (cycle.degree, cycle.degree + 2), cycle.floor, *window
+        )
+        print(f"table: seeded ({seed}), {len(d.entries)} entries")
+        for e in d.entries:
+            print(f"  {e}")
+    else:
+        d = load_table(params, scenario.entries)
+    result = find_primitive(d, cycle)
     print(f"case: {result.case.tag.value}")
     if result.level_ceiling is not None:
         print(f"level ceiling: {result.level_ceiling}; stop level: {result.stop_level}")
@@ -261,7 +243,10 @@ def cmd_check(scenario, args) -> int:
     report = validate(params)
     note("bundle invariants", report.ok, "; ".join(report.violations))
     case = theorem_case(params)
-    note("scenario case applicable", case.tag is not CaseTag.NOT_APPLICABLE, case.tag.value)
+    if case.cz_finiteness_ok is False:  # find_primitive refuses this case too
+        note("scenario case applicable", False, f"{case.tag.value}, (c-1)*tau < 1: no")
+    else:
+        note("scenario case applicable", case.tag is not CaseTag.NOT_APPLICABLE, case.tag.value)
     try:
         load_table(params, scenario.entries)
         note("declared table valid", True)

@@ -218,7 +218,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     case = theorem_case(params)
     if case.tag is CaseTag.NOT_APPLICABLE:
         raise ValueError("scenario matches no supported case; refusing to run")
-    if case.tag is CaseTag.C_NON_NEGATIVE and params.c >= 1 and not case.cz_finiteness_ok:
+    if case.cz_finiteness_ok is False:
         raise ValueError(
             f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: pick a smaller tau"
         )

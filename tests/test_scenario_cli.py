@@ -253,3 +253,41 @@ def test_cmd_check_all_scenarios():
         code, out = run_cli("check", "--scenario", str(scenario_path(name)))
         assert code == 0, out
         assert "FAIL" not in out
+
+
+# (bundle edit, degree of (q0,0,0,+), find_primitive's refusal, check's case detail)
+REFUSED_CASES = (
+    ({"tau = 1/2": "tau = 2"}, 3,
+     "(c-1)*tau = 2 >= 1: pick a smaller tau", "c-nonnegative, (c-1)*tau < 1: no"),
+    ({"c = 2": "c = 0", "dim_M = 2": "dim_M = 8"}, 9,
+     "scenario matches no supported case; refusing to run", "not-applicable"),
+    ({"c = 2": "c = -1", "dim_M = 2": "dim_M = 6"}, 7,
+     "scenario matches no supported case; refusing to run", "not-applicable"),
+)
+
+
+@pytest.mark.parametrize("edits,degree,refusal,case_detail", REFUSED_CASES)
+def test_cli_refusal_matrix(tmp_path, edits, degree, refusal, case_detail):
+    text = MINIMAL
+    for old, new in edits.items():
+        text = text.replace(old, new)
+    path = tmp_path / "refused.scn"
+    path.write_text(text + f"\n[cycles]\ncycle xi0 degree {degree} floor -1 (q0,0,0,+)\n")
+    s = ("--scenario", str(path))
+    for argv in (
+        ("validate", *s),
+        ("enumerate", *s, "--degree", str(degree), "--floor=-1", "--window=-4:4"),
+        ("diff", *s, "--cycle", "xi0"),
+    ):
+        code, _ = run_cli(*argv)
+        assert code in (0, 2, 3, 4), argv
+    for extra in ((), ("--random-table",)):
+        code, out = run_cli("primitive", *s, "--cycle", "xi0", *extra)
+        assert (code, out.splitlines()[-1]) == (2, f"error: {refusal}")
+    code, out = run_cli("check", *s)
+    assert code == 2
+    assert out == (
+        "PASS: bundle invariants\n"
+        f"FAIL: scenario case applicable ({case_detail})\n"
+        "PASS: declared table valid\n"
+    )
