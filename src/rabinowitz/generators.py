@@ -203,6 +203,18 @@ def _class_zero_slice(
     return canonical_sort(params, (g for g in gens if lo <= level(params, g) <= hi and above(g)))
 
 
+def _least_level(params: BundleParams, twice_mu: int, action_floor: Fraction) -> int:
+    """Least level a generator of one degree can have above the floor (c >= 0).
+
+    Aspherical and c = 0 levels never fall below -dim_M/2; for c >= 1 the
+    level rises with the sphere class, which the floor bounds below.
+    """
+    half = params.dim_m // 2
+    if params.aspherical or params.c == 0:
+        return -half
+    return -half + 2 * params.c * params.nu * sphere_class_floor(params, twice_mu, action_floor)
+
+
 def _resolve_window(
     params: BundleParams,
     twice_mu: int,
@@ -212,9 +224,8 @@ def _resolve_window(
 ) -> tuple[int, int]:
     half = params.dim_m // 2
     if params.aspherical or params.c == 0:
-        lo = -half if level_lo is None else level_lo
-        hi = half if level_hi is None else level_hi
-        return lo, hi
+        lo = _least_level(params, twice_mu, action_floor) if level_lo is None else level_lo
+        return lo, half if level_hi is None else level_hi
     shift = 2 * params.c * params.nu
     if params.c >= 1:
         if level_hi is None:
@@ -224,10 +235,9 @@ def _resolve_window(
             )
         if level_lo is None:
             try:
-                a_min = sphere_class_floor(params, twice_mu, action_floor)
+                level_lo = _least_level(params, twice_mu, action_floor)
             except ValueError as err:
                 raise InfiniteSliceError(f"infinite slice: {err}") from None
-            level_lo = -half + shift * a_min
         return level_lo, level_hi
     # c <= -1: levels decrease with the sphere class, so the roles swap.
     if level_lo is None:

@@ -4,8 +4,10 @@ Given a closed chain xi, the engine constructs theta with d(theta) = xi by
 descending induction over the filtration level: the top slice of xi is killed
 by the fiber differential's explicit primitive, and each lower slice is first
 corrected by the higher differentials of the already-built theta parts before
-being fed to the same primitive.  Termination is certified per run by level
-bounds that are themselves checked against exhaustive enumeration.
+being fed to the same primitive.  The remainder is level buckets of bare
+generators, corrected through the differential's one Z/2 kernel under one
+level check.  Termination is certified per run by level bounds that are
+themselves checked against exhaustive enumeration.
 
 In the very-negative regime (2*c*nu <= -dim_M) the differential preserves
 sphere classes, so the cycle splits into finitely supported class components
@@ -25,21 +27,14 @@ from typing import NamedTuple
 
 from .bundle import BundleParams, CaseTag, TheoremCase, theorem_case
 from .chains import Chain, serialize_chain, truncate, zero_chain
-from .differentials import (
-    FilteredDifferential,
-    _raw_step,
-    apply_d0,
-    apply_table,
-    apply_total,
-    d0_primitive,
-    split_by_level,
-)
+from .differentials import FilteredDifferential, _raw_step, apply_total, d0_primitive
 from .generators import (
     Generator,
+    _above_floor,
+    _least_level,
     action,
     enumerate_generators,
     level,
-    sphere_class_floor,
 )
 
 
@@ -127,22 +122,15 @@ def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> 
     """Certified lower level bound for one degree above an action floor."""
     action_floor = Fraction(action_floor)
     case = theorem_case(params)
-    half = params.dim_m // 2
-    if case.tag is CaseTag.ASPHERICAL:
-        l_min, span = -half, params.dim_m + 1
-    elif case.tag is CaseTag.C_NON_NEGATIVE and params.c == 0:
-        l_min, span = -half, params.dim_m + 1
-    elif case.tag is CaseTag.C_NON_NEGATIVE and params.c >= 1:
-        if not case.cz_finiteness_ok:
-            raise ValueError(
-                f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: "
-                "the action floor does not bound levels in this scenario"
-            )
-        a_min = sphere_class_floor(params, twice_mu, action_floor)
-        l_min = -half + 2 * params.c * params.nu * a_min
-        span = params.dim_m + 2 * params.c * params.nu + 1
-    else:
+    if case.tag not in (CaseTag.ASPHERICAL, CaseTag.C_NON_NEGATIVE):
         raise ValueError(f"level floor undefined in case {case.tag.value}")
+    if case.cz_finiteness_ok is False:
+        raise ValueError(
+            f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: "
+            "the action floor does not bound levels in this scenario"
+        )
+    l_min = _least_level(params, twice_mu, action_floor)
+    span = params.dim_m + 1 + (0 if params.aspherical else 2 * params.c * params.nu)
     window = (l_min - span, l_min - 1)
     witnesses = enumerate_generators(params, twice_mu, action_floor, *window)
     if witnesses:
@@ -169,13 +157,18 @@ def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> Verify
 def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Chain]]:
     """Shared level induction: theta parts for x, highest level first.
 
-    Only levels that hold terms are visited.  Each correction term r = x_part +
-    (higher differentials of the theta parts already built) must consist of +
-    generators only; its canonical fiber primitive becomes the next theta
-    part.  A nonzero correction below ``stop`` breaks the certified bound.
+    The remainder is level buckets of bare generators; only levels that hold
+    terms are visited.  A correction r_l must consist of + generators, and its
+    fiber primitive theta_l is the next theta part.  d(theta_l) + r_l from the
+    one kernel ``_raw_step`` is theta_l's table image; its terms above x's
+    floor are folded into the buckets, and one still at level >= l is refused.
+    A nonzero correction below ``stop`` breaks the certified bound.
     """
     params = d.params
-    pending = {lv: set(part.terms) for lv, part in split_by_level(params, x).items()}
+    above = _above_floor(params, x.floor)
+    pending: dict[int, set[Generator]] = {}
+    for g in x.terms:
+        pending.setdefault(level(params, g), set()).add(g)
     theta: list[tuple[int, Chain]] = []
     while pending:
         l = max(pending)
@@ -187,22 +180,18 @@ def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Ch
             raise InductionError(
                 f"correction terms survived below the certified stop level {stop}: levels {leftovers}"
             )
-        r = Chain(x.degree, x.floor, frozenset(terms))
         try:
-            th = d0_primitive(params, r)
+            th = d0_primitive(params, Chain(x.degree, x.floor, frozenset(terms)))
         except ValueError as err:
             raise InductionError(
                 f"higher-differential table inconsistent with the level induction at level {l}: {err}"
             ) from None
-        # d0 of the primitive must reproduce r on the nose.
-        if apply_d0(params, th).terms != r.terms:
-            raise InductionError(f"fiber primitive round-trip failed at level {l}")
         theta.append((l, th))
-        image = apply_table(d, Chain(th.degree, x.floor, th.terms)).chain
-        for lv, part in split_by_level(params, image).items():
+        for g in filter(above, _raw_step(d, th.terms) ^ terms):
+            lv = level(params, g)
             if lv >= l:
                 raise InductionError(f"higher differential failed to drop the level at {l}")
-            pending[lv] = pending.get(lv, set()) ^ set(part.terms)
+            pending.setdefault(lv, set()).symmetric_difference_update((g,))
     return theta
 
 

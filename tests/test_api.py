@@ -1,10 +1,14 @@
 import ast
+import importlib
+import json
+import re
 import types
 from pathlib import Path
 
 import rabinowitz
 
 SRC = Path(rabinowitz.__file__).resolve().parent
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 def test_all_lists_resolvable_non_module_names():
@@ -27,3 +31,20 @@ def test_every_import_is_used():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         assert imported <= used, f"{path.name} imports unused {sorted(imported - used)}"
+
+
+def test_benchmark_traced_layers_exist():
+    # The traced benchmark wraps each public function by name; a layer
+    # whose function is gone makes its per-layer lookup fail.
+    pattern = re.compile(r"(\w+)\.(\w+)\.(?:calls|self_ref)")
+    names = (m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"])
+    traced = {match.groups() for match in map(pattern.fullmatch, names) if match}
+    assert traced
+    for module, function in traced:
+        if (module, function) == ("bundle", "crit"):
+            assert callable(rabinowitz.BundleParams.crit)
+            continue
+        mod = importlib.import_module(f"rabinowitz.{module}")
+        fn = getattr(mod, function, None)
+        assert isinstance(fn, types.FunctionType), f"{module}.{function}"
+        assert fn.__module__ == mod.__name__, f"{module}.{function}"

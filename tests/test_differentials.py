@@ -11,6 +11,7 @@ from rabinowitz import (
     action,
     add,
     apply_d0,
+    apply_table,
     apply_total,
     build_chain,
     d0_primitive,
@@ -22,6 +23,7 @@ from rabinowitz import (
     scalar_shift,
     split_by_level,
     theorem_case,
+    truncate,
     validate_entry,
     zero_chain,
 )
@@ -285,6 +287,31 @@ def test_apply_total_drop_report_partitions_the_image(name):
             x = random_chain(params, 1000 * seed + k, 5 + 2 * (k % 2), floor, -8, 8, size=10)
             image, dropped = apply_total(d, x)
             assert_drop_partition(image.terms, dropped, _raw_step(d, x.terms))
+
+
+@pytest.mark.parametrize("name", CASE_SCENARIOS)
+def test_chain_level_helpers_agree_with_apply_total(name):
+    # apply_d0, apply_table and split_by_level stay public API off the
+    # induction's path; pin them to the kernel behind apply_total.
+    params = params_of(name)
+    floor = Fraction(-1)
+    images = 0
+    for seed in range(10):
+        d = random_admissible_table(params, seed, (3, 5, 7), floor, -8, 8, size=8)
+        for k in range(10):
+            x = random_chain(params, 1000 * seed + k, 5 + 2 * (k % 2), floor, -8, 8, size=10)
+            table_image = apply_table(d, x).chain
+            assert (table_image.degree, table_image.floor) == (x.degree - 2, x.floor)
+            images += not table_image.is_zero
+            both = apply_d0(params, x).terms ^ table_image.terms
+            expected = truncate(params, Chain(x.degree - 2, x.floor - params.tau, both), x.floor)
+            assert apply_total(d, x).chain == expected.chain
+            summed: frozenset[Generator] = frozenset()
+            for lv, part in split_by_level(params, x).items():
+                assert {level(params, g) for g in part.terms} == {lv}
+                summed ^= part.terms
+            assert summed == x.terms
+    assert images > 0
 
 
 def test_apply_total_commutes_with_shift(cp1):

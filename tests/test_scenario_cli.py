@@ -274,8 +274,9 @@ def test_cli_refusal_matrix(tmp_path, edits, degree, refusal, case_detail):
     path = tmp_path / "refused.scn"
     path.write_text(text + f"\n[cycles]\ncycle xi0 degree {degree} floor -1 (q0,0,0,+)\n")
     s = ("--scenario", str(path))
+    code, out = run_cli("validate", *s)
+    assert code == 2, out
     for argv in (
-        ("validate", *s),
         ("enumerate", *s, "--degree", str(degree), "--floor=-1", "--window=-4:4"),
         ("diff", *s, "--cycle", "xi0"),
     ):

@@ -190,6 +190,31 @@ def test_induction_rejects_terms_below_stop(cp1, monkeypatch):
     )
 
 
+def _drop_a_term(th, r):
+    return th.terms - {min(th.terms)}
+
+
+def _add_a_minus_term(th, r):
+    g = min(r.terms)  # same base and class, so the same level
+    return th.terms | {G(g.base, g.cover + 2, g.sphere, "-")}
+
+
+@pytest.mark.parametrize("corrupt", [_drop_a_term, _add_a_minus_term])
+def test_induction_rejects_a_wrong_fiber_primitive(cp1, monkeypatch, corrupt):
+    # d0 of a wrong primitive no longer reproduces the correction term, so a
+    # term stays at the level being cleared.
+    real = vanishing.d0_primitive
+
+    def wrong(params, r):
+        th = real(params, r)
+        return dataclasses.replace(th, terms=frozenset(corrupt(th, r)))
+
+    monkeypatch.setattr(vanishing, "d0_primitive", wrong)
+    d = load_table(cp1.bundle, cp1.entries)
+    with pytest.raises(InductionError, match=r"at (level )?1$"):
+        find_primitive(d, cp1.cycles["xi0"])
+
+
 @pytest.mark.parametrize("name", CASE_SCENARIOS)
 def test_primitive_drop_report_partitions_the_residual(name):
     scenario = load_scenario(scenario_path(name))
