@@ -13,7 +13,15 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property
+from functools import cache, cached_property
+from typing import Callable
+
+
+class _ById(dict):
+    """A dict by critical point id whose missing ids raise the one unknown-id error."""
+
+    def __missing__(self, name: str):
+        raise KeyError(f"unknown critical point id {name!r}")
 
 
 @dataclass(frozen=True)
@@ -34,7 +42,8 @@ class BundleParams:
     ``c * omega`` on spheres) and are both ``None`` for aspherical ones.  The
     C^2-smallness of the Morse function is an unchecked modelling assumption;
     no quantitative bound is available, so none is validated.  The per-point
-    constants are cached, not fields, so equality, hashing and repr ignore them.
+    constants, their coefficient rows and the case are cached, not fields, so
+    equality, hashing and repr ignore them.
     """
 
     dim_m: int
@@ -60,22 +69,36 @@ class BundleParams:
         Built in reverse, so the first of duplicate ids wins.
         """
         scale, half = (self.tau + 1) * self.action_denominator, self.dim_m // 2
-        return {cp.name: (cp, half - cp.index, int(scale * cp.value)) for cp in reversed(self.morse)}
+        return _ById((cp.name, (cp, half - cp.index, int(scale * cp.value)))
+                     for cp in reversed(self.morse))
 
-    def point(self, name: str) -> tuple[CritPoint, int, int]:
-        try:
-            return self.points[name]
-        except KeyError:
-            raise KeyError(f"unknown critical point id {name!r}") from None
+    @cached_property
+    def rows(self) -> dict[str, tuple[int, ...]]:
+        """By id: (l0, m0, k0, k_n, l_a, m_a, k_a) with level = l0 + l_a*a, twice_mu =
+        m0 + 4n + m_a*a -+ 1 and L*action = k0 + k_n*n + k_a*a; aspherical: l_a = None."""
+        k_n = self.action_denominator // self.tau.denominator * self.tau.numerator
+        per_a = (None,) * 3 if self.aspherical else (
+            2 * self.c * self.nu, 4 * (self.c - 1) * self.nu, self.nu * self.action_denominator)
+        return _ById((name, (lv, self.dim_m - 2 * cp.index, -key, k_n, *per_a))
+                     for name, (cp, lv, key) in self.points.items())
 
     def crit(self, name: str) -> CritPoint:
-        return self.point(name)[0]
+        return self.points[name][0]
 
-    @property
+    @cached_property
+    def case(self) -> TheoremCase:
+        return theorem_case(self)
+
+    @cached_property
+    def raised_floor(self) -> Callable[[Fraction], Fraction]:
+        """floor -> floor + tau, memoized: an induction raises one floor per level."""
+        return cache(self.tau.__add__)
+
+    @cached_property
     def min_value(self) -> Fraction:
         return min(cp.value for cp in self.morse)
 
-    @property
+    @cached_property
     def max_value(self) -> Fraction:
         return max(cp.value for cp in self.morse)
 

@@ -27,7 +27,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .bundle import CaseTag, is_semi_positive, minimal_chern_number, theorem_case
+from .bundle import CaseTag, is_semi_positive, minimal_chern_number
 from .chains import serialize_chain, zero_chain
 from .differentials import TableValidationError, apply_total, load_table
 from .generators import action, enumerate_generators, eta, grading, level
@@ -92,7 +92,7 @@ def main(argv: list[str] | None = None) -> int:
     except ScenarioError as err:
         print(f"parse error: {err}")
         return FAIL_PARSE
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read scenario: {err}")
         return FAIL_PARSE
     handler = {
@@ -114,7 +114,7 @@ def main(argv: list[str] | None = None) -> int:
 def cmd_validate(scenario, args) -> int:
     params = scenario.bundle
     print("bundle: valid")  # load_scenario refuses an invalid bundle
-    case = theorem_case(params)
+    case = params.case
     extra = ""
     if case.cz_finiteness_ok is not None:
         extra = f" ((c-1)*tau < 1: {'yes' if case.cz_finiteness_ok else 'no'})"
@@ -242,7 +242,7 @@ def cmd_check(scenario, args) -> int:
             failures += 1
 
     print("PASS: bundle invariants")  # load_scenario refuses an invalid bundle
-    case = theorem_case(params)
+    case = params.case
     if case.cz_finiteness_ok is False:  # find_primitive refuses this case too
         note("scenario case applicable", False, f"{case.tag.value}, (c-1)*tau < 1: no")
     else:

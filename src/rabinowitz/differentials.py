@@ -30,8 +30,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
-from .bundle import BundleParams, CaseTag, TheoremCase, theorem_case
+from .bundle import BundleParams, CaseTag, TheoremCase
 from .chains import AddResult, Chain, truncate
 from .generators import (
     Generator,
@@ -44,8 +45,7 @@ from .generators import (
 )
 
 
-@dataclass(frozen=True)
-class HigherDifferentialEntry:
+class HigherDifferentialEntry(NamedTuple):
     drop: int            # filtration drop i >= 1
     source: Generator
     target: Generator
@@ -89,21 +89,16 @@ def d0_primitive(params: BundleParams, x: Chain) -> Chain:
         bad = " ".join(str(g) for g in canonical_sort(params, minus))
         raise ValueError(f"not d0-closed: chain contains - generators: {bad}")
     terms = frozenset(g.fiber_partner() for g in x.terms)
-    return Chain(x.degree + 2, x.floor + params.tau, terms)
+    return Chain(x.degree + 2, params.raised_floor(x.floor), terms)
 
 
 def _normalize(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
     """Shift both sides so the source has sphere class 0 (orbit representative)."""
-    a0 = entry.source.sphere
-    if a0 == 0:
+    drop, src, tgt = entry
+    if src.sphere == 0:
         return entry
-    src = entry.source
-    tgt = entry.target
     return HigherDifferentialEntry(
-        entry.drop,
-        Generator(src.base, src.cover, 0, src.sign),
-        Generator(tgt.base, tgt.cover, tgt.sphere - a0, tgt.sign),
-    )
+        drop, src._replace(sphere=0), tgt._replace(sphere=tgt.sphere - src.sphere))
 
 
 def validate_entry(
@@ -156,9 +151,8 @@ class FilteredDifferential:
     _by_source: dict = field(repr=False, compare=False, default_factory=dict)
 
     def __post_init__(self) -> None:
-        for e in self.entries:
-            key = (e.source.base, e.source.cover, e.source.sign)
-            self._by_source.setdefault(key, []).append(e)
+        for _, (base, cover, _, sign), target in self.entries:
+            self._by_source.setdefault((base, cover, sign), []).append(target)
 
     @property
     def max_drop(self) -> int:
@@ -166,12 +160,9 @@ class FilteredDifferential:
 
     def targets_of(self, g: Generator) -> frozenset[Generator]:
         """Shift-extended table image of a single generator (d0 not included)."""
-        hits = self._by_source.get((g.base, g.cover, g.sign), ())
-        out: set[Generator] = set()
-        for e in hits:
-            t = e.target
-            out.add(Generator(t.base, t.cover, t.sphere + g.sphere, t.sign))
-        return frozenset(out)
+        base, cover, a, sign = g
+        hits = self._by_source.get((base, cover, sign), ())
+        return frozenset(Generator(b, n, t + a, s) for b, n, t, s in hits)
 
 
 def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[Generator]:
@@ -213,7 +204,7 @@ def load_table(
     on success the table is stored on shift representatives in canonical order
     and the windowed square check has passed.
     """
-    case = theorem_case(params)
+    case = params.case
     report: list[str] = []
     named: set[Generator] = set()
     normalized: list[HigherDifferentialEntry] = []

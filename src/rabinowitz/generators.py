@@ -17,16 +17,17 @@ formulas used throughout:
     twice_mu        = 2*cz_fiber_disk - 2*morse_index + dim_M -+ 1   (+1 for '+')
     cz_base (level) = -morse_index + dim_M/2 + 2*c*nu*a
 
-Comparisons run on integers: :func:`_invariants` turns the per-point constants
-cached on :class:`BundleParams` into (level, twice_mu, L*action), where L =
-``params.action_denominator``, and :func:`_above_floor` holds the one floor
-test.  :func:`action` still returns the exact ``Fraction``, built only where a
-report prints an action or an error message quotes one.
+Comparisons run on integers: :func:`_invariants` reads the point's row of
+integer coefficients cached on :class:`BundleParams` and returns (level,
+twice_mu, L*action), L = ``params.action_denominator``, as three linear forms
+in (cover, sphere); :func:`_above_floor` holds the one floor test.
+:func:`action` still returns the exact ``Fraction``, built only where a report
+prints an action or an error message quotes one.  A :class:`Generator` is a
+named tuple, so building, hashing and ordering one is tuple work.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, NamedTuple
 
@@ -35,8 +36,7 @@ from .bundle import BundleParams
 SIGNS = ("+", "-")
 
 
-@dataclass(frozen=True, order=True)
-class Generator:
+class Generator(NamedTuple):
     base: str
     cover: int    # n: iteration count of the fiber orbit, any integer
     sphere: int   # a: sphere class coordinate, omega-area nu*a
@@ -78,15 +78,16 @@ def eta(params: BundleParams, g: Generator) -> Fraction:
 
 
 def _invariants(params: BundleParams, g: Generator) -> tuple[int, int, int]:
-    """(level, twice_mu, L*action) of ``g`` in integer arithmetic."""
-    cp, lv, key = params.point(g.base)
-    cz = cz_fiber_disk(params, g.cover, g.sphere)
-    L, tau = params.action_denominator, params.tau
-    key = L // tau.denominator * tau.numerator * g.cover - key
-    if g.sphere:
-        lv += 2 * params.c * params.nu * g.sphere
-        key += params.nu * L * g.sphere
-    return lv, 2 * cz - 2 * cp.index + params.dim_m + (1 if g.sign == "+" else -1), key
+    """(level, twice_mu, L*action) of ``g`` from its point's coefficient row."""
+    base, n, a, sign = g
+    lv, mu, key, k_n, l_a, m_a, k_a = params.rows[base]
+    mu += 4 * n + (1 if sign == "+" else -1)
+    key += k_n * n
+    if not a:
+        return lv, mu, key
+    if l_a is None:
+        raise ValueError("aspherical scenario forces sphere class 0")
+    return lv + l_a * a, mu + m_a * a, key + k_a * a
 
 
 def _above_floor(params: BundleParams, floor: Fraction) -> Callable[[Generator], bool]:

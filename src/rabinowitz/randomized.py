@@ -19,7 +19,7 @@ import random
 from fractions import Fraction
 from operator import itemgetter
 
-from .bundle import BundleParams, CaseTag, theorem_case
+from .bundle import BundleParams, CaseTag
 from .chains import Chain
 from .differentials import (
     FilteredDifferential,
@@ -62,7 +62,7 @@ def _candidate_entries(
     Pools are per degree, so the grading rule holds; the other rules are integer
     tests on the sort keys (-level, -L*action, ...) computed once per generator.
     """
-    same_class = theorem_case(params).tag is CaseTag.C_VERY_NEGATIVE
+    same_class = params.case.tag is CaseTag.C_VERY_NEGATIVE
     max_drop = params.dim_m if not params.aspherical and params.c == 0 else None
     pools = {deg: _pool(params, deg, floor, level_lo, level_hi) for deg in degrees}
     keyed = {deg: [(sort_key(params, g), g) for g in pool] for deg, pool in pools.items()}

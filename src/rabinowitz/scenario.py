@@ -124,7 +124,7 @@ def parse_scenario(text: str) -> Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return parse_scenario(Path(path).read_text())
+    return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
 def _split_kv(line: str, lineno: int) -> tuple[str, str, int]:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bundle import BundleParams, CaseTag, TheoremCase, theorem_case
+from .bundle import BundleParams, CaseTag, TheoremCase
 from .chains import Chain, serialize_chain, truncate, zero_chain
 from .differentials import FilteredDifferential, _raw_step, apply_total, d0_primitive
 from .generators import (
@@ -108,7 +108,7 @@ def level_ceiling(params: BundleParams, x: Chain) -> int:
     pinned at the top of that range regardless of the chain; otherwise it is
     the maximal level among the terms.
     """
-    case = theorem_case(params)
+    case = params.case
     if case.tag not in (CaseTag.C_NON_NEGATIVE, CaseTag.ASPHERICAL):
         raise ValueError(f"level ceiling undefined in case {case.tag.value}")
     if not params.aspherical and params.c == 0:
@@ -121,7 +121,7 @@ def level_ceiling(params: BundleParams, x: Chain) -> int:
 def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> LevelBound:
     """Certified lower level bound for one degree above an action floor."""
     action_floor = Fraction(action_floor)
-    case = theorem_case(params)
+    case = params.case
     if case.tag not in (CaseTag.ASPHERICAL, CaseTag.C_NON_NEGATIVE):
         raise ValueError(f"level floor undefined in case {case.tag.value}")
     if case.cz_finiteness_ok is False:
@@ -204,7 +204,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     very-negative regime the induction runs independently per sphere class.
     """
     params = d.params
-    case = theorem_case(params)
+    case = params.case
     if case.tag is CaseTag.NOT_APPLICABLE:
         raise ValueError("scenario matches no supported case; refusing to run")
     if case.cz_finiteness_ok is False:
@@ -216,7 +216,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
         raise NotClosedError(
             image, "input chain is not closed; its differential is " + serialize_chain(params, image)
         )
-    theta_floor = xi.floor + params.tau
+    theta_floor = params.raised_floor(xi.floor)
     if xi.is_zero:
         return PrimitiveResult(
             case,

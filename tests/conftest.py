@@ -38,6 +38,17 @@ def fraction_level(params, g) -> int:
     return -params.crit(g.base).index + params.dim_m // 2 + c_term
 
 
+def fraction_twice_mu(params, g) -> int:
+    """Reference closed form mu = cz_fiber_disk - index + dim_M/2 -+ 1/2, doubled."""
+    cz = 2 * g.cover
+    if not params.aspherical:
+        cz += 2 * (params.c - 1) * params.nu * g.sphere
+    half = Fraction(1, 2) if g.sign == "+" else Fraction(-1, 2)
+    mu = cz - params.crit(g.base).index + Fraction(params.dim_m, 2) + half
+    assert mu.denominator == 2  # a half-integer
+    return int(2 * mu)
+
+
 def fraction_sort_key(params, g):
     """Reference canonical order on exact rationals: level desc, action desc, id, cover, sign."""
     return (-fraction_level(params, g), -fraction_action(params, g), g.base, g.cover, g.sign)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fraction_action, fraction_sort_key
+from conftest import fraction_action, fraction_level, fraction_sort_key, fraction_twice_mu
 from rabinowitz import (
     BundleParams,
     Chain,
@@ -376,6 +376,19 @@ def test_integer_keys_agree_with_exact_rationals(data, params, floor):
     gens = data.draw(st.lists(generators_of(params), min_size=1, max_size=12, unique=True))
     exact = {g: fraction_action(params, g) for g in gens}
     assert all(action(params, g) == exact[g] for g in gens)
+    # grading and level; the aspherical twin of the base refuses a nonzero
+    # sphere class and agrees with the closed forms on class 0
+    flat = BundleParams(params.dim_m, params.tau, params.morse)
+    for g in gens:
+        assert grading(params, g) == fraction_twice_mu(params, g)
+        assert level(params, g) == fraction_level(params, g)
+        if g.sphere:
+            for invariant in (action, grading, level):
+                with pytest.raises(ValueError, match="^aspherical scenario forces sphere class 0$"):
+                    invariant(flat, g)
+        else:
+            assert (action(flat, g), grading(flat, g), level(flat, g)) == (
+                fraction_action(flat, g), fraction_twice_mu(flat, g), fraction_level(flat, g))
     # canonical order
     assert list(canonical_sort(params, gens)) == sorted(gens, key=lambda g: fraction_sort_key(params, g))
     # every floor test (truncation, window counts, the chain constructor), also

@@ -146,6 +146,18 @@ def test_cmd_validate_missing_file():
     assert code == 4
 
 
+@pytest.mark.parametrize("command", [("validate",), ("diff", "--cycle", "xi0")])
+def test_cli_non_utf8_scenario_is_a_read_error(tmp_path, command):
+    bad = tmp_path / "bad.scn"
+    bad.write_bytes(b"\xff\xfe[bundle]\n")
+    code, out = run_cli(command[0], "--scenario", str(bad), *command[1:])
+    assert code == 4
+    assert out.startswith("cannot read scenario: ") and "utf-8" in out
+    # A UTF-8 file with non-ASCII text in a comment still loads.
+    bad.write_text("# τ = ½\n" + MINIMAL, encoding="utf-8")
+    assert run_cli("validate", "--scenario", str(bad))[0] == 0
+
+
 def test_cmd_enumerate_golden_row():
     code, out = run_cli(
         "enumerate",

@@ -84,3 +84,14 @@ def test_assignment_raises(value, attr):
     with pytest.raises(AttributeError):
         setattr(value, attr, getattr(value, attr))
     assert fields(value) == before
+
+
+@settings(max_examples=50, deadline=None)
+@given(ents=st.lists(entries, max_size=8))
+def test_values_are_slotted_tuples(ents):
+    # No per-instance dict: a new attribute cannot be attached either.
+    for value in (G("q0", 1, 0, "-"), *ents):
+        assert not hasattr(value, "__dict__")
+        with pytest.raises(AttributeError):
+            value.note = "x"
+    assert [fields(e) for e in sorted(ents)] == sorted(map(fields, ents))
