@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property, lru_cache
 from typing import Callable
 
 
@@ -92,7 +92,7 @@ class BundleParams:
     @cached_property
     def raised_floor(self) -> Callable[[Fraction], Fraction]:
         """floor -> floor + tau, memoized: an induction raises one floor per level."""
-        return cache(self.tau.__add__)
+        return lru_cache(maxsize=128)(self.tau.__add__)
 
     @cached_property
     def min_value(self) -> Fraction:

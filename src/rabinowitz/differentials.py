@@ -162,7 +162,7 @@ class FilteredDifferential:
         """Shift-extended table image of a single generator (d0 not included)."""
         base, cover, a, sign = g
         hits = self._by_source.get((base, cover, sign), ())
-        return frozenset(Generator(b, n, t + a, s) for b, n, t, s in hits)
+        return frozenset(Generator(tb, tn, ta + a, ts) for tb, tn, ta, ts in hits)
 
 
 def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[Generator]:
