@@ -1,5 +1,6 @@
 """Candidate generation and table sampling checked against a brute-force rule scan."""
 
+import hashlib
 import sys
 from fractions import Fraction
 
@@ -141,3 +142,15 @@ def test_sampling_validates_only_the_loaded_entries(monkeypatch):
     assert loads and calls["outside_load"] == 0
     assert calls["validate"] == sum(loads)
     assert len(d.entries) <= loads[0] <= 2 * 3
+
+
+def test_seeded_tables_are_pinned():
+    # Tables from seeds 0-49 on both benchmark bases, as entry text, hashed;
+    # the digest was taken before candidates became integer codes, so any
+    # change to the candidate order or the seeded shuffle shows here.
+    digest = hashlib.sha1()
+    for params, *window in (SAMPLE_TABLE, WIDE_PRIMITIVE):
+        for seed in range(50):
+            d = random_admissible_table(params, seed, *window)
+            digest.update("".join(f"{e}\n" for e in d.entries).encode() + b"\n")
+    assert digest.hexdigest() == "f56e46abaad34447217f92336d8c3895135fe7a4"
