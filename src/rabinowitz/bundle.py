@@ -73,10 +73,20 @@ class BundleParams:
                      for cp in reversed(self.morse))
 
     @cached_property
+    def tau_key(self) -> int:
+        """L*tau: the action key gained per cover."""
+        return self.action_denominator // self.tau.denominator * self.tau.numerator
+
+    @cached_property
+    def min_key(self) -> int:
+        """L*(tau+1)*min f over the critical points, an integer."""
+        return int((self.tau + 1) * self.action_denominator * self.min_value)
+
+    @cached_property
     def rows(self) -> dict[str, tuple[int, ...]]:
         """By id: (l0, m0, k0, k_n, l_a, m_a, k_a) with level = l0 + l_a*a, twice_mu =
         m0 + 4n + m_a*a -+ 1 and L*action = k0 + k_n*n + k_a*a; aspherical: l_a = None."""
-        k_n = self.action_denominator // self.tau.denominator * self.tau.numerator
+        k_n = self.tau_key
         per_a = (None,) * 3 if self.aspherical else (
             2 * self.c * self.nu, 4 * (self.c - 1) * self.nu, self.nu * self.action_denominator)
         return _ById((name, (lv, self.dim_m - 2 * cp.index, -key, k_n, *per_a))

@@ -20,7 +20,8 @@ formulas used throughout:
 Comparisons run on integers: :func:`_invariants` reads the point's row of
 integer coefficients cached on :class:`BundleParams` and returns (level,
 twice_mu, L*action), L = ``params.action_denominator``, as three linear forms
-in (cover, sphere); :func:`_above_floor` holds the one floor test.
+in (cover, sphere); :func:`_level_above` holds the one floor test, and
+:func:`_above_floor` is its predicate form.
 :func:`action` still returns the exact ``Fraction``, built only where a report
 prints an action or an error message quotes one.  A :class:`Generator` is a
 named tuple, so building, hashing and ordering one is tuple work.
@@ -90,11 +91,22 @@ def _invariants(params: BundleParams, g: Generator) -> tuple[int, int, int]:
     return lv + l_a * a, mu + m_a * a, key + k_a * a
 
 
-def _above_floor(params: BundleParams, floor: Fraction) -> Callable[[Generator], bool]:
-    """The predicate ``action(g) >= floor``, decided on the integer action key."""
-    floor = Fraction(floor)
+def _level_above(params: BundleParams, floor: Fraction) -> Callable[[Generator], int | None]:
+    """``g -> level(g)`` if ``action(g) >= floor``, else None: the one floor test,
+    decided on the integer action key with one invariants lookup."""
     bar, den = floor.numerator * params.action_denominator, floor.denominator
-    return lambda g: _invariants(params, g)[2] * den >= bar
+
+    def level_above(g: Generator) -> int | None:
+        lv, _, key = _invariants(params, g)
+        return lv if key * den >= bar else None
+
+    return level_above
+
+
+def _above_floor(params: BundleParams, floor: Fraction) -> Callable[[Generator], bool]:
+    """The predicate ``action(g) >= floor``."""
+    level_above = _level_above(params, floor)
+    return lambda g: level_above(g) is not None
 
 
 def action(params: BundleParams, g: Generator) -> Fraction:
@@ -164,21 +176,22 @@ def sphere_class_floor(params: BundleParams, twice_mu: int, action_floor: Fracti
     ``e = morse_index - dim_M/2 -+ 1/2``; minimizing the right-hand side over
     ``|e| <= dim_M/2 + 1/2`` and over critical values yields a bound valid for
     every generator.  Requires ``(c - 1) * tau < 1`` so the divisor is positive
-    (automatic for c <= 1).
+    (automatic for c <= 1).  The ceiling is taken on integers: both sides are
+    scaled by 4*L*q for the floor p/q, with L*tau = ``params.tau_key``.
     """
     if params.aspherical:
         raise ValueError("sphere classes are trivial in aspherical scenarios")
-    slope = 1 - (params.c - 1) * params.tau
+    scale, k_n = params.action_denominator, params.tau_key
+    slope = scale - (params.c - 1) * k_n  # L * (1 - (c-1)*tau)
     if slope <= 0:
         raise ValueError(
             f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: "
             "action no longer controls the sphere class"
         )
-    # (mu + e_max)/2 * tau with doubled mu: (twice_mu + dim_M + 1) * tau / 4
-    peak = (twice_mu + params.dim_m + 1) * params.tau / 4
-    bound = (Fraction(action_floor) - peak + (params.tau + 1) * params.min_value) / slope
-    per_nu = bound / params.nu
-    return -((-per_nu.numerator) // per_nu.denominator)  # ceil
+    p, q = action_floor.numerator, action_floor.denominator
+    # (mu + e_max)/2 * tau with doubled mu is (twice_mu + dim_M + 1) * k_n / 4L
+    num = 4 * scale * p - q * ((twice_mu + params.dim_m + 1) * k_n - 4 * params.min_key)
+    return -(-num // (4 * q * params.nu * slope))  # ceil
 
 
 def _require_odd(twice_mu: int) -> None:

@@ -7,6 +7,12 @@ zero, then loaded through the full validator, dropping offenders in canonical
 order until the windowed square check passes.  Everything is a pure function
 of (scenario, seed), which keeps reports byte-reproducible.
 
+A candidate is one integer code over the window's generators in canonical
+order, so the seeded shuffle permutes plain ints; only the codes the greedy
+loop reads are decoded into entries.  ``random.shuffle`` draws depend only on
+the list's length, so a seeded table depends on the candidates and their
+order, not on how they are stored.
+
 The building blocks mirror how the fiber differential interacts with a table:
 an entry out of a - generator into a + generator is self-consistent on its
 own, while an entry between + generators needs the companion entry between
@@ -16,8 +22,8 @@ the canonical fiber preimages of its endpoints.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
-from operator import itemgetter
 
 from .bundle import BundleParams, CaseTag
 from .chains import Chain
@@ -56,28 +62,49 @@ def _candidate_entries(
     floor: Fraction,
     level_lo: int,
     level_hi: int,
-) -> list[HigherDifferentialEntry]:
-    """All single-entry-valid table lines on the window, in canonical table order.
+) -> tuple[list[int], tuple[Generator, ...]]:
+    """All single-entry-valid table lines on the window, as ascending integer codes.
 
-    Pools are per degree, so the grading rule holds; the other rules are integer
-    tests on the sort keys (-level, -L*action, ...) computed once per generator.
+    ``gens`` merges the per-degree pools in canonical order; with M = len(gens)
+    the line (drop, gens[s], gens[t]) has code (drop*M + s)*M + t, so ascending
+    codes follow the canonical table order (drop, source key, target key).
+    Pools are per degree, so the grading rule holds.  Per degree (and sphere
+    class, when the case preserves it) the targets a source may reach by the
+    level and depth rules are one slice of canonical order; the action rule is
+    an integer test on the sort keys (-level, -L*action, ...).
     """
     same_class = params.case.tag is CaseTag.C_VERY_NEGATIVE
     max_drop = params.dim_m if not params.aspherical and params.c == 0 else None
-    pools = {deg: _pool(params, deg, floor, level_lo, level_hi) for deg in degrees}
-    keyed = {deg: [(sort_key(params, g), g) for g in pool] for deg, pool in pools.items()}
-    out: list[tuple[tuple, HigherDifferentialEntry]] = []
-    for deg in degrees:
-        for key_s, src in keyed[deg]:
-            for key_t, tgt in keyed.get(deg - 2, ()):
-                drop = key_t[0] - key_s[0]
-                if (drop < 1 or key_t[1] < key_s[1]
-                        or (same_class and tgt.sphere != src.sphere)
-                        or (max_drop is not None and drop > max_drop)):
-                    continue
-                out.append(((drop, key_s, key_t), HigherDifferentialEntry(drop, src, tgt)))
-    out.sort(key=itemgetter(0))
-    return [entry for _, entry in out]
+    keyed = sorted((sort_key(params, g), deg, g) for deg in degrees
+                   for g in _pool(params, deg, floor, level_lo, level_hi))
+    gens = tuple(g for _, _, g in keyed)
+    m = len(gens)
+    mm = m * m
+    # With key = sort_key, code = (s*M - key_s[0]*M*M) + (t + key_t[0]*M*M).
+    targets: dict[tuple, tuple[list[int], list[tuple[int, int]]]] = {}
+    for t, (key, deg, g) in enumerate(keyed):
+        neg_levels, rows = targets.setdefault((deg, g.sphere if same_class else None), ([], []))
+        neg_levels.append(key[0])
+        rows.append((key[1], t + key[0] * mm))
+    codes: list[int] = []
+    for s, (key, deg, g) in enumerate(keyed):
+        found = targets.get((deg - 2, g.sphere if same_class else None))
+        if found is None:
+            continue
+        neg_levels, rows = found
+        first = bisect_right(neg_levels, key[0])
+        last = len(rows) if max_drop is None else bisect_right(neg_levels, key[0] + max_drop)
+        base, neg_action = s * m - key[0] * mm, key[1]
+        codes += [base + part for key_t, part in rows[first:last] if key_t >= neg_action]
+    codes.sort()
+    return codes, gens
+
+
+def _decode(code: int, gens: tuple[Generator, ...]) -> HigherDifferentialEntry:
+    """The table line of one candidate code."""
+    rest, t = divmod(code, len(gens))
+    drop, s = divmod(rest, len(gens))
+    return HigherDifferentialEntry(drop, gens[s], gens[t])
 
 
 def _lift(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
@@ -98,18 +125,21 @@ def random_admissible_table(
 ) -> FilteredDifferential:
     """A validated table sampled reproducibly from the given window.
 
-    Units are added greedily while their endpoints stay disjoint from earlier
-    ones (so no accidental composites arise); the result is then passed through
-    the full validator, with a canonical-order repair loop as a safety net.
+    The candidate codes are shuffled with ``Random(seed)`` and decoded in that
+    order; units are added greedily while their endpoints stay disjoint from
+    earlier ones (so no accidental composites arise).  The result is then
+    passed through the full validator, with a canonical-order repair loop as a
+    safety net.
     """
     rng = random.Random(seed)
-    candidates = _candidate_entries(params, degrees, Fraction(floor), level_lo, level_hi)
-    rng.shuffle(candidates)
+    codes, gens = _candidate_entries(params, degrees, Fraction(floor), level_lo, level_hi)
+    rng.shuffle(codes)
     chosen: list[HigherDifferentialEntry] = []
     used: set[Generator] = set()
-    for entry in candidates:
+    for code in codes:
         if len(chosen) >= size:
             break
+        entry = _decode(code, gens)
         unit = [entry]
         if entry.source.sign == "+":
             if entry.target.sign != "+":

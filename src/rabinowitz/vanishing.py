@@ -30,8 +30,8 @@ from .chains import Chain, serialize_chain, truncate, zero_chain
 from .differentials import FilteredDifferential, _raw_step, apply_total, d0_primitive
 from .generators import (
     Generator,
-    _above_floor,
     _least_level,
+    _level_above,
     action,
     enumerate_generators,
     level,
@@ -165,7 +165,7 @@ def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Ch
     A nonzero correction below ``stop`` breaks the certified bound.
     """
     params = d.params
-    above = _above_floor(params, x.floor)
+    level_above = _level_above(params, x.floor)
     pending: dict[int, set[Generator]] = {}
     for g in x.terms:
         pending.setdefault(level(params, g), set()).add(g)
@@ -187,8 +187,10 @@ def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Ch
                 f"higher-differential table inconsistent with the level induction at level {l}: {err}"
             ) from None
         theta.append((l, th))
-        for g in filter(above, _raw_step(d, th.terms) ^ terms):
-            lv = level(params, g)
+        for g in _raw_step(d, th.terms) ^ terms:
+            lv = level_above(g)
+            if lv is None:
+                continue
             if lv >= l:
                 raise InductionError(f"higher differential failed to drop the level at {l}")
             pending.setdefault(lv, set()).symmetric_difference_update((g,))

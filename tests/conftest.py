@@ -1,9 +1,11 @@
+import math
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from rabinowitz import BundleParams, CritPoint, load_scenario
+from rabinowitz.randomized import _candidate_entries, _decode
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -52,6 +54,21 @@ def fraction_twice_mu(params, g) -> int:
 def fraction_sort_key(params, g):
     """Reference canonical order on exact rationals: level desc, action desc, id, cover, sign."""
     return (-fraction_level(params, g), -fraction_action(params, g), g.base, g.cover, g.sign)
+
+
+def fraction_sphere_class_floor(params, twice_mu, floor) -> int:
+    """Reference closed form: the least integer a with
+    nu*a >= (floor - (twice_mu + dim_M + 1)*tau/4 + (tau+1)*min f) / (1 - (c-1)*tau)."""
+    peak = Fraction(twice_mu + params.dim_m + 1, 4) * params.tau
+    least = (params.tau + 1) * min(cp.value for cp in params.morse)
+    return math.ceil((floor - peak + least) / ((1 - (params.c - 1) * params.tau) * params.nu))
+
+
+def decoded_candidates(params, degrees, floor, lo, hi):
+    """Every candidate code of the window decoded, after checking the codes strictly increase."""
+    codes, gens = _candidate_entries(params, degrees, floor, lo, hi)
+    assert all(a < b for a, b in zip(codes, codes[1:]))
+    return [_decode(code, gens) for code in codes]
 
 
 def assert_drop_partition(kept, dropped, untruncated):

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CASE_SCENARIOS, assert_drop_partition, params_of
+from conftest import CASE_SCENARIOS, assert_drop_partition, decoded_candidates, params_of
 from rabinowitz import (
     Chain,
     Generator,
@@ -340,11 +340,11 @@ def test_square_check_probes_are_complete(cp1_params, neg2_params, aspherical4_p
     import random as _random
 
     from rabinowitz.differentials import _raw_step
-    from rabinowitz.randomized import _candidate_entries, _pool
+    from rabinowitz.randomized import _pool
 
     rng = _random.Random(71)
     for params in (cp1_params, neg2_params, aspherical4_params):
-        cands = _candidate_entries(params, (3, 5, 7), FLOOR, -8, 8)
+        cands = decoded_candidates(params, (3, 5, 7), FLOOR, -8, 8)
         loaded = 0
         while loaded < 12:
             entries = rng.sample(cands, rng.randint(1, min(6, len(cands))))

@@ -4,7 +4,13 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import fraction_action, fraction_level, fraction_sort_key, fraction_twice_mu
+from conftest import (
+    fraction_action,
+    fraction_level,
+    fraction_sort_key,
+    fraction_sphere_class_floor,
+    fraction_twice_mu,
+)
 from rabinowitz import (
     BundleParams,
     Chain,
@@ -23,6 +29,7 @@ from rabinowitz import (
     level,
     novikov_window_counts,
     project_to_base,
+    sphere_class_floor,
     theorem_case,
     truncate,
     validate_entry,
@@ -358,6 +365,27 @@ def floors():
 def test_enumerate_matches_level_walk(params, twice_mu, floor, lo, width):
     got = enumerate_generators(params, twice_mu, floor, lo, lo + width)
     assert list(got) == _level_walk(params, twice_mu, floor, lo, lo + width)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    params=integer_key_params(),
+    twice_mu=st.integers(-9, 9).map(lambda k: 2 * k + 1),
+    floor=floors(),
+)
+def test_sphere_class_floor_matches_exact_rationals(params, twice_mu, floor):
+    # Floor denominators are coprime to tau's and to every critical value's.
+    flat = BundleParams(params.dim_m, params.tau, params.morse)
+    with pytest.raises(ValueError, match="^sphere classes are trivial in aspherical scenarios$"):
+        sphere_class_floor(flat, twice_mu, floor)
+    tilt = (params.c - 1) * params.tau
+    if tilt >= 1:
+        with pytest.raises(ValueError) as err:
+            sphere_class_floor(params, twice_mu, floor)
+        assert str(err.value) == f"(c-1)*tau = {tilt} >= 1: action no longer controls the sphere class"
+    else:
+        got = sphere_class_floor(params, twice_mu, floor)
+        assert got == fraction_sphere_class_floor(params, twice_mu, floor)
 
 
 def generators_of(params):

@@ -6,11 +6,18 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CASE_SCENARIOS, fraction_sort_key, scenario_path, synthetic_params
+from conftest import (
+    CASE_SCENARIOS,
+    decoded_candidates,
+    fraction_sort_key,
+    scenario_path,
+    synthetic_params,
+)
 from rabinowitz import (
     BundleParams,
     CritPoint,
     HigherDifferentialEntry,
+    action,
     level,
     load_scenario,
     random_admissible_table,
@@ -20,7 +27,7 @@ from rabinowitz import (
 )
 from rabinowitz import differentials
 from rabinowitz.cli import _default_window
-from rabinowitz.randomized import _candidate_entries, _pool
+from rabinowitz.randomized import _pool
 
 # The benchmark's sampling bases: c = 2 (sample_table) and c = 1, tau = 3/4
 # (wide_primitive), each with the window it samples on.
@@ -69,16 +76,16 @@ def _scenario_windows(name):
 def test_candidates_match_brute_scan_on_golden_scenarios(name):
     params, windows = _scenario_windows(name)
     for window in windows:
-        assert _candidate_entries(params, *window) == brute_candidates(params, *window)
+        assert decoded_candidates(params, *window) == brute_candidates(params, *window)
 
 
 @pytest.mark.parametrize("base", [SAMPLE_TABLE, WIDE_PRIMITIVE], ids=["c2", "c1"])
 def test_candidates_match_brute_scan_on_benchmark_bases(base):
     params, *window = base
-    got = _candidate_entries(params, *window)
+    got = decoded_candidates(params, *window)
     assert got and got == brute_candidates(params, *window)
     for extra in EXTRA_WINDOWS:
-        assert _candidate_entries(params, *extra) == brute_candidates(params, *extra)
+        assert decoded_candidates(params, *extra) == brute_candidates(params, *extra)
 
 
 # Morse data outside the admissible ranges (the sampler does not require a
@@ -89,7 +96,8 @@ OFF_RANGE = {
         CritPoint("w0", -1, Fraction(7, 10)), CritPoint("w1", 3, Fraction(-37, 20)),
         CritPoint("w2", 2, Fraction(-3, 5))), 1, -2),
     "depth-cutoff": BundleParams(2, Fraction(1, 2), (
-        CritPoint("q0", 0, Fraction(1, 10)), CritPoint("q4", 4, Fraction(5, 2))), 1, 0),
+        CritPoint("q0", 0, Fraction(1, 10)), CritPoint("q3", 3, Fraction(9, 10)),
+        CritPoint("q4", 4, Fraction(5, 2))), 1, 0),
 }
 
 
@@ -98,7 +106,7 @@ def test_candidates_match_brute_scan_where_class_and_depth_rules_bite(rule):
     params = OFF_RANGE[rule]
     case = theorem_case(params)
     for window in EXTRA_WINDOWS:
-        assert _candidate_entries(params, *window) == brute_candidates(params, *window)
+        assert decoded_candidates(params, *window) == brute_candidates(params, *window)
     degrees, floor, lo, hi = EXTRA_WINDOWS[0]
     pools = {deg: _pool(params, deg, floor, lo, hi) for deg in degrees}
     verdicts = [
@@ -106,6 +114,20 @@ def test_candidates_match_brute_scan_where_class_and_depth_rules_bite(rule):
         for deg in degrees if deg - 2 in pools for s in pools[deg] for t in pools[deg - 2]
     ]
     assert any(len(v) == 1 and v[0].startswith(rule) for v in verdicts)
+
+
+def test_candidates_match_brute_scan_where_actions_tie():
+    # Two critical points on one value: the action rule admits a target whose
+    # action equals its source's, so the candidate test must not be strict.
+    params = BundleParams(2, Fraction(1, 2), (
+        CritPoint("w0", 1, Fraction(3, 10)), CritPoint("w1", 1, Fraction(4, 5)),
+        CritPoint("w2", 2, Fraction(3, 10))), 3, -3)
+    ties = 0
+    for window in EXTRA_WINDOWS:
+        got = decoded_candidates(params, *window)
+        assert got == brute_candidates(params, *window)
+        ties += sum(action(params, e.source) == action(params, e.target) for e in got)
+    assert ties
 
 
 def test_sampling_validates_only_the_loaded_entries(monkeypatch):
