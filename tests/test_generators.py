@@ -10,6 +10,7 @@ from conftest import (
     fraction_sort_key,
     fraction_sphere_class_floor,
     fraction_twice_mu,
+    params_of,
 )
 from rabinowitz import (
     BundleParams,
@@ -34,6 +35,7 @@ from rabinowitz import (
     truncate,
     validate_entry,
 )
+from rabinowitz.randomized import _pool
 
 G = Generator
 
@@ -216,6 +218,26 @@ def test_enumerate_matches_brute_force_aspherical(aspherical4_params):
     assert all(g.sphere == 0 for g in got)
 
 
+# c = 0 with an index-1 point, so the class-0 slice has a level-0 generator.
+C0_MIDDLE = BundleParams(2, Fraction(1, 2), (
+    CritPoint("q0", 0, Fraction(1, 10)), CritPoint("q1", 1, Fraction(1, 2)),
+    CritPoint("q2", 2, Fraction(1, 5))), 1, 0)
+
+
+def test_sampling_pool_matches_brute_force(aspherical4_params, cp1_params, neg2_params):
+    # c = 0: the pool is the sphere-class-0 part of the slice.
+    for twice_mu in (1, 3, 5):
+        pool = _pool(C0_MIDDLE, twice_mu, Fraction(-3), -1, 1)
+        scan = [g for g in _brute_force(C0_MIDDLE, twice_mu, Fraction(-3), -1, 1) if g.sphere == 0]
+        assert list(pool) == scan
+        assert any(level(C0_MIDDLE, g) == 0 for g in pool)
+    # Every other case: the pool is the whole slice.
+    for params, window in ((aspherical4_params, (-2, 2)), (cp1_params, (-8, 8)), (neg2_params, (-8, 8))):
+        for twice_mu in (-3, 1, 5):
+            pool = _pool(params, twice_mu, Fraction(-5), *window)
+            assert pool and list(pool) == _brute_force(params, twice_mu, Fraction(-5), *window)
+
+
 def test_enumerate_empty_window(cp1_params):
     assert enumerate_generators(cp1_params, 5, Fraction(0), 4, -4) == ()
 
@@ -246,6 +268,38 @@ def test_enumerate_infinite_slice_missing_bound(cp1_params, neg2_params):
         enumerate_generators(cp1_params, 5, Fraction(0), -4, None)
     with pytest.raises(InfiniteSliceError):
         enumerate_generators(neg2_params, 3, Fraction(0), None, 4)
+
+
+# (c-1)*tau = 1: the action floor no longer bounds the sphere class below.
+TILTED = BundleParams(2, Fraction(1), (CritPoint("p", 0, Fraction(1, 3)),), 1, 2)
+NO_UPPER = "infinite slice: no upper level bound and c >= 1 (sphere class unbounded above at any action floor)"
+NO_LOWER = "infinite slice: no lower level bound and c <= -1 (sphere class unbounded above at any action floor)"
+
+
+@pytest.mark.parametrize("name, twice_mu, lo, hi, text", [
+    ("cp1", 5, -4, None, NO_UPPER),
+    ("cp1", 5, None, None, NO_UPPER),
+    ("tilted", 3, None, 4, "infinite slice: (c-1)*tau = 1 >= 1: action no longer controls the sphere class"),
+    ("tilted", 3, None, None, NO_UPPER),
+    ("neg2", 3, None, 4, NO_LOWER),
+    ("neg2", 3, None, None, NO_LOWER),
+    ("c0", 3, -1, 1, "infinite slice: c = 0 leaves the sphere class unconstrained for critical point 'q0'"),
+    ("c0", 3, None, None, "infinite slice: c = 0 leaves the sphere class unconstrained for critical point 'q0'"),
+])
+def test_enumerate_refusal_texts_and_order(name, twice_mu, lo, hi, text):
+    # Each infinite slice is refused with its own text; with both ends
+    # missing, the end the case cannot derive is named first.
+    params = TILTED if name == "tilted" else params_of(name)
+    with pytest.raises(InfiniteSliceError) as err:
+        enumerate_generators(params, twice_mu, Fraction(0), lo, hi)
+    assert str(err.value) == text
+
+
+def test_enumerate_aspherical_default_window_is_the_level_range(aspherical4_params):
+    for twice_mu in (-3, 1, 5, 9):
+        derived = enumerate_generators(aspherical4_params, twice_mu, Fraction(-10))
+        assert derived == enumerate_generators(aspherical4_params, twice_mu, Fraction(-10), -2, 2)
+        assert derived
 
 
 def test_enumerate_derives_bound_from_action(cp1_params, neg2_params):
