@@ -42,8 +42,9 @@ class BundleParams:
     ``c * omega`` on spheres) and are both ``None`` for aspherical ones.  The
     C^2-smallness of the Morse function is an unchecked modelling assumption;
     no quantitative bound is available, so none is validated.  The per-point
-    constants, their coefficient rows and the case are cached, not fields, so
-    equality, hashing and repr ignore them.
+    constants, their coefficient rows, the case and the case's rules (level
+    step, refusal, depth cutoff) are cached, not fields, so equality, hashing
+    and repr ignore them.
     """
 
     dim_m: int
@@ -83,12 +84,17 @@ class BundleParams:
         return int((self.tau + 1) * self.action_denominator * self.min_value)
 
     @cached_property
+    def level_step(self) -> int:
+        """Level gained per sphere class, 2*c*nu; 0 when aspherical (one class)."""
+        return 0 if self.aspherical else 2 * self.c * self.nu
+
+    @cached_property
     def rows(self) -> dict[str, tuple[int, ...]]:
         """By id: (l0, m0, k0, k_n, l_a, m_a, k_a) with level = l0 + l_a*a, twice_mu =
         m0 + 4n + m_a*a -+ 1 and L*action = k0 + k_n*n + k_a*a; aspherical: l_a = None."""
         k_n = self.tau_key
         per_a = (None,) * 3 if self.aspherical else (
-            2 * self.c * self.nu, 4 * (self.c - 1) * self.nu, self.nu * self.action_denominator)
+            self.level_step, 4 * (self.c - 1) * self.nu, self.nu * self.action_denominator)
         return _ById((name, (lv, self.dim_m - 2 * cp.index, -key, k_n, *per_a))
                      for name, (cp, lv, key) in self.points.items())
 
@@ -98,6 +104,21 @@ class BundleParams:
     @cached_property
     def case(self) -> TheoremCase:
         return theorem_case(self)
+
+    @cached_property
+    def refusal(self) -> str | None:
+        """Why the vanishing algorithm refuses to run here, or None if it runs."""
+        if self.case.tag is CaseTag.NOT_APPLICABLE:
+            return "scenario matches no supported case; refusing to run"
+        if self.case.cz_finiteness_ok is False:
+            return f"(c-1)*tau = {(self.c - 1) * self.tau} >= 1: pick a smaller tau"
+        return None
+
+    @cached_property
+    def depth_cutoff(self) -> int | None:
+        """Largest admissible differential drop: dim_M when c = 0 (levels span
+        only dim_M there), else None (no cutoff)."""
+        return self.dim_m if self.c == 0 else None
 
     @cached_property
     def raised_floor(self) -> Callable[[Fraction], Fraction]:
@@ -222,6 +243,6 @@ def theorem_case(params: BundleParams) -> TheoremCase:
         )
     if params.c == 0 and is_semi_positive(params).holds:
         return TheoremCase(CaseTag.C_NON_NEGATIVE)
-    if 2 * params.c * params.nu <= -params.dim_m:
+    if params.level_step <= -params.dim_m:
         return TheoremCase(CaseTag.C_VERY_NEGATIVE)
     return TheoremCase(CaseTag.NOT_APPLICABLE)

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .bundle import BundleParams, CaseTag
+from .bundle import BundleParams
 from .generators import (
     Generator,
     _above_floor,
@@ -185,9 +185,7 @@ def novikov_window_counts(
     n_level = None
     if level_probe is not None:
         n_level = sum(1 for g in x.terms if level(params, g) >= level_probe)
-    case = params.case
-    applicable = case.tag is CaseTag.C_NON_NEGATIVE and bool(case.cz_finiteness_ok)
-    return WindowCounts(n_action, n_level, applicable)
+    return WindowCounts(n_action, n_level, params.case.cz_finiteness_ok is True)
 
 
 def canonical_terms(params: BundleParams, x: Chain) -> tuple[Generator, ...]:

@@ -27,7 +27,7 @@ import functools
 import sys
 from fractions import Fraction
 
-from .bundle import CaseTag, is_semi_positive, minimal_chern_number
+from .bundle import is_semi_positive, minimal_chern_number
 from .chains import serialize_chain, zero_chain
 from .differentials import TableValidationError, apply_total, load_table
 from .generators import action, enumerate_generators, eta, grading, level
@@ -123,8 +123,7 @@ def cmd_validate(scenario, args) -> int:
     print(f"semi-positive={'yes' if sp.holds else 'no'} ({sp.reason})")
     if not params.aspherical:
         print(f"N_E={minimal_chern_number(params)}")
-    refused = case.tag is CaseTag.NOT_APPLICABLE or case.cz_finiteness_ok is False
-    code = FAIL_VALIDATION if refused else OK
+    code = OK if params.refusal is None else FAIL_VALIDATION
     try:
         load_table(params, scenario.entries)
         print(f"differentials: {len(scenario.entries)} entries valid")
@@ -243,10 +242,8 @@ def cmd_check(scenario, args) -> int:
 
     print("PASS: bundle invariants")  # load_scenario refuses an invalid bundle
     case = params.case
-    if case.cz_finiteness_ok is False:  # find_primitive refuses this case too
-        note("scenario case applicable", False, f"{case.tag.value}, (c-1)*tau < 1: no")
-    else:
-        note("scenario case applicable", case.tag is not CaseTag.NOT_APPLICABLE, case.tag.value)
+    detail = case.tag.value + (", (c-1)*tau < 1: no" if case.cz_finiteness_ok is False else "")
+    note("scenario case applicable", params.refusal is None, detail)
     try:
         load_table(params, scenario.entries)
         note("declared table valid", True)

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
 
-from .bundle import BundleParams, CaseTag, TheoremCase
+from .bundle import BundleParams, CaseTag
 from .chains import AddResult, Chain, truncate
 from .generators import (
     Generator,
@@ -101,9 +101,7 @@ def _normalize(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
         drop, src._replace(sphere=0), tgt._replace(sphere=tgt.sphere - src.sphere))
 
 
-def validate_entry(
-    params: BundleParams, case: TheoremCase, entry: HigherDifferentialEntry
-) -> tuple[str, ...]:
+def validate_entry(params: BundleParams, entry: HigherDifferentialEntry) -> tuple[str, ...]:
     """Per-entry rule violations, one line per broken rule (empty = compliant)."""
     bad: list[str] = []
     for g in (entry.source, entry.target):
@@ -125,12 +123,12 @@ def validate_entry(
     if key_t > key_s:
         act_s, act_t = action(params, entry.source), action(params, entry.target)
         bad.append(f"action: target action {act_t} exceeds source action {act_s}")
-    if case.tag is CaseTag.C_VERY_NEGATIVE and entry.target.sphere != entry.source.sphere:
+    if params.case.tag is CaseTag.C_VERY_NEGATIVE and entry.target.sphere != entry.source.sphere:
         bad.append(
             "class-preservation: sphere class must be preserved when "
             f"2*c*nu <= -dim_M (source a={entry.source.sphere}, target a={entry.target.sphere})"
         )
-    if not params.aspherical and params.c == 0 and entry.drop > params.dim_m:
+    if params.depth_cutoff is not None and entry.drop > params.depth_cutoff:
         bad.append(
             f"depth-cutoff: drop {entry.drop} > dim_M = {params.dim_m}; "
             "every differential of that depth vanishes when c = 0"
@@ -190,7 +188,7 @@ def check_d_squared_window(
         probes.add(e.source)
         if e.source.sign == "+":
             probes.add(e.source.fiber_partner())
-    ordered = sorted(probes, key=lambda g: sort_key(d.params, g))
+    ordered = canonical_sort(d.params, probes)
     squares = ((w, _raw_step(d, _raw_step(d, frozenset({w})))) for w in ordered)
     return tuple((w, canonical_sort(d.params, dd)) for w, dd in squares if dd)
 
@@ -204,13 +202,12 @@ def load_table(
     on success the table is stored on shift representatives in canonical order
     and the windowed square check has passed.
     """
-    case = params.case
     report: list[str] = []
     named: set[Generator] = set()
     normalized: list[HigherDifferentialEntry] = []
     seen: set[HigherDifferentialEntry] = set()
     for entry in entries:
-        broken = list(validate_entry(params, case, entry))
+        broken = list(validate_entry(params, entry))
         norm = _normalize(entry)
         if norm in seen:
             broken.append("shift-duplicate: coincides with an earlier entry modulo Novikov shift")

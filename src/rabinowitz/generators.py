@@ -30,6 +30,7 @@ named tuple, so building, hashing and ordering one is tuple work.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import inf
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import BundleParams
@@ -223,45 +224,8 @@ def _least_level(params: BundleParams, twice_mu: int, action_floor: Fraction) ->
     Aspherical and c = 0 levels never fall below -dim_M/2; for c >= 1 the
     level rises with the sphere class, which the floor bounds below.
     """
-    half = params.dim_m // 2
-    if params.aspherical or params.c == 0:
-        return -half
-    return -half + 2 * params.c * params.nu * sphere_class_floor(params, twice_mu, action_floor)
-
-
-def _resolve_window(
-    params: BundleParams,
-    twice_mu: int,
-    action_floor: Fraction,
-    level_lo: int | None,
-    level_hi: int | None,
-) -> tuple[int, int]:
-    half = params.dim_m // 2
-    if params.aspherical or params.c == 0:
-        lo = _least_level(params, twice_mu, action_floor) if level_lo is None else level_lo
-        return lo, half if level_hi is None else level_hi
-    shift = 2 * params.c * params.nu
-    if params.c >= 1:
-        if level_hi is None:
-            raise InfiniteSliceError(
-                "infinite slice: no upper level bound and c >= 1 "
-                "(sphere class unbounded above at any action floor)"
-            )
-        if level_lo is None:
-            try:
-                level_lo = _least_level(params, twice_mu, action_floor)
-            except ValueError as err:
-                raise InfiniteSliceError(f"infinite slice: {err}") from None
-        return level_lo, level_hi
-    # c <= -1: levels decrease with the sphere class, so the roles swap.
-    if level_lo is None:
-        raise InfiniteSliceError(
-            "infinite slice: no lower level bound and c <= -1 "
-            "(sphere class unbounded above at any action floor)"
-        )
-    if level_hi is None:
-        level_hi = half + shift * sphere_class_floor(params, twice_mu, action_floor)
-    return level_lo, level_hi
+    step, half = params.level_step, params.dim_m // 2
+    return -half + step * sphere_class_floor(params, twice_mu, action_floor) if step else -half
 
 
 def enumerate_generators(
@@ -273,48 +237,64 @@ def enumerate_generators(
 ) -> tuple[Generator, ...]:
     """All generators of one degree with action >= floor and level in a window.
 
-    Missing window ends are derived where the scenario permits (aspherical and
-    c = 0 levels are a priori bounded; for other c one side follows from the
-    action floor via :func:`sphere_class_floor`); windows that provably contain
-    infinitely many generators raise :class:`InfiniteSliceError`.  The result
-    is in canonical order: level desc, action desc, base id, cover, sign.
+    Each sphere-class-0 generator of the degree starts one slice n = n0 +
+    (1-c)*nu*a along which the degree is fixed and level and L*action are
+    linear in the sphere class a; the level window and the action floor are
+    solved for a exactly on integers.  Missing window ends are derived where
+    the case permits: levels lie in [-dim_M/2, dim_M/2] when the level step
+    2*c*nu is 0 (aspherical, c = 0), and the end on the floor's side follows
+    from :func:`sphere_class_floor` otherwise.  A window that provably holds
+    infinitely many generators raises :class:`InfiniteSliceError`: the other
+    end is missing, or c = 0 and a critical point sits in the window.  The
+    result is in canonical order: level desc, action desc, base id, cover, sign.
     """
     _require_odd(twice_mu)
     action_floor = Fraction(action_floor)
-    lo, hi = _resolve_window(params, twice_mu, action_floor, level_lo, level_hi)
-    if lo > hi:
-        return ()
-    if params.aspherical:
-        return _class_zero_slice(params, twice_mu, action_floor, lo, hi)
-    c, nu = params.c, params.nu
-    above = _above_floor(params, action_floor)
+    step, half = params.level_step, params.dim_m // 2
+    if step > 0 and level_hi is None:
+        raise InfiniteSliceError(
+            "infinite slice: no upper level bound and c >= 1 "
+            "(sphere class unbounded above at any action floor)"
+        )
+    if step < 0 and level_lo is None:
+        raise InfiniteSliceError(
+            "infinite slice: no lower level bound and c <= -1 "
+            "(sphere class unbounded above at any action floor)"
+        )
+    if level_lo is None:
+        try:
+            level_lo = _least_level(params, twice_mu, action_floor)
+        except ValueError as err:
+            raise InfiniteSliceError(f"infinite slice: {err}") from None
+    if level_hi is None:  # c <= -1: levels fall as the floor-bounded class rises
+        level_hi = (half + step * sphere_class_floor(params, twice_mu, action_floor)
+                    if step else half)
     bar, den = action_floor.numerator * params.action_denominator, action_floor.denominator
+    if params.aspherical:
+        classes, cover_step, slope = (0, 0), 0, 0
+    else:
+        classes, cover_step = (-inf, inf), (1 - params.c) * params.nu
+        slope = (params.nu * params.action_denominator + cover_step * params.tau_key) * den
     found: list[Generator] = []
     for g0 in _class_zero_of_degree(params, twice_mu):
         lv0, _, key0 = _invariants(params, g0)
-        if c == 0:
-            # Level ignores the sphere class entirely; once a critical
-            # point sits in the window every sphere class contributes.
-            if lo <= lv0 <= hi:
-                raise InfiniteSliceError(
-                    "infinite slice: c = 0 leaves the sphere class "
-                    f"unconstrained for critical point {g0.base!r}"
-                )
+        a_lo, a_hi = classes
+        # The classes a with coef*a >= rhs: level >= lo, level <= hi, action >= floor.
+        bounds = ((step, level_lo - lv0), (-step, lv0 - level_hi), (slope, bar - key0 * den))
+        for coef, rhs in bounds:
+            if coef > 0:
+                a_lo = max(a_lo, -(-rhs // coef))
+            elif coef < 0:
+                a_hi = min(a_hi, rhs // coef)
+            elif rhs > 0:
+                a_lo, a_hi = inf, -inf  # no class at all
+        if a_lo > a_hi:
             continue
-        # Along the slice n = n0 - (c-1)*nu*a (the degree pins n0), level and
-        # L*action are linear in the sphere class a: solve both windows for a.
-        lv1, _, key1 = _invariants(params, Generator(g0.base, g0.cover - (c - 1) * nu, 1, g0.sign))
-        step, slope, rest = lv1 - lv0, (key1 - key0) * den, bar - key0 * den
-        if step > 0:
-            a_lo, a_hi = -((lv0 - lo) // step), (hi - lv0) // step
-        else:
-            a_lo, a_hi = -((hi - lv0) // -step), (lv0 - lo) // -step
-        if slope > 0:
-            a_lo = max(a_lo, -(-rest // slope))
-        elif slope < 0:
-            a_hi = min(a_hi, rest // slope)
-        for a in range(a_lo, a_hi + 1):
-            g = Generator(g0.base, g0.cover - (c - 1) * nu * a, a, g0.sign)
-            if above(g):
-                found.append(g)
+        if a_hi - a_lo == inf:  # level step 0, so c = 0 with the point in the window
+            raise InfiniteSliceError(
+                "infinite slice: c = 0 leaves the sphere class "
+                f"unconstrained for critical point {g0.base!r}"
+            )
+        found += [Generator(g0.base, g0.cover + cover_step * a, a, g0.sign)
+                  for a in range(a_lo, a_hi + 1)]
     return canonical_sort(params, found)

@@ -46,12 +46,13 @@ def _pool(
 ) -> tuple[Generator, ...]:
     """Finite sampling pool for one degree.
 
-    Enumeration does the work except when c = 0, where any level window meeting
-    the feasible range holds infinitely many generators; there the pool is the
+    Enumeration does the work unless the level step is 0.  Aspherical, the
+    sphere-class-0 slice is all there is; for c = 0 any level window meeting
+    the feasible range holds infinitely many generators, and the pool is the
     slice of shift-orbit representatives (sphere class 0), which is all a table
     needs since entries are stored on representatives anyway.
     """
-    if params.aspherical or params.c != 0:
+    if params.level_step:
         return enumerate_generators(params, degree, floor, level_lo, level_hi)
     return _class_zero_slice(params, degree, floor, level_lo, level_hi)
 
@@ -74,7 +75,7 @@ def _candidate_entries(
     an integer test on the sort keys (-level, -L*action, ...).
     """
     same_class = params.case.tag is CaseTag.C_VERY_NEGATIVE
-    max_drop = params.dim_m if not params.aspherical and params.c == 0 else None
+    max_drop = params.depth_cutoff
     keyed = sorted((sort_key(params, g), deg, g) for deg in degrees
                    for g in _pool(params, deg, floor, level_lo, level_hi))
     gens = tuple(g for _, _, g in keyed)

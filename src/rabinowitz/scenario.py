@@ -104,10 +104,10 @@ def parse_scenario(text: str) -> Scenario:
         elif section == "cycles":
             raw_cycles.append(_parse_cycle_line(stripped, lineno))
         else:  # meta
-            key, value, lineno2 = _split_kv(stripped, lineno)
+            key, value = _split_kv(stripped, lineno)
             if key != "seed":
-                raise ScenarioError(f"unknown meta key {key!r}", lineno2)
-            seed = _parse_int("seed", value, lineno2)
+                raise ScenarioError(f"unknown meta key {key!r}", lineno)
+            seed = _parse_int("seed", value, lineno)
     bundle = _assemble_bundle(bundle_kv, crits)
     report = validate(bundle)
     if not report.ok:
@@ -127,11 +127,11 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-def _split_kv(line: str, lineno: int) -> tuple[str, str, int]:
+def _split_kv(line: str, lineno: int) -> tuple[str, str]:
     if "=" not in line:
         raise ScenarioError(f"expected 'key = value', got {line!r}", lineno)
     key, value = line.split("=", 1)
-    return key.strip().lower(), value.strip(), lineno
+    return key.strip().lower(), value.strip()
 
 
 def _parse_bundle_line(line: str, lineno: int, kv: dict, crits: list[CritPoint]) -> None:
@@ -143,7 +143,7 @@ def _parse_bundle_line(line: str, lineno: int, kv: dict, crits: list[CritPoint])
             CritPoint(m.group(1), int(m.group(2)), parse_fraction(m.group(3), lineno))
         )
         return
-    key, value, _ = _split_kv(line, lineno)
+    key, value = _split_kv(line, lineno)
     if key not in ("dim_m", "sphericity", "nu", "c", "tau"):
         raise ScenarioError(f"unknown bundle key {key!r}", lineno)
     kv[key] = (value, lineno)

@@ -130,7 +130,7 @@ def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> 
             "the action floor does not bound levels in this scenario"
         )
     l_min = _least_level(params, twice_mu, action_floor)
-    span = params.dim_m + 1 + (0 if params.aspherical else 2 * params.c * params.nu)
+    span = params.dim_m + 1 + params.level_step
     window = (l_min - span, l_min - 1)
     witnesses = enumerate_generators(params, twice_mu, action_floor, *window)
     if witnesses:
@@ -207,12 +207,8 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     """
     params = d.params
     case = params.case
-    if case.tag is CaseTag.NOT_APPLICABLE:
-        raise ValueError("scenario matches no supported case; refusing to run")
-    if case.cz_finiteness_ok is False:
-        raise ValueError(
-            f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: pick a smaller tau"
-        )
+    if params.refusal is not None:
+        raise ValueError(params.refusal)
     image, _ = apply_total(d, xi)
     if not image.is_zero:
         raise NotClosedError(
@@ -238,8 +234,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
             by_class.setdefault(g.sphere, set()).add(g)
         # Each class stops at the least level any generator of that class has.
         components = [
-            (a, Chain(xi.degree, xi.floor, frozenset(by_class[a])),
-             2 * params.c * params.nu * a - half)
+            (a, Chain(xi.degree, xi.floor, frozenset(by_class[a])), params.level_step * a - half)
             for a in sorted(by_class)
         ]
     else:

@@ -137,7 +137,7 @@ def test_criterion_4_validator_golden_cases():
         (c0, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")), None),
     ]
     for params, entry, rule in cases:
-        bad = validate_entry(params, theorem_case(params), entry)
+        bad = validate_entry(params, entry)
         if rule is None:
             assert bad == (), f"{entry} unexpectedly rejected: {bad}"
         else:
@@ -174,7 +174,7 @@ def test_criterion_5_total_differential_squares_to_zero():
     # constructed violations of the square relation are caught at load time
     cp1 = params_of("cp1")
     bad_cp1 = E(6, G("q0", 0, 0, "+"), G("q2", 2, -1, "-"))
-    assert validate_entry(cp1, theorem_case(cp1), bad_cp1) == ()
+    assert validate_entry(cp1, bad_cp1) == ()
     try:
         load_table(cp1, [bad_cp1])
         raise AssertionError("square violation not caught")
@@ -182,7 +182,7 @@ def test_criterion_5_total_differential_squares_to_zero():
         assert any("d-squared" in line for line in err.report)
     asph = params_of("aspherical4")
     bad_asph = E(1, G("p0", 0, 0, "+"), G("p1", 0, 0, "+"))  # unpaired +-to-+
-    assert validate_entry(asph, theorem_case(asph), bad_asph) == ()
+    assert validate_entry(asph, bad_asph) == ()
     try:
         load_table(asph, [bad_asph])
         raise AssertionError("square violation not caught")

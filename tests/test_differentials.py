@@ -22,7 +22,6 @@ from rabinowitz import (
     random_chain,
     scalar_shift,
     split_by_level,
-    theorem_case,
     truncate,
     validate_entry,
     zero_chain,
@@ -118,43 +117,38 @@ def test_d0_round_trips_on_windows(cp1_params, aspherical4_params, neg2_params):
 
 
 def test_rule_grading(cp1_params):
-    case = theorem_case(cp1_params)
-    bad = validate_entry(cp1_params, case, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "-")))
+    bad = validate_entry(cp1_params, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "-")))
     assert any(v.startswith("grading:") for v in bad)
-    ok = validate_entry(cp1_params, case, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
+    ok = validate_entry(cp1_params, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
     assert ok == ()
 
 
 def test_rule_level(cp1_params):
-    case = theorem_case(cp1_params)
-    bad = validate_entry(cp1_params, case, E(1, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
+    bad = validate_entry(cp1_params, E(1, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
     assert any(v.startswith("level:") for v in bad)
-    ok = validate_entry(cp1_params, case, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
+    ok = validate_entry(cp1_params, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
     assert ok == ()
 
 
 def test_rule_action(cp1_params):
-    case = theorem_case(cp1_params)
-    bad = validate_entry(cp1_params, case, E(2, G("q0", 0, 0, "+"), G("q2", 1, 0, "-")))
+    bad = validate_entry(cp1_params, E(2, G("q0", 0, 0, "+"), G("q2", 1, 0, "-")))
     assert any(v.startswith("action:") for v in bad)
-    ok = validate_entry(cp1_params, case, E(2, G("q2", 1, 0, "-"), G("q0", 0, -1, "+")))
+    ok = validate_entry(cp1_params, E(2, G("q2", 1, 0, "-"), G("q0", 0, -1, "+")))
     assert ok == ()
 
 
 def test_rule_class_preservation(neg2_params):
-    case = theorem_case(neg2_params)
-    bad = validate_entry(neg2_params, case, E(2, G("q0", 2, 0, "+"), G("q0", 1, -1, "+")))
+    bad = validate_entry(neg2_params, E(2, G("q0", 2, 0, "+"), G("q0", 1, -1, "+")))
     assert any(v.startswith("class-preservation:") for v in bad)
     # compliant very-negative entry: classes match on both sides
-    ok = validate_entry(neg2_params, case, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
+    ok = validate_entry(neg2_params, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
     assert ok == ()
 
 
 def test_rule_depth_cutoff(c0_params):
-    case = theorem_case(c0_params)
-    bad = validate_entry(c0_params, case, E(3, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
+    bad = validate_entry(c0_params, E(3, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
     assert any(v.startswith("depth-cutoff:") for v in bad)
-    ok = validate_entry(c0_params, case, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
+    ok = validate_entry(c0_params, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
     assert ok == ()
 
 
@@ -185,8 +179,7 @@ def test_square_check_catches_unpaired_entry(cp1_params):
     # valid per-entry, but the composite through the fiber differential
     # survives: caught at load time
     bad = E(6, G("q0", 0, 0, "+"), G("q2", 2, -1, "-"))
-    case = theorem_case(cp1_params)
-    assert validate_entry(cp1_params, case, bad) == ()
+    assert validate_entry(cp1_params, bad) == ()
     with pytest.raises(TableValidationError, match="d-squared") as info:
         load_table(cp1_params, [bad])
     assert info.value.report == (

@@ -31,7 +31,6 @@ from rabinowitz import (
     novikov_window_counts,
     project_to_base,
     sphere_class_floor,
-    theorem_case,
     truncate,
     validate_entry,
 )
@@ -381,6 +380,17 @@ def _level_walk(params, twice_mu, floor, lo, hi):
     return sorted(found, key=lambda g: fraction_sort_key(params, g))
 
 
+def test_enumerate_zero_action_slope_keeps_or_drops_whole_slices():
+    # (c-1)*tau = 1: the action is constant along each slice, so the floor
+    # keeps every level of the window or none of them.
+    sizes = []
+    for floor in (Fraction(-1), Fraction(-2, 3), Fraction(0), Fraction(5)):
+        got = enumerate_generators(TILTED, 3, floor, -10, 10)
+        assert list(got) == _level_walk(TILTED, 3, floor, -10, 10)
+        sizes.append(len(got))
+    assert sizes == [5, 5, 0, 0]
+
+
 # Denominators are drawn from pairwise coprime pools, so no one divides another
 # and the common action denominator really mixes all of them.
 TAU_DENS, VALUE_DENS, FLOOR_DENS = (1, 3, 9), (5, 7, 11, 25), (1, 4, 8, 13)
@@ -488,9 +498,8 @@ def test_integer_keys_agree_with_exact_rationals(data, params, floor):
                 with pytest.raises(ValueError, match="below the floor"):
                     build_chain(params, [g], bar)
     # validate_entry's action rule, including the exact values it quotes
-    case = theorem_case(params)
     for src, tgt in zip(gens, gens[1:]):
-        lines = validate_entry(params, case, HigherDifferentialEntry(1, src, tgt))
+        lines = validate_entry(params, HigherDifferentialEntry(1, src, tgt))
         action_lines = [line for line in lines if line.startswith("action:")]
         if exact[tgt] > exact[src]:
             assert action_lines == [

@@ -21,7 +21,6 @@ from rabinowitz import (
     level,
     load_scenario,
     random_admissible_table,
-    theorem_case,
     validate_entry,
     zero_chain,
 )
@@ -43,7 +42,6 @@ EXTRA_WINDOWS = (
 
 def brute_candidates(params, degrees, floor, lo, hi):
     """Every pool pair run through validate_entry, in canonical table order (exact rationals)."""
-    case = theorem_case(params)
     pool = {deg: _pool(params, deg, floor, lo, hi) for deg in degrees}
     out = []
     for deg in degrees:
@@ -55,7 +53,7 @@ def brute_candidates(params, degrees, floor, lo, hi):
                 if drop < 1:
                     continue
                 entry = HigherDifferentialEntry(drop, src, tgt)
-                if not validate_entry(params, case, entry):
+                if not validate_entry(params, entry):
                     out.append(entry)
     return sorted(out, key=lambda e: (
         e.drop, fraction_sort_key(params, e.source), fraction_sort_key(params, e.target)))
@@ -104,13 +102,12 @@ OFF_RANGE = {
 @pytest.mark.parametrize("rule", sorted(OFF_RANGE))
 def test_candidates_match_brute_scan_where_class_and_depth_rules_bite(rule):
     params = OFF_RANGE[rule]
-    case = theorem_case(params)
     for window in EXTRA_WINDOWS:
         assert decoded_candidates(params, *window) == brute_candidates(params, *window)
     degrees, floor, lo, hi = EXTRA_WINDOWS[0]
     pools = {deg: _pool(params, deg, floor, lo, hi) for deg in degrees}
     verdicts = [
-        validate_entry(params, case, HigherDifferentialEntry(level(params, s) - level(params, t), s, t))
+        validate_entry(params, HigherDifferentialEntry(level(params, s) - level(params, t), s, t))
         for deg in degrees if deg - 2 in pools for s in pools[deg] for t in pools[deg - 2]
     ]
     assert any(len(v) == 1 and v[0].startswith(rule) for v in verdicts)
