@@ -22,6 +22,11 @@ integer coefficients cached on :class:`BundleParams` and returns (level,
 twice_mu, L*action), L = ``params.action_denominator``, as three linear forms
 in (cover, sphere); :func:`_level_above` holds the one floor test, and
 :func:`_above_floor` is its predicate form.
+:func:`enumerate_generators` runs one path for every case: each
+sphere-class-0 generator of the degree starts a slice of fixed degree, and its
+level window and action floor are solved for the sphere class on integers.  The
+case enters only through ``params.level_step`` (2*c*nu, 0 when aspherical) and
+the single sphere class of an aspherical base.
 :func:`action` still returns the exact ``Fraction``, built only where a report
 prints an action or an error message quotes one.  A :class:`Generator` is a
 named tuple, so building, hashing and ordering one is tuple work.
@@ -266,7 +271,7 @@ def enumerate_generators(
             level_lo = _least_level(params, twice_mu, action_floor)
         except ValueError as err:
             raise InfiniteSliceError(f"infinite slice: {err}") from None
-    if level_hi is None:  # c <= -1: levels fall as the floor-bounded class rises
+    if level_hi is None:  # step < 0: levels fall as the floor-bounded class rises
         level_hi = (half + step * sphere_class_floor(params, twice_mu, action_floor)
                     if step else half)
     bar, den = action_floor.numerator * params.action_denominator, action_floor.denominator

@@ -46,11 +46,11 @@ def _pool(
 ) -> tuple[Generator, ...]:
     """Finite sampling pool for one degree.
 
-    Enumeration does the work unless the level step is 0.  Aspherical, the
-    sphere-class-0 slice is all there is; for c = 0 any level window meeting
-    the feasible range holds infinitely many generators, and the pool is the
-    slice of shift-orbit representatives (sphere class 0), which is all a table
-    needs since entries are stored on representatives anyway.
+    Enumeration does the work unless the level step is 0; then the pool is
+    the sphere-class-0 slice.  Aspherical, that is all there is.  For c = 0,
+    where any level window meeting the feasible range holds infinitely many
+    generators, it is the slice of shift-orbit representatives, which is all a
+    table needs since entries are stored on representatives anyway.
     """
     if params.level_step:
         return enumerate_generators(params, degree, floor, level_lo, level_hi)
