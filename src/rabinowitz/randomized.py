@@ -13,6 +13,16 @@ loop reads are decoded into entries.  ``random.shuffle`` draws depend only on
 the list's length, so a seeded table depends on the candidates and their
 order, not on how they are stored.
 
+Fixtures sample many seeds on one window, so the pools and the candidate
+codes are built once per (params, degrees, floor, level window) and
+memoised; ``BundleParams`` is frozen and hashable by value, so an equal base
+built elsewhere finds the same entry.  Both memos are bounded, like
+``BundleParams.raised_floor``.  Every cached value is a tuple: all callers
+get the same object, so a mutable one would let one sample's shuffle reorder
+the next one's candidates.  The public entry points turn degrees into a
+tuple and the floor into a ``Fraction`` before the lookup, so a list of
+degrees still works.
+
 The building blocks mirror how the fiber differential interacts with a table:
 an entry out of a - generator into a + generator is self-consistent on its
 own, while an entry between + generators needs the companion entry between
@@ -24,6 +34,7 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from functools import lru_cache
 
 from .bundle import BundleParams, CaseTag
 from .chains import Chain
@@ -37,6 +48,7 @@ from .differentials import (
 from .generators import Generator, _class_zero_slice, enumerate_generators, sort_key
 
 
+@lru_cache(maxsize=128)
 def _pool(
     params: BundleParams,
     degree: int,
@@ -57,13 +69,14 @@ def _pool(
     return _class_zero_slice(params, degree, floor, level_lo, level_hi)
 
 
+@lru_cache(maxsize=32)
 def _candidate_entries(
     params: BundleParams,
     degrees: tuple[int, ...],
     floor: Fraction,
     level_lo: int,
     level_hi: int,
-) -> tuple[list[int], tuple[Generator, ...]]:
+) -> tuple[tuple[int, ...], tuple[Generator, ...]]:
     """All single-entry-valid table lines on the window, as ascending integer codes.
 
     ``gens`` merges the per-degree pools in canonical order; with M = len(gens)
@@ -98,7 +111,7 @@ def _candidate_entries(
         base, neg_action = s * m - key[0] * mm, key[1]
         codes += [base + part for key_t, part in rows[first:last] if key_t >= neg_action]
     codes.sort()
-    return codes, gens
+    return tuple(codes), gens
 
 
 def _decode(code: int, gens: tuple[Generator, ...]) -> HigherDifferentialEntry:
@@ -133,7 +146,8 @@ def random_admissible_table(
     safety net.
     """
     rng = random.Random(seed)
-    codes, gens = _candidate_entries(params, degrees, Fraction(floor), level_lo, level_hi)
+    shared, gens = _candidate_entries(params, tuple(degrees), Fraction(floor), level_lo, level_hi)
+    codes = list(shared)
     rng.shuffle(codes)
     chosen: list[HigherDifferentialEntry] = []
     used: set[Generator] = set()
@@ -183,7 +197,7 @@ def random_chain(
 ) -> Chain:
     """Reproducible chain of up to ``size`` terms from the enumerated window."""
     rng = random.Random(seed)
-    pool = list(_pool(params, degree, Fraction(floor), level_lo, level_hi))
+    pool = _pool(params, degree, Fraction(floor), level_lo, level_hi)
     take = min(size, len(pool))
     terms = frozenset(rng.sample(pool, take)) if take else frozenset()
     return Chain(degree, Fraction(floor), terms)

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
 from .bundle import BundleParams, CaseTag, TheoremCase
@@ -158,20 +159,25 @@ def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Ch
     """Shared level induction: theta parts for x, highest level first.
 
     The remainder is level buckets of bare generators; only levels that hold
-    terms are visited.  A correction r_l must consist of + generators, and its
-    fiber primitive theta_l is the next theta part.  d(theta_l) + r_l from the
-    one kernel ``_raw_step`` is theta_l's table image; its terms above x's
-    floor are folded into the buckets, and one still at level >= l is refused.
-    A nonzero correction below ``stop`` breaks the certified bound.
+    terms are visited, each once, popped from a max-heap of the pending
+    levels.  A level is pushed when its bucket is created, and folds only
+    create levels below the current one.  A correction r_l must consist of +
+    generators, and its fiber primitive theta_l is the next theta part.
+    d(theta_l) + r_l from the one kernel ``_raw_step`` is theta_l's table
+    image; its terms above x's floor are folded into the buckets, and one
+    still at level >= l is refused.  A nonzero correction below ``stop``
+    breaks the certified bound.
     """
     params = d.params
     level_above = _level_above(params, x.floor)
     pending: dict[int, set[Generator]] = {}
     for g in x.terms:
         pending.setdefault(level(params, g), set()).add(g)
+    heap = [-lv for lv in pending]  # a max-heap of the pending levels
+    heapify(heap)
     theta: list[tuple[int, Chain]] = []
-    while pending:
-        l = max(pending)
+    while heap:
+        l = -heappop(heap)
         terms = pending.pop(l)
         if not terms:
             continue
@@ -193,7 +199,10 @@ def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Ch
                 continue
             if lv >= l:
                 raise InductionError(f"higher differential failed to drop the level at {l}")
-            pending.setdefault(lv, set()).symmetric_difference_update((g,))
+            if lv not in pending:
+                pending[lv] = set()
+                heappush(heap, -lv)
+            pending[lv].symmetric_difference_update((g,))
     return theta
 
 

@@ -1,5 +1,6 @@
 """Candidate generation and table sampling checked against a brute-force rule scan."""
 
+import dataclasses
 import hashlib
 import sys
 from fractions import Fraction
@@ -21,12 +22,13 @@ from rabinowitz import (
     level,
     load_scenario,
     random_admissible_table,
+    random_chain,
     validate_entry,
     zero_chain,
 )
 from rabinowitz import differentials
 from rabinowitz.cli import _default_window
-from rabinowitz.randomized import _pool
+from rabinowitz.randomized import _candidate_entries, _pool
 
 # The benchmark's sampling bases: c = 2 (sample_table) and c = 1, tau = 3/4
 # (wide_primitive), each with the window it samples on.
@@ -173,3 +175,39 @@ def test_seeded_tables_are_pinned():
             d = random_admissible_table(params, seed, *window)
             digest.update("".join(f"{e}\n" for e in d.entries).encode() + b"\n")
     assert digest.hexdigest() == "f56e46abaad34447217f92336d8c3895135fe7a4"
+
+
+def test_sampling_memo_cannot_leak_state():
+    # Pools and candidate codes are memoised per window, so every sample on
+    # it shares them: one sample must not change what the next one draws.
+    params, degrees, floor, lo, hi = SAMPLE_TABLE
+
+    def table(seed, degs=degrees):
+        return random_admissible_table(params, seed, degs, floor, lo, hi).entries
+
+    first, other, again = table(3), table(4), table(3)
+    assert first == again and first != other
+    assert table(3, list(degrees)) == first
+    chains = [random_chain(params, 5, 5, floor, lo, hi, size=6) for _ in range(3)]
+    assert len(chains[0].terms) == 6 and chains[0] == chains[1] == chains[2]
+    codes, gens = _candidate_entries(params, degrees, floor, lo, hi)
+    assert type(codes) is tuple and type(gens) is tuple
+    assert type(_pool(params, 5, floor, lo, hi)) is tuple
+    assert _candidate_entries.cache_info().maxsize and _pool.cache_info().maxsize
+
+
+def test_equal_params_share_the_sampling_memo():
+    # BundleParams is hashed by value: an equal base built separately finds
+    # the memoised window, and a base with another tau does not.
+    params, degrees, floor, lo, hi = SAMPLE_TABLE
+    twin = synthetic_params(3, 2, 2, 1, Fraction(1, 2))
+    assert twin is not params and twin == params
+    random_admissible_table(params, 0, degrees, floor, lo, hi)
+    before = _candidate_entries.cache_info()
+    random_admissible_table(twin, 0, degrees, floor, lo, hi)
+    after = _candidate_entries.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    retuned = dataclasses.replace(params, tau=Fraction(2, 7))
+    random_admissible_table(retuned, 0, degrees, floor, lo, hi)
+    final = _candidate_entries.cache_info()
+    assert (final.hits, final.misses) == (after.hits, after.misses + 1)

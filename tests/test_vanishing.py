@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CASE_SCENARIOS, assert_drop_partition, scenario_path
+from conftest import CASE_SCENARIOS, assert_drop_partition, scenario_path, synthetic_params
 from rabinowitz import (
     CaseTag,
     Chain,
@@ -158,6 +158,18 @@ def test_theta_parts_independent_of_floor_depth(cp1):
             ("level=1", {G("q0", 1, 0, "-")}),
             ("level=-1", {G("q2", 2, 0, "-")}),
         ]
+
+
+def test_each_level_is_visited_once():
+    # wide_primitive's c = 1 base and table: a 100-term boundary spread over
+    # many levels.  The induction pops each pending level once, highest first.
+    params = synthetic_params(3, 2, 1, 2, Fraction(3, 4))
+    d = random_admissible_table(params, 7, (3, 5, 7), Fraction(-20), -12, 12, size=4)
+    xi, _ = random_boundary(params, d, 1, 3, Fraction(-120), -200, 200, size=100)
+    result = find_primitive(d, xi)
+    levels = [int(label.removeprefix("level=")) for label, _ in result.theta_parts]
+    assert result.ok and len(levels) > 50
+    assert all(a > b for a, b in zip(levels, levels[1:]))
 
 
 @pytest.mark.parametrize(
