@@ -44,7 +44,7 @@ class BundleParams:
     no quantitative bound is available, so none is validated.  The per-point
     constants, their coefficient rows, the case and the case's rules (level
     step, refusal, depth cutoff) are cached, not fields, so equality, hashing
-    and repr ignore them.
+    and repr ignore them; the hash of the fields is cached too.
     """
 
     dim_m: int
@@ -52,6 +52,15 @@ class BundleParams:
     morse: tuple[CritPoint, ...]
     nu: int | None = None
     c: int | None = None
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        """The dataclass hash of the fields, taken once: every memo keyed on
+        the params hashes them, and each critical value is a ``Fraction``."""
+        return hash((self.dim_m, self.tau, self.morse, self.nu, self.c))
 
     @property
     def aspherical(self) -> bool:
@@ -120,10 +129,16 @@ class BundleParams:
         only dim_M there), else None (no cutoff)."""
         return self.dim_m if self.c == 0 else None
 
+    def raised_floor(self, floor: Fraction) -> Fraction:
+        """floor + tau, memoized: an induction raises one floor per level."""
+        return self._raised_floor(floor.numerator, floor.denominator)
+
     @cached_property
-    def raised_floor(self) -> Callable[[Fraction], Fraction]:
-        """floor -> floor + tau, memoized: an induction raises one floor per level."""
-        return lru_cache(maxsize=128)(self.tau.__add__)
+    def _raised_floor(self) -> Callable[[int, int], Fraction]:
+        """The memo behind :meth:`raised_floor`, keyed on the floor's integer
+        pair: hashing a ``Fraction`` costs a modular inverse per lookup."""
+        tau = self.tau
+        return lru_cache(maxsize=128)(lambda num, den: Fraction(num, den) + tau)
 
     @cached_property
     def min_value(self) -> Fraction:

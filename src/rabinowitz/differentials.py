@@ -84,11 +84,11 @@ def d0_primitive(params: BundleParams, x: Chain) -> Chain:
     back ``x`` exactly, and every new term's action is tau above its source,
     so the result is exact above ``x.floor + tau``.
     """
-    minus = [g for g in x.terms if g.sign == "-"]
-    if minus:
+    terms = frozenset([Generator(q, n + 1, a, "-") for q, n, a, sign in x.terms if sign == "+"])
+    if len(terms) != len(x.terms):
+        minus = [g for g in x.terms if g.sign == "-"]
         bad = " ".join(str(g) for g in canonical_sort(params, minus))
         raise ValueError(f"not d0-closed: chain contains - generators: {bad}")
-    terms = frozenset(g.fiber_partner() for g in x.terms)
     return Chain(x.degree + 2, params.raised_floor(x.floor), terms)
 
 
@@ -164,12 +164,19 @@ class FilteredDifferential:
 
 
 def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[Generator]:
-    """One application of the full differential on a bare Z/2 set, no floors."""
-    acc: set[Generator] = set()
-    for g in gens:
-        if g.sign == "-":
-            acc ^= {g.fiber_partner()}
-        acc ^= d.targets_of(g)
+    """One application of the full differential on a bare Z/2 set, no floors.
+
+    The d0 images of distinct generators are distinct, so they seed the
+    accumulator as one set; each generator's shift-extended table image is
+    then flipped into it in place, as the set ``targets_of`` would give.
+    """
+    by_source = d._by_source
+    acc = {Generator(q, n - 1, a, "+") for q, n, a, sign in gens if sign == "-"}
+    flip = acc.symmetric_difference_update
+    for q, n, a, sign in gens:
+        hits = by_source.get((q, n, sign))
+        if hits:
+            flip([Generator(tq, tn, ta + a, ts) for tq, tn, ta, ts in hits])
     return frozenset(acc)
 
 

@@ -31,9 +31,9 @@ from .chains import Chain, serialize_chain, truncate, zero_chain
 from .differentials import FilteredDifferential, _raw_step, apply_total, d0_primitive
 from .generators import (
     Generator,
+    _invariants,
     _least_level,
     _level_above,
-    action,
     enumerate_generators,
     level,
 )
@@ -199,10 +199,14 @@ def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Ch
                 continue
             if lv >= l:
                 raise InductionError(f"higher differential failed to drop the level at {l}")
-            if lv not in pending:
-                pending[lv] = set()
+            bucket = pending.get(lv)
+            if bucket is None:
+                pending[lv] = {g}
                 heappush(heap, -lv)
-            pending[lv].symmetric_difference_update((g,))
+            elif g in bucket:
+                bucket.remove(g)
+            else:
+                bucket.add(g)
     return theta
 
 
@@ -265,9 +269,10 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
             labelled.append((f"{prefix}level={l}", th))
         theta_terms ^= part_theta
         if a is not None:
-            xi_actions = [action(params, g) for g in part.terms]
-            gaps = [min(abs(action(params, g) - av) for av in xi_actions) for g in part_theta]
-            max_gap = max(gaps) if gaps else None
+            # Gaps compare L*action keys; only the largest becomes a Fraction.
+            xi_keys = [_invariants(params, g)[2] for g in part.terms]
+            gaps = [min(abs(_invariants(params, g)[2] - k) for k in xi_keys) for g in part_theta]
+            max_gap = Fraction(max(gaps), params.action_denominator) if gaps else None
             reports.append(ClassReport(
                 a, len(part), len(part_theta), max_gap,
                 max_gap is None or max_gap <= gap_bound,

@@ -143,3 +143,37 @@ def test_cached_constants_leave_equality_hash_and_repr_alone():
     assert "points" in vars(warm) and "points" not in vars(cold)
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
     assert len({warm, cold}) == 1
+
+
+def _fraction_hashes(monkeypatch) -> list:
+    """Record every ``Fraction`` hashed from here to the end of the test."""
+    hashed, real = [], Fraction.__hash__
+
+    def recording(self):
+        hashed.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", recording)
+    return hashed
+
+
+def test_params_hash_is_taken_once(monkeypatch):
+    params = mk()
+    expected = hash((params.dim_m, params.tau, params.morse, params.nu, params.c))
+    assert hash(params) == expected
+    hashed = _fraction_hashes(monkeypatch)
+    assert hash(params) == hash(params) == expected
+    assert hashed == []
+
+
+def test_raised_floor_memo_keys_on_the_value(monkeypatch):
+    params = mk()
+    floor, same = Fraction(-120), Fraction(-240, 2)
+    assert floor is not same
+    assert params.raised_floor(floor) == Fraction(-239, 2)
+    hashed = _fraction_hashes(monkeypatch)
+    assert params.raised_floor(same) == params.raised_floor(floor) == floor + params.tau
+    assert hashed == [] and params._raised_floor.cache_info().currsize == 1
+    for k in range(300):
+        assert params.raised_floor(Fraction(k, 7)) == Fraction(k, 7) + params.tau
+    assert params._raised_floor.cache_info().currsize == 128

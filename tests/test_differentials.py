@@ -1,3 +1,6 @@
+import random
+import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,6 +96,13 @@ def test_d0_primitive_rejects_minus_generators(cp1_params):
     x = build_chain(cp1_params, [G("q0", 1, 0, "-")], Fraction(0))
     with pytest.raises(ValueError, match="not d0-closed"):
         d0_primitive(cp1_params, x)
+    # Every - term is named, in canonical order, whatever the set's order.
+    mixed = [G("q2", 1, 0, "-"), G("q0", 2, 0, "-"), G("q0", 0, 0, "+"), G("q0", 1, -1, "-"),
+             G("q2", 3, 1, "-"), G("q0", 0, 2, "-"), G("q2", -1, 0, "-")]
+    text = ("not d0-closed: chain contains - generators: "
+            "(q0,0,2,-) (q2,3,1,-) (q0,2,0,-) (q2,1,0,-) (q2,-1,0,-) (q0,1,-1,-)")
+    with pytest.raises(ValueError, match=f"^{re.escape(text)}$"):
+        d0_primitive(cp1_params, Chain(3, Fraction(-5), frozenset(mixed)))
 
 
 def test_d0_round_trips_on_windows(cp1_params, aspherical4_params, neg2_params):
@@ -280,6 +290,46 @@ def test_apply_total_drop_report_partitions_the_image(name):
             x = random_chain(params, 1000 * seed + k, 5 + 2 * (k % 2), floor, -8, 8, size=10)
             image, dropped = apply_total(d, x)
             assert_drop_partition(image.terms, dropped, _raw_step(d, x.terms))
+
+
+def _reference_hits(d, gens) -> Counter:
+    """The full differential term by term, without the source index: how often
+    each image is hit by a - term's d0 partner or by the target of an entry
+    whose source is a shift of the term, shifted alike."""
+    hits = Counter()
+    for g in gens:
+        if g.sign == "-":
+            hits[G(g.base, g.cover - 1, g.sphere, "+")] += 1
+        for e in d.entries:
+            if e.source._replace(sphere=g.sphere) == g:
+                hits[e.target._replace(sphere=e.target.sphere + g.sphere - e.source.sphere)] += 1
+    return hits
+
+
+@pytest.mark.parametrize("name", CASE_SCENARIOS)
+def test_kernel_matches_a_per_term_reference(name):
+    # Sets mix chain terms and table sources, each repeated in several sphere
+    # classes, so shift-extended images meet and cancel.
+    params = params_of(name)
+    floor = Fraction(-1)
+    shifts = (0,) if params.aspherical else (-2, -1, 1, 3)
+    images = cancelled = 0
+    for seed in range(10):
+        d = random_admissible_table(params, seed, (3, 5, 7), floor, -8, 8, size=8)
+        sources = [e.source for e in d.entries]
+        rng = random.Random(seed)
+        for k in range(10):
+            x = random_chain(params, 1000 * seed + k, 5 + 2 * (k % 2), floor, -8, 8, size=10)
+            picked = [*x.terms, *rng.sample(sources, min(3, len(sources)))]
+            gens = frozenset(
+                g._replace(sphere=g.sphere + s) for g in picked for s in {0, rng.choice(shifts)}
+            )
+            hits = _reference_hits(d, gens)
+            odd = frozenset(g for g, count in hits.items() if count % 2)
+            assert _raw_step(d, gens) == odd
+            images += len(odd)
+            cancelled += sum(hits.values()) - len(odd)
+    assert images > 0 and cancelled > 0
 
 
 @pytest.mark.parametrize("name", CASE_SCENARIOS)

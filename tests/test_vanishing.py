@@ -368,6 +368,10 @@ def test_class_split_and_gap_certificates(neg2_params):
     assert {rep.sphere for rep in result_a.class_reports} == spheres_in_xi
     for rep in result_a.class_reports:
         assert rep.gap_ok
+        # the gap certificate, recomputed on exact actions
+        cycle = [action(neg2_params, g) for g in xi_a.terms if g.sphere == rep.sphere]
+        theta = [action(neg2_params, g) for g in result_a.theta.terms if g.sphere == rep.sphere]
+        assert rep.max_gap == max(min(abs(t - c) for c in cycle) for t in theta)
         # sharp per-class bound: one generator per critical point at most
         assert rep.cycle_terms <= len(neg2_params.morse)
         assert rep.theta_terms <= len(neg2_params.morse)
