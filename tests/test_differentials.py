@@ -308,8 +308,8 @@ def _reference_hits(d, gens) -> Counter:
 
 @pytest.mark.parametrize("name", CASE_SCENARIOS)
 def test_kernel_matches_a_per_term_reference(name):
-    # Sets mix chain terms and table sources, each repeated in several sphere
-    # classes, so shift-extended images meet and cancel.
+    # Sets mix chain terms and table sources, each also placed in a second
+    # sphere class, so shift-extended images meet and cancel.
     params = params_of(name)
     floor = Fraction(-1)
     shifts = (0,) if params.aspherical else (-2, -1, 1, 3)
