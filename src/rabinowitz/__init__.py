@@ -5,6 +5,16 @@ filtration levels; Z/2 Novikov chain arithmetic above action floors; the fiber
 differential with its explicit primitive; structural validation of external
 higher-differential tables; and the level-descending construction of
 primitives for closed chains, verified exactly on every run.
+
+The public API is what this module imports, and ``__all__`` lists exactly
+that.  A name stays public if one of these holds:
+
+- the CLI or the engine needs it;
+- ``tests/test_acceptance.py`` needs it;
+- it states a claim of the paper that a test checks;
+- the per-layer spec of ``BENCHMARK.json`` names it.
+
+Any other helper goes rather than stay exported for its own tests.
 """
 
 from .bundle import (
@@ -22,13 +32,8 @@ from .bundle import (
 from .chains import (
     AddResult,
     Chain,
-    WindowCounts,
     add,
-    apply_scalar,
     build_chain,
-    canonical_terms,
-    chains_equal,
-    novikov_window_counts,
     scalar_shift,
     serialize_chain,
     truncate,
@@ -50,7 +55,6 @@ from .differentials import (
 from .generators import (
     Generator,
     InfiniteSliceError,
-    ProjectedGenerator,
     action,
     canonical_sort,
     cz_fiber_disk,
@@ -59,7 +63,6 @@ from .generators import (
     eta,
     grading,
     level,
-    project_to_base,
     sphere_class_floor,
 )
 from .randomized import random_admissible_table, random_boundary, random_chain
@@ -80,15 +83,14 @@ __all__ = [
     "BundleParams", "CaseTag", "CritPoint", "SemiPositivity", "TheoremCase",
     "ValidationReport", "is_semi_positive", "minimal_chern_number", "theorem_case",
     "validate",
-    "AddResult", "Chain", "WindowCounts", "add", "apply_scalar", "build_chain",
-    "canonical_terms", "chains_equal", "novikov_window_counts", "scalar_shift",
-    "serialize_chain", "truncate", "zero_chain",
+    "AddResult", "Chain", "add", "build_chain", "scalar_shift", "serialize_chain",
+    "truncate", "zero_chain",
     "FilteredDifferential", "HigherDifferentialEntry", "TableValidationError",
     "apply_d0", "apply_table", "apply_total", "check_d_squared_window", "d0_primitive",
     "load_table", "split_by_level", "validate_entry",
-    "Generator", "InfiniteSliceError", "ProjectedGenerator", "action", "canonical_sort",
-    "cz_fiber_disk", "cz_flat_capping", "enumerate_generators", "eta", "grading",
-    "level", "project_to_base", "sphere_class_floor",
+    "Generator", "InfiniteSliceError", "action", "canonical_sort", "cz_fiber_disk",
+    "cz_flat_capping", "enumerate_generators", "eta", "grading", "level",
+    "sphere_class_floor",
     "random_admissible_table", "random_boundary", "random_chain",
     "Scenario", "ScenarioError", "load_scenario", "parse_scenario",
     "ClassReport", "InductionError", "LevelBound", "NotClosedError", "PrimitiveResult",

@@ -1,4 +1,4 @@
-"""Action-truncated Z/2 formal sums of generators and the Novikov module action.
+"""Action-truncated Z/2 formal sums of generators and the Novikov shift.
 
 A :class:`Chain` asserts that its term set is *exact above its floor* and says
 nothing below: the differential never increases action, so generators below
@@ -25,7 +25,6 @@ from .generators import (
     action,
     canonical_sort,
     grading,
-    level,
     validate_generator,
 )
 
@@ -34,8 +33,7 @@ from .generators import (
 class Chain:
     """Finitely many generators of one degree, exact above ``floor``.
 
-    Structural equality compares (degree, floor, terms); for the floor-aware
-    comparison of the truncation semantics use :func:`chains_equal`.
+    Equality is structural: it compares (degree, floor, terms).
     """
 
     degree: int
@@ -53,14 +51,6 @@ class Chain:
 class AddResult(NamedTuple):
     chain: Chain
     dropped: tuple[Generator, ...]
-
-
-class WindowCounts(NamedTuple):
-    """Finiteness certificate for a probe window of a chain."""
-
-    action_count: int
-    level_count: int | None
-    lemma_applicable: bool
 
 
 def zero_chain(degree: int, floor: Fraction) -> Chain:
@@ -114,14 +104,6 @@ def add(params: BundleParams, x: Chain, y: Chain) -> AddResult:
     return truncate(params, combined, floor)
 
 
-def chains_equal(params: BundleParams, x: Chain, y: Chain) -> bool:
-    """Equality in the truncation semantics: agree above the coarser floor."""
-    if x.degree != y.degree:
-        return False
-    floor = max(x.floor, y.floor)
-    return truncate(params, x, floor).chain.terms == truncate(params, y, floor).chain.terms
-
-
 def scalar_shift(params: BundleParams, x: Chain, a0: int) -> Chain:
     """Module action of the single Novikov monomial with sphere coordinate a0.
 
@@ -139,59 +121,6 @@ def scalar_shift(params: BundleParams, x: Chain, a0: int) -> Chain:
     return Chain(degree, x.floor + shift, terms)
 
 
-def apply_scalar(params: BundleParams, coefficients: Iterable[int], x: Chain) -> AddResult:
-    """Act by a Z/2 Novikov scalar: the sum of the shifts by each coordinate.
-
-    The scalar is a *set* of sphere coordinates (Z/2 support); duplicates in
-    the input collapse.  The summands are exact above different floors, so their
-    Z/2 sum is truncated once at the coarsest one (floor + nu * max coordinate),
-    reporting the terms of the sum that fall below it.
-    """
-    coords = sorted(set(coefficients))
-    if not coords:
-        raise ValueError("empty Novikov scalar (zero) has no well-defined degree")
-    shifted = [scalar_shift(params, x, a0) for a0 in coords]
-    degrees = {ch.degree for ch in shifted}
-    if len(degrees) > 1:
-        raise ValueError(
-            "Novikov scalar mixes degrees: shifts land in degrees "
-            + ", ".join(str(d) for d in sorted(degrees))
-        )
-    terms: frozenset[Generator] = frozenset()
-    for ch in shifted:
-        terms ^= ch.terms
-    floor = max(ch.floor for ch in shifted)
-    return truncate(params, Chain(degrees.pop(), floor, terms), floor)
-
-
-def novikov_window_counts(
-    params: BundleParams,
-    x: Chain,
-    action_probe: Fraction,
-    level_probe: int | None = None,
-) -> WindowCounts:
-    """Count terms above an action probe (and optionally above a level probe).
-
-    For c >= 1 with (c-1)*tau < 1 the two counts witness the same finiteness
-    condition, which is what makes the level filtration usable; the flag
-    records whether that equivalence applies to the scenario.
-    """
-    action_probe = Fraction(action_probe)
-    if action_probe < x.floor:
-        raise ValueError(
-            f"probe {action_probe} below the floor {x.floor}: window not represented"
-        )
-    n_action = sum(map(_above_floor(params, action_probe), x.terms))
-    n_level = None
-    if level_probe is not None:
-        n_level = sum(1 for g in x.terms if level(params, g) >= level_probe)
-    return WindowCounts(n_action, n_level, params.case.cz_finiteness_ok is True)
-
-
-def canonical_terms(params: BundleParams, x: Chain) -> tuple[Generator, ...]:
-    return canonical_sort(params, x.terms)
-
-
 def serialize_chain(params: BundleParams, x: Chain) -> str:
-    body = " ".join(str(g) for g in canonical_terms(params, x)) or "0"
+    body = " ".join(str(g) for g in canonical_sort(params, x.terms)) or "0"
     return f"degree={x.degree} floor={x.floor} terms: {body}"

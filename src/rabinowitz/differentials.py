@@ -29,7 +29,6 @@ by shift-equivariance, checking shift-orbit representatives suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import NamedTuple
 
 from .bundle import BundleParams, CaseTag
@@ -152,23 +151,14 @@ class FilteredDifferential:
         for _, (base, cover, _, sign), target in self.entries:
             self._by_source.setdefault((base, cover, sign), []).append(target)
 
-    @property
-    def max_drop(self) -> int:
-        return max((e.drop for e in self.entries), default=0)
-
-    def targets_of(self, g: Generator) -> frozenset[Generator]:
-        """Shift-extended table image of a single generator (d0 not included)."""
-        base, cover, a, sign = g
-        hits = self._by_source.get((base, cover, sign), ())
-        return frozenset(Generator(tb, tn, ta + a, ts) for tb, tn, ta, ts in hits)
-
 
 def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[Generator]:
     """One application of the full differential on a bare Z/2 set, no floors.
 
     The d0 images of distinct generators are distinct, so they seed the
-    accumulator as one set; each generator's shift-extended table image is
-    then flipped into it in place, as the set ``targets_of`` would give.
+    accumulator as one set; each generator's table image, its entries' targets
+    shifted by the generator's sphere class, is then flipped into it in place.
+    This is the one place a table entry is extended under the Novikov shift.
     """
     by_source = d._by_source
     acc = {Generator(q, n - 1, a, "+") for q, n, a, sign in gens if sign == "-"}
@@ -240,12 +230,13 @@ def load_table(
 
 
 def apply_table(d: FilteredDifferential, x: Chain) -> AddResult:
-    """The higher part of the differential (all drops i >= 1), truncated to x.floor."""
-    acc: set[Generator] = set()
-    for g in x.terms:
-        acc ^= d.targets_of(g)
-    raw = Chain(x.degree - 2, Fraction(x.floor), frozenset(acc))
-    return truncate(d.params, raw, x.floor)
+    """The higher part of the differential (all drops i >= 1), truncated to x.floor.
+
+    It is the kernel's image with the fiber part flipped back out, exact
+    because distinct generators have distinct d0 images.
+    """
+    raw = _raw_step(d, x.terms) ^ apply_d0(d.params, x).terms
+    return truncate(d.params, Chain(x.degree - 2, x.floor, raw), x.floor)
 
 
 def apply_total(d: FilteredDifferential, x: Chain) -> AddResult:

@@ -59,14 +59,6 @@ class Generator(NamedTuple):
         return Generator(self.base, cover, self.sphere, "+" if minus else "-")
 
 
-class ProjectedGenerator(NamedTuple):
-    """Image of a generator downstairs: cover and sign are forgotten."""
-
-    base: str
-    sphere: int
-    cz_base: int
-
-
 class InfiniteSliceError(ValueError):
     """Requested enumeration window provably contains infinitely many generators."""
 
@@ -152,11 +144,6 @@ def cz_flat_capping(params: BundleParams, n: int) -> int:
 def grading(params: BundleParams, g: Generator) -> int:
     """Doubled half-integer grading; always odd."""
     return _invariants(params, g)[1]
-
-
-def project_to_base(params: BundleParams, g: Generator) -> ProjectedGenerator:
-    """Project to the base critical point with its capping; cover and sign drop."""
-    return ProjectedGenerator(g.base, g.sphere, level(params, g))
 
 
 def level(params: BundleParams, g: Generator) -> int:

@@ -30,6 +30,7 @@ table: reporting table violations is the job of the validate command.
 from __future__ import annotations
 
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -40,7 +41,7 @@ from .differentials import HigherDifferentialEntry
 from .generators import Generator
 
 _GEN_RE = re.compile(r"\(\s*([A-Za-z_]\w*)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*([+-])\s*\)")
-_CRIT_RE = re.compile(r"\(\s*([A-Za-z_]\w*)\s*,\s*(\d+)\s*,\s*([^,\s]+)\s*\)")
+_CRIT_RE = re.compile(r"crit\s*\(\s*([A-Za-z_]\w*)\s*,\s*(\d+)\s*,\s*([^,\s()]+)\s*\)")
 
 
 class ScenarioError(ValueError):
@@ -84,6 +85,7 @@ def parse_scenario(text: str) -> Scenario:
     crits: list[CritPoint] = []
     entries: list[HigherDifferentialEntry] = []
     raw_cycles: list[tuple[str, int, Fraction, list[Generator], int]] = []
+    meta_kv: dict[str, tuple[str, int]] = {}
     seed = 0
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -104,10 +106,8 @@ def parse_scenario(text: str) -> Scenario:
         elif section == "cycles":
             raw_cycles.append(_parse_cycle_line(stripped, lineno))
         else:  # meta
-            key, value = _split_kv(stripped, lineno)
-            if key != "seed":
-                raise ScenarioError(f"unknown meta key {key!r}", lineno)
-            seed = _parse_int("seed", value, lineno)
+            _read_kv(stripped, lineno, meta_kv, "meta", ("seed",))
+            seed = _parse_int("seed", *meta_kv["seed"])
     bundle = _assemble_bundle(bundle_kv, crits)
     report = validate(bundle)
     if not report.ok:
@@ -127,26 +127,29 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-def _split_kv(line: str, lineno: int) -> tuple[str, str]:
+def _read_kv(line: str, lineno: int, kv: dict, section: str, keys: tuple[str, ...]) -> None:
+    """Record a ``key = value`` line of a section: a known key, given once."""
     if "=" not in line:
         raise ScenarioError(f"expected 'key = value', got {line!r}", lineno)
     key, value = line.split("=", 1)
-    return key.strip().lower(), value.strip()
+    key = key.strip().lower()
+    if key not in keys:
+        raise ScenarioError(f"unknown {section} key {key!r}", lineno)
+    if key in kv:
+        raise ScenarioError(f"key {key!r} given twice (first on line {kv[key][1]})", lineno)
+    kv[key] = (value.strip(), lineno)
 
 
 def _parse_bundle_line(line: str, lineno: int, kv: dict, crits: list[CritPoint]) -> None:
     if line.startswith("crit"):
-        m = _CRIT_RE.search(line[len("crit"):])
+        m = _CRIT_RE.fullmatch(line)
         if not m:
             raise ScenarioError(f"bad crit line {line!r} (want crit (id, index, value))", lineno)
         crits.append(
             CritPoint(m.group(1), int(m.group(2)), parse_fraction(m.group(3), lineno))
         )
         return
-    key, value = _split_kv(line, lineno)
-    if key not in ("dim_m", "sphericity", "nu", "c", "tau"):
-        raise ScenarioError(f"unknown bundle key {key!r}", lineno)
-    kv[key] = (value, lineno)
+    _read_kv(line, lineno, kv, "bundle", ("dim_m", "sphericity", "nu", "c", "tau"))
 
 
 def _parse_entry_line(line: str, lineno: int) -> HigherDifferentialEntry:
@@ -176,6 +179,9 @@ def _parse_cycle_line(line: str, lineno: int):
     if re.sub(r"\([^()]*\)", "", tail).strip():
         raise ScenarioError(f"unparsed text in cycle terms: {tail!r}", lineno)
     gens = [parse_generator(tok, lineno) for tok in tokens]
+    twice = " ".join(str(g) for g, count in Counter(gens).items() if count > 1)
+    if twice:
+        raise ScenarioError(f"cycle {name!r} lists {twice} twice (copies cancel over Z/2)", lineno)
     return name, degree, floor, gens, lineno
 
 

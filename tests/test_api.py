@@ -17,6 +17,16 @@ def test_all_lists_resolvable_non_module_names():
         assert not isinstance(getattr(rabinowitz, name), types.ModuleType), name
 
 
+def test_all_is_exactly_what_the_package_imports():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert set(rabinowitz.__all__) == imported
+
+
 def test_every_import_is_used():
     # __init__.py imports only to re-export.
     for path in sorted(SRC.glob("*.py")):

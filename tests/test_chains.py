@@ -8,12 +8,8 @@ from rabinowitz import (
     Generator,
     action,
     add,
-    apply_scalar,
     build_chain,
-    canonical_terms,
-    chains_equal,
     enumerate_generators,
-    novikov_window_counts,
     scalar_shift,
     serialize_chain,
     truncate,
@@ -166,60 +162,10 @@ def test_scalar_shift_moves_every_action_by_exactly_nu_a0(neg2_params):
     ] * len(before)
 
 
-def test_apply_scalar_unit_and_degree_mixing(cp1_params, c1_params):
-    x = build_chain(cp1_params, [G("q0", 0, 0, "+")], Fraction(-10))
-    assert apply_scalar(cp1_params, [0], x).chain == x
-    with pytest.raises(ValueError):
-        apply_scalar(cp1_params, [0, 1], x)  # shifts land in degrees 3 and 7
-    with pytest.raises(ValueError):
-        apply_scalar(cp1_params, [], x)
-    # c = 1: shifting preserves the degree, so multi-coordinate scalars act
-    y = build_chain(c1_params, [G("q0", 0, 0, "+")], Fraction(-10))
-    res = apply_scalar(c1_params, [0, 2], y)
-    assert res.chain.terms == {G("q0", 0, 0, "+"), G("q0", 0, 2, "+")}
-    assert res.chain.floor == Fraction(-10) + 2 * c1_params.nu
-
-
-def test_apply_scalar_drops_the_sum_not_the_summands(c1_params):
-    # (q0,0,1,+) comes from the shifts by 0 and by 1 and cancels mod 2.
-    x = build_chain(c1_params, [G("q0", 0, 0, "+"), G("q0", 0, 1, "+")], Fraction(-1))
-    res = apply_scalar(c1_params, [0, 1, 5], x)
-    assert res.chain.terms == {G("q0", 0, 5, "+"), G("q0", 0, 6, "+")}
-    assert res.dropped == (G("q0", 0, 2, "+"), G("q0", 0, 0, "+"))
-
-
-def test_chains_equal_compares_above_coarser_floor(cp1_params):
-    shared = G("q0", 0, 1, "-")  # action 17/20
-    low = G("q0", 1, 0, "-")     # action 7/20
-    x = build_chain(cp1_params, [shared, low], Fraction(0))
-    y = build_chain(cp1_params, [shared], Fraction(1, 2))
-    assert chains_equal(cp1_params, x, y)
-    assert x != y  # structural equality still distinguishes them
-    z = build_chain(cp1_params, [low], Fraction(0))
-    assert not chains_equal(cp1_params, x, z)
-
-
-def test_novikov_window_counts(cp1_params):
-    empty = zero_chain(5, Fraction(-1))
-    assert novikov_window_counts(cp1_params, empty, Fraction(5)).action_count == 0
-    x = build_chain(cp1_params, [G("q0", 1, 0, "-")], Fraction(0))
-    assert novikov_window_counts(cp1_params, x, Fraction(0)).action_count == 1
-    assert novikov_window_counts(cp1_params, x, Fraction(1)).action_count == 0
-    levels = build_chain(
-        cp1_params, [G("q0", 1, 0, "-"), G("q0", 0, 1, "-")], Fraction(0)
-    )  # levels 1 and 5
-    counts = novikov_window_counts(cp1_params, levels, Fraction(0), level_probe=3)
-    assert counts.level_count == 1
-    assert counts.lemma_applicable
-    with pytest.raises(ValueError):
-        novikov_window_counts(cp1_params, x, Fraction(-5))
-
-
 def test_serialize_canonical_order(cp1_params):
     x = build_chain(
         cp1_params, [G("q0", 1, 0, "-"), G("q0", 0, 1, "-")], Fraction(0)
     )
-    assert canonical_terms(cp1_params, x) == (G("q0", 0, 1, "-"), G("q0", 1, 0, "-"))
     assert serialize_chain(cp1_params, x) == (
         "degree=5 floor=0 terms: (q0,0,1,-) (q0,1,0,-)"
     )

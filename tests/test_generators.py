@@ -28,8 +28,6 @@ from rabinowitz import (
     eta,
     grading,
     level,
-    novikov_window_counts,
-    project_to_base,
     sphere_class_floor,
     truncate,
     validate_entry,
@@ -84,21 +82,6 @@ def test_grading_goldens(cp1_params):
     assert grading(cp1_params, G("q0", 1, 0, "-")) == 5
     assert grading(cp1_params, G("q0", 0, 0, "+")) == 3
     assert grading(cp1_params, G("q2", 0, 0, "-")) == -3
-
-
-def test_project_goldens(cp1_params, aspherical4_params):
-    assert project_to_base(cp1_params, G("q0", 5, 0, "+")) == ("q0", 0, 1)
-    assert project_to_base(cp1_params, G("q0", 5, 1, "+")) == ("q0", 1, 5)
-    assert project_to_base(aspherical4_params, G("p3", -2, 0, "-")) == ("p3", 0, -1)
-
-
-def test_project_forgets_cover_and_sign(cp1_params):
-    seen = {
-        project_to_base(cp1_params, G("q2", n, 3, s))
-        for n in range(-4, 5)
-        for s in "+-"
-    }
-    assert len(seen) == 1
 
 
 # --- randomized identities ------------------------------------------------
@@ -483,14 +466,13 @@ def test_integer_keys_agree_with_exact_rationals(data, params, floor):
                 fraction_action(flat, g), fraction_twice_mu(flat, g), fraction_level(flat, g))
     # canonical order
     assert list(canonical_sort(params, gens)) == sorted(gens, key=lambda g: fraction_sort_key(params, g))
-    # every floor test (truncation, window counts, the chain constructor), also
+    # every floor test (truncation and the chain constructor), also
     # at a floor that one generator's action meets exactly
     for bar in (floor, exact[gens[0]]):
         above = {g for g in gens if exact[g] >= bar}
         x = Chain(7, bar - 100, frozenset(gens))
         kept, dropped = truncate(params, x, bar)
         assert kept.terms == above and set(dropped) == set(gens) - above
-        assert novikov_window_counts(params, x, bar).action_count == len(above)
         for g in gens:
             if exact[g] >= bar:
                 build_chain(params, [g], bar)

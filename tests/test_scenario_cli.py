@@ -141,6 +141,38 @@ def test_cmd_validate_parse_error(tmp_path):
         assert run_cli("validate", "--scenario", str(bad)) == (4, f"parse error: {message}\n")
 
 
+def test_crit_line_holds_exactly_one_tuple(tmp_path):
+    bad = tmp_path / "crit.scn"
+    one_line = MINIMAL.replace("crit (q2, 2, 1/5)\n", "")
+    for line in ("crit (q0, 0, 1/10) (q2, 2, 1/5)", "criticality junk (q0, 0, 1/10)"):
+        bad.write_text(one_line.replace("crit (q0, 0, 1/10)", line))
+        message = f"line 8: bad crit line {line!r} (want crit (id, index, value))"
+        assert run_cli("validate", "--scenario", str(bad)) == (4, f"parse error: {message}\n")
+
+
+def test_key_given_twice_is_rejected(tmp_path):
+    bad = tmp_path / "twice.scn"
+    cp1_text = scenario_path("cp1").read_text()
+    seed_line = cp1_text.splitlines().index("seed = 7") + 1
+    for text, message in (
+        (MINIMAL + "tau = 1/3\n", "line 10: key 'tau' given twice (first on line 7)"),
+        (
+            cp1_text.replace("seed = 7", "seed = 7\nseed = 8"),
+            f"line {seed_line + 1}: key 'seed' given twice (first on line {seed_line})",
+        ),
+    ):
+        bad.write_text(text)
+        assert run_cli("validate", "--scenario", str(bad)) == (4, f"parse error: {message}\n")
+
+
+def test_generator_listed_twice_on_a_cycle_is_rejected(tmp_path):
+    # Over Z/2 the two copies cancel, so keeping one would change the cycle.
+    bad = tmp_path / "cycle.scn"
+    bad.write_text(MINIMAL + "[cycles]\ncycle x degree 3 floor -1 (q0,0,0,+) (q0,0,0,+)\n")
+    message = "line 11: cycle 'x' lists (q0,0,0,+) twice (copies cancel over Z/2)"
+    assert run_cli("validate", "--scenario", str(bad)) == (4, f"parse error: {message}\n")
+
+
 def test_cmd_validate_missing_file():
     code, out = run_cli("validate", "--scenario", "/nonexistent.scn")
     assert code == 4
