@@ -76,6 +76,21 @@ def apply_d0(params: BundleParams, x: Chain) -> Chain:
     return Chain(x.degree - 2, x.floor - params.tau, terms)
 
 
+def _fiber_primitive(params: BundleParams, terms) -> frozenset[Generator]:
+    """The canonical d0-preimage of a bare set of + generators.
+
+    Termwise (q, n, a, +) -> (q, n+1, a, -); a - generator is refused.  This
+    is the one place the rule lives: :func:`d0_primitive` wraps it in a chain
+    and the level induction calls it on its bare buckets.
+    """
+    theta = frozenset([Generator(q, n + 1, a, "-") for q, n, a, sign in terms if sign == "+"])
+    if len(theta) != len(terms):
+        minus = [g for g in terms if g.sign == "-"]
+        bad = " ".join(str(g) for g in canonical_sort(params, minus))
+        raise ValueError(f"not d0-closed: chain contains - generators: {bad}")
+    return theta
+
+
 def d0_primitive(params: BundleParams, x: Chain) -> Chain:
     """The canonical preimage under d0 of a chain of + generators.
 
@@ -83,12 +98,7 @@ def d0_primitive(params: BundleParams, x: Chain) -> Chain:
     back ``x`` exactly, and every new term's action is tau above its source,
     so the result is exact above ``x.floor + tau``.
     """
-    terms = frozenset([Generator(q, n + 1, a, "-") for q, n, a, sign in x.terms if sign == "+"])
-    if len(terms) != len(x.terms):
-        minus = [g for g in x.terms if g.sign == "-"]
-        bad = " ".join(str(g) for g in canonical_sort(params, minus))
-        raise ValueError(f"not d0-closed: chain contains - generators: {bad}")
-    return Chain(x.degree + 2, params.raised_floor(x.floor), terms)
+    return Chain(x.degree + 2, params.raised_floor(x.floor), _fiber_primitive(params, x.terms))
 
 
 def _normalize(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:

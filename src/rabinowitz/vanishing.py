@@ -6,8 +6,9 @@ by the fiber differential's explicit primitive, and each lower slice is first
 corrected by the higher differentials of the already-built theta parts before
 being fed to the same primitive.  The remainder is level buckets of bare
 generators, corrected through the differential's one Z/2 kernel under one
-level check.  Termination is certified per run by level bounds that are
-themselves checked against exhaustive enumeration.
+level check.  Termination is certified by level bounds that are themselves
+checked against exhaustive enumeration; each bound is certified once per
+(bundle, degree, floor) in a process.
 
 In the very-negative regime (2*c*nu <= -dim_M) the differential preserves
 sphere classes, so the cycle splits into finitely supported class components
@@ -23,12 +24,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bundle import BundleParams, CaseTag, TheoremCase
 from .chains import Chain, serialize_chain, truncate, zero_chain
-from .differentials import FilteredDifferential, _raw_step, apply_total, d0_primitive
+from .differentials import FilteredDifferential, _fiber_primitive, _raw_step, apply_total
 from .generators import (
     Generator,
     _invariants,
@@ -109,18 +111,30 @@ def level_ceiling(params: BundleParams, x: Chain) -> int:
     pinned at the top of that range regardless of the chain; otherwise it is
     the maximal level among the terms.
     """
+    return _start_level(params, (level(params, g) for g in x.terms))
+
+
+def _start_level(params: BundleParams, levels: Iterable[int]) -> int:
+    """The rule behind :func:`level_ceiling`, given the terms' levels; a chain's
+    levels are read only when the start is not pinned."""
     case = params.case
     if case.tag not in (CaseTag.C_NON_NEGATIVE, CaseTag.ASPHERICAL):
         raise ValueError(f"level ceiling undefined in case {case.tag.value}")
     if not params.aspherical and params.c == 0:
         return params.dim_m // 2
-    if x.is_zero:
+    top = max(levels, default=None)
+    if top is None:
         raise ValueError("level ceiling of the zero chain is undefined (handle xi = 0 upstream)")
-    return max(level(params, g) for g in x.terms)
+    return top
 
 
 def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> LevelBound:
-    """Certified lower level bound for one degree above an action floor."""
+    """Certified lower level bound for one degree above an action floor.
+
+    The refusals are checked on every call.  The bound itself is certified
+    once per (bundle, degree, floor) in a process and then shared, which is
+    safe because a :class:`LevelBound` is frozen.
+    """
     action_floor = Fraction(action_floor)
     case = params.case
     if case.tag not in (CaseTag.ASPHERICAL, CaseTag.C_NON_NEGATIVE):
@@ -130,6 +144,15 @@ def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> 
             f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: "
             "the action floor does not bound levels in this scenario"
         )
+    return _certified_bound(params, twice_mu, action_floor.numerator, action_floor.denominator)
+
+
+@lru_cache(maxsize=128)
+def _certified_bound(params: BundleParams, twice_mu: int, num: int, den: int) -> LevelBound:
+    """The memo behind :func:`level_floor`, keyed on the floor's integer pair
+    like ``BundleParams.raised_floor``.  A failed certificate raises, and
+    ``lru_cache`` caches no exception, so it fails again on every call."""
+    action_floor = Fraction(num, den)
     l_min = _least_level(params, twice_mu, action_floor)
     span = params.dim_m + 1 + params.level_step
     window = (l_min - span, l_min - 1)
@@ -155,27 +178,36 @@ def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> Verify
     return VerifyResult(*truncate(d.params, raw, xi.floor))
 
 
-def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Chain]]:
-    """Shared level induction: theta parts for x, highest level first.
+def _by_level(params: BundleParams, terms: Iterable[Generator]) -> dict[int, set[Generator]]:
+    """The terms in buckets by level; each term's level is computed here once."""
+    buckets: dict[int, set[Generator]] = {}
+    for g in terms:
+        buckets.setdefault(_invariants(params, g)[0], set()).add(g)
+    return buckets
 
-    The remainder is level buckets of bare generators; only levels that hold
+
+def _descend(
+    d: FilteredDifferential, pending: dict[int, set[Generator]], floor: Fraction, stop: int
+) -> list[tuple[int, frozenset[Generator]]]:
+    """Shared level induction: theta parts for a chain, highest level first.
+
+    ``pending`` is the chain's terms in level buckets (:func:`_by_level`),
+    and the induction consumes it as its remainder.  Only levels that hold
     terms are visited, each once, popped from a max-heap of the pending
     levels.  A level is pushed when its bucket is created, and folds only
     create levels below the current one.  A correction r_l must consist of +
     generators, and its fiber primitive theta_l is the next theta part.
     d(theta_l) + r_l from the one kernel ``_raw_step`` is theta_l's table
-    image; its terms above x's floor are folded into the buckets, and one
+    image; its terms above ``floor`` are folded into the buckets, and one
     still at level >= l is refused.  A nonzero correction below ``stop``
-    breaks the certified bound.
+    breaks the certified bound.  Theta parts are bare sets until
+    :func:`find_primitive` wraps them in chains.
     """
     params = d.params
-    level_above = _level_above(params, x.floor)
-    pending: dict[int, set[Generator]] = {}
-    for g in x.terms:
-        pending.setdefault(level(params, g), set()).add(g)
+    level_above = _level_above(params, floor)
     heap = [-lv for lv in pending]  # a max-heap of the pending levels
     heapify(heap)
-    theta: list[tuple[int, Chain]] = []
+    theta: list[tuple[int, frozenset[Generator]]] = []
     while heap:
         l = -heappop(heap)
         terms = pending.pop(l)
@@ -187,13 +219,13 @@ def _descend(d: FilteredDifferential, x: Chain, stop: int) -> list[tuple[int, Ch
                 f"correction terms survived below the certified stop level {stop}: levels {leftovers}"
             )
         try:
-            th = d0_primitive(params, Chain(x.degree, x.floor, frozenset(terms)))
+            th = _fiber_primitive(params, terms)
         except ValueError as err:
             raise InductionError(
                 f"higher-differential table inconsistent with the level induction at level {l}: {err}"
             ) from None
         theta.append((l, th))
-        for g in _raw_step(d, th.terms) ^ terms:
+        for g in _raw_step(d, th) ^ terms:
             lv = level_above(g)
             if lv is None:
                 continue
@@ -247,30 +279,31 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
             by_class.setdefault(g.sphere, set()).add(g)
         # Each class stops at the least level any generator of that class has.
         components = [
-            (a, Chain(xi.degree, xi.floor, frozenset(by_class[a])), params.level_step * a - half)
+            (a, by_class[a], _by_level(params, by_class[a]), params.level_step * a - half)
             for a in sorted(by_class)
         ]
     else:
-        ceiling = level_ceiling(params, xi)
+        pending = _by_level(params, xi.terms)
+        ceiling = _start_level(params, pending)
         bounds = (level_floor(params, xi.degree, xi.floor),
                   level_floor(params, xi.degree + 2, xi.floor))
         stop = min(b.l_min for b in bounds)
-        components = [(None, xi, stop)]
+        components = [(None, xi.terms, pending, stop)]
 
     theta_terms: set[Generator] = set()
     labelled: list[tuple[str, Chain]] = []
     reports: list[ClassReport] = []
-    for a, part, part_stop in components:
-        theta_parts = _descend(d, part, part_stop)
+    for a, part, part_pending, part_stop in components:
+        theta_parts = _descend(d, part_pending, xi.floor, part_stop)
         prefix = "" if a is None else f"class={a},"
         part_theta: set[Generator] = set()
         for l, th in theta_parts:
-            part_theta ^= th.terms
-            labelled.append((f"{prefix}level={l}", th))
+            part_theta ^= th
+            labelled.append((f"{prefix}level={l}", Chain(xi.degree + 2, theta_floor, th)))
         theta_terms ^= part_theta
         if a is not None:
             # Gaps compare L*action keys; only the largest becomes a Fraction.
-            xi_keys = [_invariants(params, g)[2] for g in part.terms]
+            xi_keys = [_invariants(params, g)[2] for g in part]
             gaps = [min(abs(_invariants(params, g)[2] - k) for k in xi_keys) for g in part_theta]
             max_gap = Fraction(max(gaps), params.action_denominator) if gaps else None
             reports.append(ClassReport(

@@ -58,3 +58,38 @@ def test_benchmark_traced_layers_exist():
         fn = getattr(mod, function, None)
         assert isinstance(fn, types.FunctionType), f"{module}.{function}"
         assert fn.__module__ == mod.__name__, f"{module}.{function}"
+
+
+
+def test_every_lru_cache_is_bounded():
+    # A memo without a finite maxsize keeps every key and value for the life
+    # of the process.  An unbounded ``cache`` is allowed only on a function
+    # without parameters, which it maps to one value.
+    memos = 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            where = f"{path.name}:{getattr(node, 'lineno', '?')}"
+            if isinstance(node, ast.Call) and _named(node.func) == "lru_cache":
+                sizes = [k.value for k in node.keywords if k.arg == "maxsize"] + node.args[:1]
+                assert len(sizes) == 1, f"{where}: lru_cache without maxsize"
+                size = sizes[0]
+                assert isinstance(size, ast.Constant) and isinstance(size.value, int), (
+                    f"{where}: maxsize must be a finite int"
+                )
+                memos += 1
+            elif isinstance(node, ast.Call) and _named(node.func) == "cache":
+                raise AssertionError(f"{where}: unbounded cache")
+            elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                for dec in node.decorator_list:
+                    assert _named(dec) != "lru_cache", f"{where}: lru_cache without maxsize"
+                    if _named(dec) == "cache":
+                        assert not ast.unparse(node.args), f"{where}: unbounded cache"
+    assert memos >= 4  # raised_floor, _pool, _candidate_entries, _certified_bound
+
+
+def _named(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None

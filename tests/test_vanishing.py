@@ -3,7 +3,13 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CASE_SCENARIOS, assert_drop_partition, scenario_path, synthetic_params
+from conftest import (
+    CASE_SCENARIOS,
+    assert_drop_partition,
+    params_of,
+    scenario_path,
+    synthetic_params,
+)
 from rabinowitz import (
     CaseTag,
     Chain,
@@ -14,7 +20,9 @@ from rabinowitz import (
     NotClosedError,
     action,
     add,
+    apply_d0,
     build_chain,
+    d0_primitive,
     enumerate_generators,
     find_primitive,
     level_ceiling,
@@ -29,7 +37,7 @@ from rabinowitz import (
 from rabinowitz import vanishing
 from rabinowitz.bundle import BundleParams, CritPoint
 from rabinowitz.cli import _default_window
-from rabinowitz.differentials import _raw_step
+from rabinowitz.differentials import _fiber_primitive, _raw_step
 
 G = Generator
 FLOOR = Fraction(-30)
@@ -112,6 +120,55 @@ def test_level_floor_rejects_large_c_tau():
     )
     with pytest.raises(ValueError, match="action floor does not bound"):
         level_floor(params, 3, Fraction(0))
+
+
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The certificate enumerations level_floor runs, counted from a cold memo."""
+    vanishing._certified_bound.cache_clear()
+    calls = []
+    real = vanishing.enumerate_generators
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(vanishing, "enumerate_generators", counted)
+    yield calls
+    vanishing._certified_bound.cache_clear()
+
+
+def test_level_floor_certifies_once_per_bundle_degree_and_floor(enumerations):
+    params, again = params_of("cp1"), params_of("cp1")
+    assert params == again and params is not again
+    first = level_floor(params, 5, -3)
+    assert level_floor(again, 5, Fraction(-3)) is first
+    assert len(enumerations) == 1
+    # another degree, floor or bundle is certified anew
+    level_floor(params, 3, Fraction(-3))
+    level_floor(params, 5, Fraction(-7, 2))
+    level_floor(params_of("c1"), 5, Fraction(-3))
+    assert len(enumerations) == 4
+
+
+def test_level_floor_rechecks_a_failed_certificate(cp1_params, enumerations, monkeypatch):
+    # A least level set too high leaves generators in the certificate window.
+    real = vanishing._least_level
+    monkeypatch.setattr(vanishing, "_least_level", lambda *args: real(*args) + 40)
+    for _ in range(3):
+        with pytest.raises(InductionError, match="level bound certificate failed"):
+            level_floor(cp1_params, 5, Fraction(-3))
+    assert len(enumerations) == 3
+
+
+def test_level_floor_refuses_on_every_call(neg2_params, enumerations):
+    large = BundleParams(2, Fraction(2), (CritPoint("p", 0, Fraction(1, 3)),), 1, 2)
+    for _ in range(3):
+        with pytest.raises(ValueError, match="level floor undefined in case c-very-negative"):
+            level_floor(neg2_params, 3, Fraction(0))
+        with pytest.raises(ValueError, match="action floor does not bound"):
+            level_floor(large, 3, Fraction(0))
+    assert enumerations == []
 
 
 # --- primitives: explicit cases ----------------------------------------------
@@ -203,25 +260,24 @@ def test_induction_rejects_terms_below_stop(cp1, monkeypatch):
 
 
 def _drop_a_term(th, r):
-    return th.terms - {min(th.terms)}
+    return th - {min(th)}
 
 
 def _add_a_minus_term(th, r):
-    g = min(r.terms)  # same base and class, so the same level
-    return th.terms | {G(g.base, g.cover + 2, g.sphere, "-")}
+    g = min(r)  # same base and class, so the same level
+    return th | {G(g.base, g.cover + 2, g.sphere, "-")}
 
 
 @pytest.mark.parametrize("corrupt", [_drop_a_term, _add_a_minus_term])
 def test_induction_rejects_a_wrong_fiber_primitive(cp1, monkeypatch, corrupt):
     # d0 of a wrong primitive no longer reproduces the correction term, so a
     # term stays at the level being cleared.
-    real = vanishing.d0_primitive
+    real = vanishing._fiber_primitive
 
     def wrong(params, r):
-        th = real(params, r)
-        return dataclasses.replace(th, terms=frozenset(corrupt(th, r)))
+        return frozenset(corrupt(real(params, r), r))
 
-    monkeypatch.setattr(vanishing, "d0_primitive", wrong)
+    monkeypatch.setattr(vanishing, "_fiber_primitive", wrong)
     d = load_table(cp1.bundle, cp1.entries)
     with pytest.raises(InductionError, match=r"at (level )?1$"):
         find_primitive(d, cp1.cycles["xi0"])
@@ -237,6 +293,22 @@ def test_primitive_drop_report_partitions_the_residual(name):
         result = find_primitive(d, xi)
         untruncated = _raw_step(d, result.theta.terms) ^ xi.terms
         assert_drop_partition(result.residual.terms, result.dropped, untruncated)
+
+
+@pytest.mark.parametrize("name", CASE_SCENARIOS)
+def test_results_do_not_depend_on_the_level_bound_memo(name):
+    scenario = load_scenario(scenario_path(name))
+    params, xi = scenario.bundle, scenario.cycles["xi0"]
+    window = _default_window(params, xi)  # as `primitive --random-table` samples
+    for seed in range(20):
+        d = random_admissible_table(params, seed, (xi.degree, xi.degree + 2), xi.floor, *window)
+        vanishing._certified_bound.cache_clear()
+        cold = find_primitive(d, xi)
+        assert find_primitive(d, xi) == cold
+        for _, part in cold.theta_parts:
+            assert (part.degree, part.floor) == (xi.degree + 2, xi.floor + params.tau)
+            r = apply_d0(params, part)
+            assert d0_primitive(params, r).terms == _fiber_primitive(params, r.terms) == part.terms
 
 
 def test_rejects_non_closed(cp1):
