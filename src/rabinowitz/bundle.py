@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable
+from functools import cached_property
 
 
 class _ById(dict):
@@ -128,17 +127,6 @@ class BundleParams:
         """Largest admissible differential drop: dim_M when c = 0 (levels span
         only dim_M there), else None (no cutoff)."""
         return self.dim_m if self.c == 0 else None
-
-    def raised_floor(self, floor: Fraction) -> Fraction:
-        """floor + tau, memoized: an induction raises one floor per level."""
-        return self._raised_floor(floor.numerator, floor.denominator)
-
-    @cached_property
-    def _raised_floor(self) -> Callable[[int, int], Fraction]:
-        """The memo behind :meth:`raised_floor`, keyed on the floor's integer
-        pair: hashing a ``Fraction`` costs a modular inverse per lookup."""
-        tau = self.tau
-        return lru_cache(maxsize=128)(lambda num, den: Fraction(num, den) + tau)
 
     @cached_property
     def min_value(self) -> Fraction:

@@ -85,7 +85,6 @@ def build_chain(
 
 def truncate(params: BundleParams, x: Chain, floor: Fraction) -> AddResult:
     """Coarsen the floor, reporting the terms that fall below it."""
-    floor = Fraction(floor)
     if floor < x.floor:
         raise ValueError(
             f"cannot refine a floor: chain is only exact above {x.floor}, requested {floor}"

@@ -29,7 +29,7 @@ by shift-equivariance, checking shift-orbit representatives suffices.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bundle import BundleParams, CaseTag
 from .chains import AddResult, Chain, truncate
@@ -38,7 +38,6 @@ from .generators import (
     _invariants,
     action,
     canonical_sort,
-    level,
     sort_key,
     validate_generator,
 )
@@ -98,7 +97,7 @@ def d0_primitive(params: BundleParams, x: Chain) -> Chain:
     back ``x`` exactly, and every new term's action is tau above its source,
     so the result is exact above ``x.floor + tau``.
     """
-    return Chain(x.degree + 2, params.raised_floor(x.floor), _fiber_primitive(params, x.terms))
+    return Chain(x.degree + 2, x.floor + params.tau, _fiber_primitive(params, x.terms))
 
 
 def _normalize(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
@@ -258,12 +257,17 @@ def apply_total(d: FilteredDifferential, x: Chain) -> AddResult:
     return truncate(d.params, Chain(x.degree - 2, x.floor, _raw_step(d, x.terms)), x.floor)
 
 
+def _by_level(params: BundleParams, terms: Iterable[Generator]) -> dict[int, set[Generator]]:
+    """The terms in buckets by level; each term's level is computed here once."""
+    buckets: dict[int, set[Generator]] = {}
+    for g in terms:
+        buckets.setdefault(_invariants(params, g)[0], set()).add(g)
+    return buckets
+
+
 def split_by_level(params: BundleParams, x: Chain) -> dict[int, Chain]:
     """Partition the terms by filtration level; the parts sum back to x."""
-    buckets: dict[int, set[Generator]] = {}
-    for g in x.terms:
-        buckets.setdefault(level(params, g), set()).add(g)
     return {
         lv: Chain(x.degree, x.floor, frozenset(gens))
-        for lv, gens in sorted(buckets.items())
+        for lv, gens in sorted(_by_level(params, x.terms).items())
     }

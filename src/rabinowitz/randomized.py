@@ -16,8 +16,8 @@ order, not on how they are stored.
 Fixtures sample many seeds on one window, so the pools and the candidate
 codes are built once per (params, degrees, floor, level window) and
 memoised; ``BundleParams`` is frozen and hashable by value, so an equal base
-built elsewhere finds the same entry.  Both memos are bounded, like
-``BundleParams.raised_floor``.  Every cached value is a tuple: all callers
+built elsewhere finds the same entry.  Both memos are bounded, like every
+``lru_cache`` in the package.  Every cached value is a tuple: all callers
 get the same object, so a mutable one would let one sample's shuffle reorder
 the next one's candidates.  The public entry points turn degrees into a
 tuple and the floor into a ``Fraction`` before the lookup, so a list of

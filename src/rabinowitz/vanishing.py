@@ -30,7 +30,7 @@ from typing import Iterable, NamedTuple
 
 from .bundle import BundleParams, CaseTag, TheoremCase
 from .chains import Chain, serialize_chain, truncate, zero_chain
-from .differentials import FilteredDifferential, _fiber_primitive, _raw_step, apply_total
+from .differentials import FilteredDifferential, _by_level, _fiber_primitive, _raw_step, apply_total
 from .generators import (
     Generator,
     _invariants,
@@ -135,7 +135,6 @@ def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> 
     once per (bundle, degree, floor) in a process and then shared, which is
     safe because a :class:`LevelBound` is frozen.
     """
-    action_floor = Fraction(action_floor)
     case = params.case
     if case.tag not in (CaseTag.ASPHERICAL, CaseTag.C_NON_NEGATIVE):
         raise ValueError(f"level floor undefined in case {case.tag.value}")
@@ -149,9 +148,10 @@ def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> 
 
 @lru_cache(maxsize=128)
 def _certified_bound(params: BundleParams, twice_mu: int, num: int, den: int) -> LevelBound:
-    """The memo behind :func:`level_floor`, keyed on the floor's integer pair
-    like ``BundleParams.raised_floor``.  A failed certificate raises, and
-    ``lru_cache`` caches no exception, so it fails again on every call."""
+    """The memo behind :func:`level_floor`, keyed on the floor's integer pair:
+    hashing a ``Fraction`` costs a modular inverse per lookup.  A failed
+    certificate raises, and ``lru_cache`` caches no exception, so it fails
+    again on every call."""
     action_floor = Fraction(num, den)
     l_min = _least_level(params, twice_mu, action_floor)
     span = params.dim_m + 1 + params.level_step
@@ -176,14 +176,6 @@ def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> Verify
         )
     raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)
     return VerifyResult(*truncate(d.params, raw, xi.floor))
-
-
-def _by_level(params: BundleParams, terms: Iterable[Generator]) -> dict[int, set[Generator]]:
-    """The terms in buckets by level; each term's level is computed here once."""
-    buckets: dict[int, set[Generator]] = {}
-    for g in terms:
-        buckets.setdefault(_invariants(params, g)[0], set()).add(g)
-    return buckets
 
 
 def _descend(
@@ -259,7 +251,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
         raise NotClosedError(
             image, "input chain is not closed; its differential is " + serialize_chain(params, image)
         )
-    theta_floor = params.raised_floor(xi.floor)
+    theta_floor = xi.floor + params.tau
     if xi.is_zero:
         return PrimitiveResult(
             case,

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import checker as ck
 from rabinowitz import BundleParams, CritPoint, load_scenario
 from rabinowitz.randomized import _candidate_entries, _decode
 
@@ -28,37 +29,28 @@ def synthetic_params(ncrit: int, dim: int, c: int, nu: int, tau: Fraction) -> Bu
     return BundleParams(dim, tau, tuple(crits), nu, c)
 
 
-def fraction_action(params, g) -> Fraction:
-    """Reference closed form tau*n + nu*a - (tau+1)*f(q) in exact rationals."""
-    omega = 0 if params.aspherical else params.nu * g.sphere
-    return params.tau * g.cover + omega - (params.tau + 1) * params.crit(g.base).value
+def ck_base(params) -> ck.Base:
+    """The base in the engine-free checker's terms; aspherical keeps nu and c None."""
+    crit = {cp.name: (cp.index, cp.value) for cp in params.morse}
+    return ck.Base(params.dim_m, params.tau, crit, params.nu, params.c)
 
 
-def fraction_level(params, g) -> int:
-    """Reference closed form -index + dim_M/2 + 2*c*nu*a."""
-    c_term = 0 if params.aspherical else 2 * params.c * params.nu * g.sphere
-    return -params.crit(g.base).index + params.dim_m // 2 + c_term
-
-
-def fraction_twice_mu(params, g) -> int:
-    """Reference closed form mu = cz_fiber_disk - index + dim_M/2 -+ 1/2, doubled."""
-    cz = 2 * g.cover
-    if not params.aspherical:
-        cz += 2 * (params.c - 1) * params.nu * g.sphere
-    half = Fraction(1, 2) if g.sign == "+" else Fraction(-1, 2)
-    mu = cz - params.crit(g.base).index + Fraction(params.dim_m, 2) + half
-    assert mu.denominator == 2  # a half-integer
-    return int(2 * mu)
-
-
-def fraction_sort_key(params, g):
-    """Reference canonical order on exact rationals: level desc, action desc, id, cover, sign."""
-    return (-fraction_level(params, g), -fraction_action(params, g), g.base, g.cover, g.sign)
+def ck_pool(params, twice_mu, floor, lo, hi) -> list:
+    """The checker's slice of one degree, or for c = 0 its sphere-class-0 part,
+    which is the sampling pool there.  The checker refuses c = 0 slices, so
+    that part comes from the base's aspherical twin: at class 0 the closed
+    forms agree."""
+    base = ck_base(params)
+    if params.c == 0:
+        base = ck.Base(base.dim, base.tau, base.crit)
+    return ck.enumerate_slice(base, twice_mu, floor, lo, hi)
 
 
 def fraction_sphere_class_floor(params, twice_mu, floor) -> int:
     """Reference closed form: the least integer a with
-    nu*a >= (floor - (twice_mu + dim_M + 1)*tau/4 + (tau+1)*min f) / (1 - (c-1)*tau)."""
+    nu*a >= (floor - (twice_mu + dim_M + 1)*tau/4 + (tau+1)*min f) / (1 - (c-1)*tau).
+
+    Kept here because ``bench/checker.py`` has no sphere-class bound to compare with."""
     peak = Fraction(twice_mu + params.dim_m + 1, 4) * params.tau
     least = (params.tau + 1) * min(cp.value for cp in params.morse)
     return math.ceil((floor - peak + least) / ((1 - (params.c - 1) * params.tau) * params.nu))

@@ -164,16 +164,3 @@ def test_params_hash_is_taken_once(monkeypatch):
     hashed = _fraction_hashes(monkeypatch)
     assert hash(params) == hash(params) == expected
     assert hashed == []
-
-
-def test_raised_floor_memo_keys_on_the_value(monkeypatch):
-    params = mk()
-    floor, same = Fraction(-120), Fraction(-240, 2)
-    assert floor is not same
-    assert params.raised_floor(floor) == Fraction(-239, 2)
-    hashed = _fraction_hashes(monkeypatch)
-    assert params.raised_floor(same) == params.raised_floor(floor) == floor + params.tau
-    assert hashed == [] and params._raised_floor.cache_info().currsize == 1
-    for k in range(300):
-        assert params.raised_floor(Fraction(k, 7)) == Fraction(k, 7) + params.tau
-    assert params._raised_floor.cache_info().currsize == 128

@@ -1,10 +1,10 @@
 import random
 import re
-from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+import checker as ck
 from conftest import CASE_SCENARIOS, assert_drop_partition, decoded_candidates, params_of
 from rabinowitz import (
     Chain,
@@ -292,24 +292,14 @@ def test_apply_total_drop_report_partitions_the_image(name):
             assert_drop_partition(image.terms, dropped, _raw_step(d, x.terms))
 
 
-def _reference_hits(d, gens) -> Counter:
-    """The full differential term by term, without the source index: how often
-    each image is hit by a - term's d0 partner or by the target of an entry
-    whose source is a shift of the term, shifted alike."""
-    hits = Counter()
-    for g in gens:
-        if g.sign == "-":
-            hits[G(g.base, g.cover - 1, g.sphere, "+")] += 1
-        for e in d.entries:
-            if e.source._replace(sphere=g.sphere) == g:
-                hits[e.target._replace(sphere=e.target.sphere + g.sphere - e.source.sphere)] += 1
-    return hits
-
-
 @pytest.mark.parametrize("name", CASE_SCENARIOS)
 def test_kernel_matches_a_per_term_reference(name):
     # Sets mix chain terms and table sources, each also placed in a second
-    # sphere class, so shift-extended images meet and cancel.
+    # sphere class, so shift-extended images meet and cancel.  One
+    # generator's image cannot cancel within itself (d0 keeps the level,
+    # each entry drops it, and two entries with one source and one target
+    # are shift-duplicates), so the sizes of the one-generator images, less
+    # the size of the whole image, count the terms that cancel.
     params = params_of(name)
     floor = Fraction(-1)
     shifts = (0,) if params.aspherical else (-2, -1, 1, 3)
@@ -324,11 +314,10 @@ def test_kernel_matches_a_per_term_reference(name):
             gens = frozenset(
                 g._replace(sphere=g.sphere + s) for g in picked for s in {0, rng.choice(shifts)}
             )
-            hits = _reference_hits(d, gens)
-            odd = frozenset(g for g, count in hits.items() if count % 2)
+            odd = ck.differential(d.entries, gens)
             assert _raw_step(d, gens) == odd
             images += len(odd)
-            cancelled += sum(hits.values()) - len(odd)
+            cancelled += sum(len(ck.differential(d.entries, {g})) for g in gens) - len(odd)
     assert images > 0 and cancelled > 0
 
 
@@ -336,8 +325,8 @@ def test_kernel_matches_a_per_term_reference(name):
 def test_chain_level_helpers_agree_with_apply_total(name):
     # apply_table and split_by_level stay public API off the induction's
     # path. apply_table and apply_total both run the kernel, so pin them to
-    # the per-term reference instead: the table image is its hits with the
-    # d0 hits left out.
+    # the checker's differential instead: the table image is its image with
+    # the image of d0 alone (no entries) flipped back out.
     params = params_of(name)
     floor = Fraction(-1)
     images = 0
@@ -345,12 +334,11 @@ def test_chain_level_helpers_agree_with_apply_total(name):
         d = random_admissible_table(params, seed, (3, 5, 7), floor, -8, 8, size=8)
         for k in range(10):
             x = random_chain(params, 1000 * seed + k, 5 + 2 * (k % 2), floor, -8, 8, size=10)
-            hits = _reference_hits(d, x.terms)
-            d0_hits = Counter(G(g.base, g.cover - 1, g.sphere, "+") for g in x.terms if g.sign == "-")
+            full, fiber = ck.differential(d.entries, x.terms), ck.differential((), x.terms)
             table = apply_table(d, x)
-            for image, counts in ((table, hits - d0_hits), (apply_total(d, x), hits)):
-                odd = frozenset(g for g, count in counts.items() if count % 2)
-                assert image == truncate(params, Chain(x.degree - 2, x.floor, odd), x.floor)
+            for image, odd in ((table, full ^ fiber), (apply_total(d, x), full)):
+                terms = frozenset(map(G._make, odd))
+                assert image == truncate(params, Chain(x.degree - 2, x.floor, terms), x.floor)
             images += not table.chain.is_zero
             summed: frozenset[Generator] = frozenset()
             for lv, part in split_by_level(params, x).items():

@@ -4,14 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import (
-    fraction_action,
-    fraction_level,
-    fraction_sort_key,
-    fraction_sphere_class_floor,
-    fraction_twice_mu,
-    params_of,
-)
+import checker as ck
+from conftest import ck_base, ck_pool, fraction_sphere_class_floor, params_of
 from rabinowitz import (
     BundleParams,
     Chain,
@@ -152,38 +146,12 @@ def test_action_shift_laws():
         assert action(params, up_sphere) - action(params, g) == params.nu
 
 
-# --- enumeration against a brute-force oracle -----------------------------
-
-
-def _brute_force(params, twice_mu, floor, lo, hi, n_span=60, a_span=25):
-    """Independent scan evaluating the closed formulas directly."""
-    out = []
-    for cp in params.morse:
-        for sign in ("+", "-"):
-            s = 1 if sign == "+" else -1
-            for n in range(-n_span, n_span + 1):
-                sphere_range = [0] if params.aspherical else range(-a_span, a_span + 1)
-                for a in sphere_range:
-                    nu_c = 0 if params.aspherical else 2 * (params.c - 1) * params.nu * a
-                    tm = 2 * (2 * n + nu_c) - 2 * cp.index + params.dim_m + s
-                    if tm != twice_mu:
-                        continue
-                    omega = 0 if params.aspherical else params.nu * a
-                    act = params.tau * n + omega - (params.tau + 1) * cp.value
-                    if act < floor:
-                        continue
-                    c_term = 0 if params.aspherical else 2 * params.c * params.nu * a
-                    lv = -cp.index + params.dim_m // 2 + c_term
-                    if not lo <= lv <= hi:
-                        continue
-                    out.append((-lv, -act, cp.name, n, sign, a))
-    out.sort()
-    return [G(name, n, a, sign) for (_, _, name, n, sign, a) in out]
+# --- enumeration against the checker's brute-force slice -----------------
 
 
 def test_enumerate_matches_brute_force_cp1(cp1_params):
     got = enumerate_generators(cp1_params, 5, Fraction(0), -10, 10)
-    assert list(got) == _brute_force(cp1_params, 5, Fraction(0), -10, 10)
+    assert list(got) == ck.enumerate_slice(ck_base(cp1_params), 5, Fraction(0), -10, 10)
     assert G("q0", 1, 0, "-") in got
 
 
@@ -191,12 +159,12 @@ def test_enumerate_matches_brute_force_many(cp1_params, neg2_params, neg4_params
     for params in (cp1_params, neg2_params, neg4_params):
         for tm in (-3, 1, 5):
             got = enumerate_generators(params, tm, Fraction(-5), -8, 8)
-            assert list(got) == _brute_force(params, tm, Fraction(-5), -8, 8)
+            assert list(got) == ck.enumerate_slice(ck_base(params), tm, Fraction(-5), -8, 8)
 
 
 def test_enumerate_matches_brute_force_aspherical(aspherical4_params):
     got = enumerate_generators(aspherical4_params, 5, Fraction(-10), -2, 2)
-    assert list(got) == _brute_force(aspherical4_params, 5, Fraction(-10), -2, 2)
+    assert list(got) == ck.enumerate_slice(ck_base(aspherical4_params), 5, Fraction(-10), -2, 2)
     assert all(g.sphere == 0 for g in got)
 
 
@@ -210,14 +178,13 @@ def test_sampling_pool_matches_brute_force(aspherical4_params, cp1_params, neg2_
     # c = 0: the pool is the sphere-class-0 part of the slice.
     for twice_mu in (1, 3, 5):
         pool = _pool(C0_MIDDLE, twice_mu, Fraction(-3), -1, 1)
-        scan = [g for g in _brute_force(C0_MIDDLE, twice_mu, Fraction(-3), -1, 1) if g.sphere == 0]
-        assert list(pool) == scan
+        assert list(pool) == ck_pool(C0_MIDDLE, twice_mu, Fraction(-3), -1, 1)
         assert any(level(C0_MIDDLE, g) == 0 for g in pool)
     # Every other case: the pool is the whole slice.
     for params, window in ((aspherical4_params, (-2, 2)), (cp1_params, (-8, 8)), (neg2_params, (-8, 8))):
         for twice_mu in (-3, 1, 5):
             pool = _pool(params, twice_mu, Fraction(-5), *window)
-            assert pool and list(pool) == _brute_force(params, twice_mu, Fraction(-5), *window)
+            assert pool and list(pool) == ck_pool(params, twice_mu, Fraction(-5), *window)
 
 
 def test_enumerate_empty_window(cp1_params):
@@ -343,33 +310,13 @@ def test_enumerate_deep_window_returns_the_same_slice(c1_params):
     assert enumerate_generators(c1_params, 3, Fraction(-2), -10**6, 40) == near
 
 
-def _level_walk(params, twice_mu, floor, lo, hi):
-    """Enumeration by walking every level of the window (c != 0), exact rationals."""
-    half = params.dim_m // 2
-    den = 2 * params.c * params.nu
-    found = []
-    for cp in params.morse:
-        for sign, s in (("+", 1), ("-", -1)):
-            num = twice_mu + 2 * cp.index - params.dim_m - s
-            if num % 4:
-                continue
-            for lv in range(lo, hi + 1):
-                a, r = divmod(lv + cp.index - half, den)
-                if r:
-                    continue
-                g = G(cp.name, num // 4 - (params.c - 1) * params.nu * a, a, sign)
-                if fraction_action(params, g) >= floor:
-                    found.append(g)
-    return sorted(found, key=lambda g: fraction_sort_key(params, g))
-
-
 def test_enumerate_zero_action_slope_keeps_or_drops_whole_slices():
     # (c-1)*tau = 1: the action is constant along each slice, so the floor
     # keeps every level of the window or none of them.
     sizes = []
     for floor in (Fraction(-1), Fraction(-2, 3), Fraction(0), Fraction(5)):
         got = enumerate_generators(TILTED, 3, floor, -10, 10)
-        assert list(got) == _level_walk(TILTED, 3, floor, -10, 10)
+        assert list(got) == ck.enumerate_slice(ck_base(TILTED), 3, floor, -10, 10)
         sizes.append(len(got))
     assert sizes == [5, 5, 0, 0]
 
@@ -411,7 +358,7 @@ def floors():
 )
 def test_enumerate_matches_level_walk(params, twice_mu, floor, lo, width):
     got = enumerate_generators(params, twice_mu, floor, lo, lo + width)
-    assert list(got) == _level_walk(params, twice_mu, floor, lo, lo + width)
+    assert list(got) == ck.enumerate_slice(ck_base(params), twice_mu, floor, lo, lo + width)
 
 
 @settings(max_examples=200, deadline=None)
@@ -435,6 +382,22 @@ def test_sphere_class_floor_matches_exact_rationals(params, twice_mu, floor):
         assert got == fraction_sphere_class_floor(params, twice_mu, floor)
 
 
+@pytest.mark.parametrize("name", ["c0", "c1", "cp1", "neg2", "neg4"])
+def test_sphere_class_floor_is_exact_on_the_boundary(name):
+    # A floor exactly on the bound of class a gives a and any floor above it
+    # a + 1; random floors almost never land on a bound.
+    params = params_of(name)
+    per_class = (1 - (params.c - 1) * params.tau) * params.nu
+    least = (params.tau + 1) * min(cp.value for cp in params.morse)
+    for twice_mu in (-3, 1, 5):
+        peak = Fraction(twice_mu + params.dim_m + 1, 4) * params.tau
+        for a in range(-3, 4):
+            floor = a * per_class + peak - least
+            assert fraction_sphere_class_floor(params, twice_mu, floor) == a
+            assert sphere_class_floor(params, twice_mu, floor) == a
+            assert sphere_class_floor(params, twice_mu, floor + Fraction(1, 10**9)) == a + 1
+
+
 def generators_of(params):
     return st.builds(
         G,
@@ -449,23 +412,25 @@ def generators_of(params):
 @given(data=st.data(), params=integer_key_params(), floor=floors())
 def test_integer_keys_agree_with_exact_rationals(data, params, floor):
     gens = data.draw(st.lists(generators_of(params), min_size=1, max_size=12, unique=True))
-    exact = {g: fraction_action(params, g) for g in gens}
+    base = ck_base(params)
+    exact = {g: ck.action(base, g) for g in gens}
     assert all(action(params, g) == exact[g] for g in gens)
     # grading and level; the aspherical twin of the base refuses a nonzero
     # sphere class and agrees with the closed forms on class 0
     flat = BundleParams(params.dim_m, params.tau, params.morse)
+    flat_base = ck_base(flat)
     for g in gens:
-        assert grading(params, g) == fraction_twice_mu(params, g)
-        assert level(params, g) == fraction_level(params, g)
+        assert grading(params, g) == ck.twice_mu(base, g)
+        assert level(params, g) == ck.level(base, g)
         if g.sphere:
             for invariant in (action, grading, level):
                 with pytest.raises(ValueError, match="^aspherical scenario forces sphere class 0$"):
                     invariant(flat, g)
         else:
             assert (action(flat, g), grading(flat, g), level(flat, g)) == (
-                fraction_action(flat, g), fraction_twice_mu(flat, g), fraction_level(flat, g))
+                ck.action(flat_base, g), ck.twice_mu(flat_base, g), ck.level(flat_base, g))
     # canonical order
-    assert list(canonical_sort(params, gens)) == sorted(gens, key=lambda g: fraction_sort_key(params, g))
+    assert list(canonical_sort(params, gens)) == sorted(gens, key=lambda g: ck.order_key(base, g))
     # every floor test (truncation and the chain constructor), also
     # at a floor that one generator's action meets exactly
     for bar in (floor, exact[gens[0]]):

@@ -7,10 +7,12 @@ from fractions import Fraction
 
 import pytest
 
+import checker as ck
 from conftest import (
     CASE_SCENARIOS,
+    ck_base,
+    ck_pool,
     decoded_candidates,
-    fraction_sort_key,
     scenario_path,
     synthetic_params,
 )
@@ -43,22 +45,23 @@ EXTRA_WINDOWS = (
 
 
 def brute_candidates(params, degrees, floor, lo, hi):
-    """Every pool pair run through validate_entry, in canonical table order (exact rationals)."""
-    pool = {deg: _pool(params, deg, floor, lo, hi) for deg in degrees}
+    """Every pair of the checker's pools that its table rules admit, in
+    canonical table order; nothing here comes from the engine."""
+    base = ck_base(params)
+    pool = {deg: ck_pool(params, deg, floor, lo, hi) for deg in degrees}
     out = []
     for deg in degrees:
         if deg - 2 not in pool:
             continue
         for src in pool[deg]:
             for tgt in pool[deg - 2]:
-                drop = level(params, src) - level(params, tgt)
+                drop = ck.level(base, src) - ck.level(base, tgt)
                 if drop < 1:
                     continue
-                entry = HigherDifferentialEntry(drop, src, tgt)
-                if not validate_entry(params, entry):
+                entry = (drop, src, tgt)
+                if not ck.table_violations(base, [entry]):
                     out.append(entry)
-    return sorted(out, key=lambda e: (
-        e.drop, fraction_sort_key(params, e.source), fraction_sort_key(params, e.target)))
+    return sorted(out, key=lambda e: (e[0], ck.order_key(base, e[1]), ck.order_key(base, e[2])))
 
 
 def _scenario_windows(name):
