@@ -6,6 +6,10 @@ differential with its explicit primitive; structural validation of external
 higher-differential tables; and the level-descending construction of
 primitives for closed chains, verified exactly on every run.
 
+Every value the engine passes around is a named tuple: immutable, equal and
+hashed by its fields.  ``FilteredDifferential`` is the one plain class, since
+it builds a lookup of its table when it is made.
+
 The public API is what this module imports, and ``__all__`` lists exactly
 that.  A name stays public if one of these holds:
 

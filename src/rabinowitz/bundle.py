@@ -10,10 +10,10 @@ the sphere group is trivial and ``a = 0`` everywhere.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 
 class _ById(dict):
@@ -23,8 +23,7 @@ class _ById(dict):
         raise KeyError(f"unknown critical point id {name!r}")
 
 
-@dataclass(frozen=True)
-class CritPoint:
+class CritPoint(NamedTuple):
     """A critical point of the auxiliary Morse function on the base."""
 
     name: str
@@ -32,8 +31,15 @@ class CritPoint:
     value: Fraction     # critical value, expected in the open interval (0, 1)
 
 
-@dataclass(frozen=True)
-class BundleParams:
+class _BundleFields(NamedTuple):
+    dim_m: int
+    tau: Fraction
+    morse: tuple[CritPoint, ...]
+    nu: int | None = None
+    c: int | None = None
+
+
+class BundleParams(_BundleFields):
     """Geometric scenario: base dimension, circle-bundle level, Morse data.
 
     ``nu``/``c`` are given together for spherical scenarios (omega takes values
@@ -43,23 +49,19 @@ class BundleParams:
     no quantitative bound is available, so none is validated.  The per-point
     constants, their coefficient rows, the case and the case's rules (level
     step, refusal, depth cutoff) are cached, not fields, so equality, hashing
-    and repr ignore them; the hash of the fields is cached too.
+    and repr ignore them; the hash of the fields is cached too.  The fields
+    live on a named-tuple base; this subclass keeps a ``__dict__`` for the
+    caches.
     """
-
-    dim_m: int
-    tau: Fraction
-    morse: tuple[CritPoint, ...]
-    nu: int | None = None
-    c: int | None = None
 
     def __hash__(self) -> int:
         return self._hash
 
     @cached_property
     def _hash(self) -> int:
-        """The dataclass hash of the fields, taken once: every memo keyed on
-        the params hashes them, and each critical value is a ``Fraction``."""
-        return hash((self.dim_m, self.tau, self.morse, self.nu, self.c))
+        """The tuple hash of the fields, taken once: every memo keyed on the
+        params hashes them, and each critical value is a ``Fraction``."""
+        return tuple.__hash__(self)
 
     @property
     def aspherical(self) -> bool:
@@ -144,8 +146,7 @@ class CaseTag(Enum):
     NOT_APPLICABLE = "not-applicable"
 
 
-@dataclass(frozen=True)
-class TheoremCase:
+class TheoremCase(NamedTuple):
     """Which branch of the vanishing argument a scenario falls into.
 
     For ``c >= 1`` the flag ``cz_finiteness_ok`` records whether
@@ -158,14 +159,12 @@ class TheoremCase:
     cz_finiteness_ok: bool | None = None
 
 
-@dataclass(frozen=True)
-class SemiPositivity:
+class SemiPositivity(NamedTuple):
     holds: bool
     reason: str
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[str, ...]
 
     @property

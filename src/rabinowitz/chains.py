@@ -13,7 +13,6 @@ Coefficients are Z/2 throughout, so term sets combine by symmetric difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
@@ -29,11 +28,11 @@ from .generators import (
 )
 
 
-@dataclass(frozen=True)
-class Chain:
+class Chain(NamedTuple):
     """Finitely many generators of one degree, exact above ``floor``.
 
-    Equality is structural: it compares (degree, floor, terms).
+    Equality is structural: it compares (degree, floor, terms).  A chain's
+    size is ``len(x.terms)``.
     """
 
     degree: int
@@ -43,9 +42,6 @@ class Chain:
     @property
     def is_zero(self) -> bool:
         return not self.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 class AddResult(NamedTuple):

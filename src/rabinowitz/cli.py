@@ -133,7 +133,7 @@ def cmd_validate(scenario, args) -> int:
             print(f"differentials: {line}")
     for name in sorted(scenario.cycles):
         ch = scenario.cycles[name]
-        print(f"cycle {name}: degree {ch.degree}, floor {ch.floor}, {len(ch)} terms")
+        print(f"cycle {name}: degree {ch.degree}, floor {ch.floor}, {len(ch.terms)} terms")
     return code
 
 

@@ -28,7 +28,6 @@ by shift-equivariance, checking shift-orbit representatives suffices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 from .bundle import BundleParams, CaseTag
@@ -144,20 +143,19 @@ def validate_entry(params: BundleParams, entry: HigherDifferentialEntry) -> tupl
     return tuple(bad)
 
 
-@dataclass
 class FilteredDifferential:
     """d0 plus a validated higher-differential table; immutable after load.
 
     ``entries`` are shift-orbit representatives (source sphere class 0 where
     the scenario is spherical); application extends them equivariantly.
+    ``_by_source`` groups their targets by the source's (base, cover, sign).
     """
 
-    params: BundleParams
-    entries: tuple[HigherDifferentialEntry, ...]
-    _by_source: dict = field(repr=False, compare=False, default_factory=dict)
-
-    def __post_init__(self) -> None:
-        for _, (base, cover, _, sign), target in self.entries:
+    def __init__(self, params: BundleParams, entries: tuple[HigherDifferentialEntry, ...]) -> None:
+        self.params = params
+        self.entries = entries
+        self._by_source: dict = {}
+        for _, (base, cover, _, sign), target in entries:
             self._by_source.setdefault((base, cover, sign), []).append(target)
 
 

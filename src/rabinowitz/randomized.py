@@ -179,8 +179,6 @@ def _load_with_repair(
         try:
             return load_table(params, work)
         except TableValidationError as err:
-            if not work:
-                raise
             offenders = [e for e in work if {e.source, e.target} & err.generators]
             victim = max(offenders or work, key=lambda e: e.order_key(params))
             work.remove(victim)

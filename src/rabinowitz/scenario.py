@@ -31,9 +31,9 @@ from __future__ import annotations
 
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 from .bundle import BundleParams, CritPoint, validate
 from .chains import Chain, build_chain
@@ -51,12 +51,11 @@ class ScenarioError(ValueError):
         self.line = line
 
 
-@dataclass
-class Scenario:
+class Scenario(NamedTuple):
     bundle: BundleParams
-    entries: tuple[HigherDifferentialEntry, ...] = ()
-    cycles: dict[str, Chain] = field(default_factory=dict)
-    seed: int = 0
+    entries: tuple[HigherDifferentialEntry, ...]
+    cycles: dict[str, Chain]
+    seed: int
 
 
 def parse_fraction(text: str, line: int | None = None) -> Fraction:

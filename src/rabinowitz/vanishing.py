@@ -22,7 +22,6 @@ the cycle's floor, is computed unconditionally and must be empty.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
@@ -58,8 +57,7 @@ class InductionError(RuntimeError):
     """
 
 
-@dataclass(frozen=True)
-class LevelBound:
+class LevelBound(NamedTuple):
     """Certified statement: no generator of ``degree`` with action >= ``floor``
     has level below ``l_min``; the certificate is an exhaustive enumeration of
     the window just underneath."""
@@ -75,8 +73,7 @@ class VerifyResult(NamedTuple):
     dropped: tuple[Generator, ...]
 
 
-@dataclass(frozen=True)
-class ClassReport:
+class ClassReport(NamedTuple):
     """Per-sphere-class certificate of a very-negative run."""
 
     sphere: int
@@ -86,8 +83,7 @@ class ClassReport:
     gap_ok: bool                 # nearest cycle term in the same class
 
 
-@dataclass(frozen=True)
-class PrimitiveResult:
+class PrimitiveResult(NamedTuple):
     case: TheoremCase
     theta: Chain
     theta_parts: tuple[tuple[str, Chain], ...]
@@ -133,7 +129,7 @@ def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> 
 
     The refusals are checked on every call.  The bound itself is certified
     once per (bundle, degree, floor) in a process and then shared, which is
-    safe because a :class:`LevelBound` is frozen.
+    safe because a :class:`LevelBound` is an immutable named tuple.
     """
     case = params.case
     if case.tag not in (CaseTag.ASPHERICAL, CaseTag.C_NON_NEGATIVE):

@@ -60,7 +60,6 @@ def test_benchmark_traced_layers_exist():
         assert fn.__module__ == mod.__name__, f"{module}.{function}"
 
 
-
 def test_every_lru_cache_is_bounded():
     # A memo without a finite maxsize keeps every key and value for the life
     # of the process.  An unbounded ``cache`` is allowed only on a function
@@ -87,6 +86,14 @@ def test_every_lru_cache_is_bounded():
     assert memos >= 3  # _pool, _candidate_entries, _certified_bound
 
 
+def test_no_module_imports_dataclasses():
+    # Every engine record is a named tuple; ``dataclasses`` (and ``inspect``
+    # through it) would add to the import time of every CLI call.
+    for path in sorted(SRC.glob("*.py")):
+        for lineno, module in _imported_modules(path):
+            assert module != "dataclasses", f"{path.name}:{lineno} imports dataclasses"
+
+
 def _named(node) -> str | None:
     if isinstance(node, ast.Name):
         return node.id
@@ -99,13 +106,15 @@ def test_checker_imports_nothing_from_the_engine():
     # bench/checker.py is the reference the tests compare the engine
     # against; an engine fault that reached it through an import would pass.
     checker = BENCHMARK.parent / "bench" / "checker.py"
-    for node in ast.walk(ast.parse(checker.read_text())):
+    for lineno, module in _imported_modules(checker):
+        assert module != "rabinowitz", f"checker.py:{lineno} imports the engine"
+
+
+def _imported_modules(path: Path):
+    """(line, top-level package) of every module a file imports from."""
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
-            modules = [alias.name for alias in node.names]
+            for alias in node.names:
+                yield node.lineno, alias.name.split(".")[0]
         elif isinstance(node, ast.ImportFrom):
-            modules = [node.module or ""]
-        else:
-            continue
-        assert all(m.split(".")[0] != "rabinowitz" for m in modules), (
-            f"checker.py:{node.lineno} imports the engine"
-        )
+            yield node.lineno, (node.module or "").split(".")[0]

@@ -1,6 +1,5 @@
 """Candidate generation and table sampling checked against a brute-force rule scan."""
 
-import dataclasses
 import hashlib
 import sys
 from fractions import Fraction
@@ -210,7 +209,7 @@ def test_equal_params_share_the_sampling_memo():
     random_admissible_table(twin, 0, degrees, floor, lo, hi)
     after = _candidate_entries.cache_info()
     assert (after.hits, after.misses) == (before.hits + 1, before.misses)
-    retuned = dataclasses.replace(params, tau=Fraction(2, 7))
+    retuned = params._replace(tau=Fraction(2, 7))
     random_admissible_table(retuned, 0, degrees, floor, lo, hi)
     final = _candidate_entries.cache_info()
     assert (final.hits, final.misses) == (after.hits, after.misses + 1)

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from rabinowitz import Generator, ScenarioError, parse_scenario
+from rabinowitz import Generator, ScenarioError, parse_scenario, vanishing
 from rabinowitz.cli import main
 from rabinowitz.scenario import parse_fraction, parse_generator
 
@@ -136,6 +136,31 @@ def test_cmd_validate_parse_error(tmp_path):
             f"line {cp1_lines.index('[meta]') + 1}: cycle 'e': "
             "degree must be odd (doubled half-integer grading), got 4",
         ),
+        (MINIMAL + "[extras]\n", "line 10: unknown section [extras]"),
+        (
+            MINIMAL + "[cycles]\ncycle x degree 3 floor -1\ncycle x degree 5 floor -1\n",
+            "line 12: duplicate cycle name 'x'",
+        ),
+        (MINIMAL.replace("nu = 1", "nu 1"), "line 5: expected 'key = value', got 'nu 1'"),
+        (
+            MINIMAL + "[differentials]\nentry 2 (q0,1,0,-)\n",
+            "line 11: bad entry line 'entry 2 (q0,1,0,-)' (want entry <i> <src> -> <tgt>)",
+        ),
+        (
+            MINIMAL + "[cycles]\ncycle x degree three floor -1\n",
+            "line 11: bad cycle line 'cycle x degree three floor -1' "
+            "(want cycle <name> degree <odd> floor <p/q> <terms...>)",
+        ),
+        (
+            MINIMAL + "[cycles]\ncycle x degree 3 floor -1 (q0,0,0,+) junk\n",
+            "line 11: unparsed text in cycle terms: '(q0,0,0,+) junk'",
+        ),
+        # The one parse error without a line: the key is absent from the file.
+        (MINIMAL.replace("tau = 1/2\n", ""), "missing bundle key 'tau'"),
+        (
+            MINIMAL.replace("sphericity = spherical", "sphericity = round"),
+            "line 4: sphericity must be 'spherical' or 'aspherical', got 'round'",
+        ),
     ):
         bad.write_text(text)
         assert run_cli("validate", "--scenario", str(bad)) == (4, f"parse error: {message}\n")
@@ -171,6 +196,26 @@ def test_generator_listed_twice_on_a_cycle_is_rejected(tmp_path):
     bad.write_text(MINIMAL + "[cycles]\ncycle x degree 3 floor -1 (q0,0,0,+) (q0,0,0,+)\n")
     message = "line 11: cycle 'x' lists (q0,0,0,+) twice (copies cancel over Z/2)"
     assert run_cli("validate", "--scenario", str(bad)) == (4, f"parse error: {message}\n")
+
+
+def test_window_without_colon_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["enumerate", "--scenario", str(scenario_path("cp1")),
+              "--degree", "5", "--floor", "0", "--window", "5"])
+    assert info.value.code == 2
+    assert "window must look like LO:HI" in capsys.readouterr().err
+
+
+def test_entry_naming_an_unknown_point_is_malformed(tmp_path):
+    path = tmp_path / "q9.scn"
+    path.write_text(MINIMAL + "[differentials]\nentry 1 (q9,0,0,-) -> (q0,0,0,+)\n")
+    code, out = run_cli("validate", "--scenario", str(path))
+    assert code == 2
+    # The KeyError's text keeps its own quotes.
+    assert out.splitlines()[-1] == (
+        "differentials: entry [d1 (q9,0,0,-) -> (q0,0,0,+)] rejected: "
+        'malformed: "unknown critical point id \'q9\'"'
+    )
 
 
 def test_cmd_validate_missing_file():
@@ -275,6 +320,24 @@ def test_cmd_primitive_rejects_non_closed():
     assert code == 2
     assert "not closed" in out
     assert "(q0,0,0,+) (q2,1,0,+)" in out
+
+
+def test_nonzero_residual_exits_3(monkeypatch):
+    # The residual comes back as xi itself, as if d(theta) were zero.
+    real = vanishing.verify_primitive
+    monkeypatch.setattr(
+        vanishing, "verify_primitive", lambda d, xi, theta: real(d, xi, theta)._replace(residual=xi)
+    )
+    s = ("--scenario", str(scenario_path("cp1")))
+    code, out = run_cli("primitive", *s, "--cycle", "xi0")
+    assert code == 3
+    assert out.splitlines()[-2:] == [
+        "residual: degree=3 floor=-1 terms: (q0,0,0,+)",
+        "verification FAILED",
+    ]
+    code, out = run_cli("check", *s)
+    assert code == 3
+    assert out.splitlines()[-1] == "FAIL: verification residuals empty"
 
 
 def test_cmd_primitive_deterministic_with_seed():

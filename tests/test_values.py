@@ -1,13 +1,24 @@
-"""Value semantics of the generator and table-entry types.
+"""Value semantics of the generator, table-entry and other record types.
 
 Reports, canonical orders, set algebra and table keys rely on these: the
 text forms, ordering by field tuple, hashing by value and immutability.
 """
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rabinowitz import Generator, HigherDifferentialEntry
+from rabinowitz import (
+    BundleParams,
+    CaseTag,
+    Chain,
+    CritPoint,
+    Generator,
+    HigherDifferentialEntry,
+    LevelBound,
+    TheoremCase,
+)
 
 G = Generator
 
@@ -20,12 +31,20 @@ generators = st.builds(
 )
 entries = st.builds(HigherDifferentialEntry, st.integers(1, 4), generators, generators)
 
+# One of each engine record besides generators and entries.
+RECORDS = (
+    CritPoint("q0", 0, Fraction(1, 10)),
+    Chain(3, Fraction(-1), frozenset({G("q0", 0, 0, "+")})),
+    LevelBound(3, Fraction(-1), -2, (-6, -3)),
+    TheoremCase(CaseTag.C_NON_NEGATIVE, True),
+)
+
 
 def fields(value):
-    """The field tuple, nested entries included."""
-    if isinstance(value, HigherDifferentialEntry):
-        return (value.drop, fields(value.source), fields(value.target))
-    return (value.base, value.cover, value.sphere, value.sign)
+    """The field tuple, read by field name, nested records included."""
+    if not hasattr(type(value), "_fields"):
+        return value
+    return tuple(fields(getattr(value, name)) for name in value._fields)
 
 
 def test_text_forms():
@@ -39,6 +58,15 @@ def test_text_forms():
         "target=Generator(base='q2', cover=-3, sphere=2, sign='+'))"
     )
     assert str(e) == "d2 (q0,1,0,-) -> (q2,-3,2,+)"
+    assert repr(RECORDS[1]) == (
+        "Chain(degree=3, floor=Fraction(-1, 1), "
+        "terms=frozenset({Generator(base='q0', cover=0, sphere=0, sign='+')}))"
+    )
+    params = BundleParams(2, Fraction(1, 2), RECORDS[:1], 1, 2)
+    assert repr(params) == (
+        "BundleParams(dim_m=2, tau=Fraction(1, 2), "
+        "morse=(CritPoint(name='q0', index=0, value=Fraction(1, 10)),), nu=1, c=2)"
+    )
 
 
 @settings(max_examples=100, deadline=None)
@@ -76,6 +104,10 @@ def test_fiber_partner_is_an_involution(g):
         (G("q0", 1, 0, "-"), "sign"),
         (HigherDifferentialEntry(1, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")), "drop"),
         (HigherDifferentialEntry(1, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")), "target"),
+        (RECORDS[0], "index"),
+        (RECORDS[1], "terms"),
+        (RECORDS[2], "l_min"),
+        (RECORDS[3], "cz_finiteness_ok"),
     ],
 )
 def test_assignment_raises(value, attr):
@@ -89,7 +121,7 @@ def test_assignment_raises(value, attr):
 @given(ents=st.lists(entries, max_size=8))
 def test_values_are_slotted_tuples(ents):
     # No per-instance dict: a new attribute cannot be attached either.
-    for value in (G("q0", 1, 0, "-"), *ents):
+    for value in (G("q0", 1, 0, "-"), *ents, *RECORDS):
         assert not hasattr(value, "__dict__")
         with pytest.raises(AttributeError):
             value.note = "x"

@@ -1,4 +1,3 @@
-import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -249,7 +248,7 @@ def test_induction_rejects_inconsistent_table(cp1, target, message):
 def test_induction_rejects_terms_below_stop(cp1, monkeypatch):
     real = vanishing.level_floor
     monkeypatch.setattr(
-        vanishing, "level_floor", lambda *args: dataclasses.replace(real(*args), l_min=0)
+        vanishing, "level_floor", lambda *args: real(*args)._replace(l_min=0)
     )
     d = load_table(cp1.bundle, cp1.entries)
     with pytest.raises(InductionError) as info:
