@@ -27,7 +27,6 @@ from .bundle import (
     CritPoint,
     SemiPositivity,
     TheoremCase,
-    ValidationReport,
     is_semi_positive,
     minimal_chern_number,
     theorem_case,
@@ -78,15 +77,13 @@ from .vanishing import (
     NotClosedError,
     PrimitiveResult,
     find_primitive,
-    level_ceiling,
     level_floor,
     verify_primitive,
 )
 
 __all__ = [
     "BundleParams", "CaseTag", "CritPoint", "SemiPositivity", "TheoremCase",
-    "ValidationReport", "is_semi_positive", "minimal_chern_number", "theorem_case",
-    "validate",
+    "is_semi_positive", "minimal_chern_number", "theorem_case", "validate",
     "AddResult", "Chain", "add", "build_chain", "scalar_shift", "serialize_chain",
     "truncate", "zero_chain",
     "FilteredDifferential", "HigherDifferentialEntry", "TableValidationError",
@@ -98,5 +95,5 @@ __all__ = [
     "random_admissible_table", "random_boundary", "random_chain",
     "Scenario", "ScenarioError", "load_scenario", "parse_scenario",
     "ClassReport", "InductionError", "LevelBound", "NotClosedError", "PrimitiveResult",
-    "find_primitive", "level_ceiling", "level_floor", "verify_primitive",
+    "find_primitive", "level_floor", "verify_primitive",
 ]

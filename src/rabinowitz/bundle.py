@@ -164,16 +164,8 @@ class SemiPositivity(NamedTuple):
     reason: str
 
 
-class ValidationReport(NamedTuple):
-    violations: tuple[str, ...]
-
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
-
-def validate(params: BundleParams) -> ValidationReport:
-    """Collect every violated scenario invariant (empty report means admissible)."""
+def validate(params: BundleParams) -> tuple[str, ...]:
+    """Every violated scenario invariant, one line each (empty means admissible)."""
     bad: list[str] = []
     if params.dim_m < 0:
         bad.append(f"dim_M negative: {params.dim_m}")
@@ -196,7 +188,7 @@ def validate(params: BundleParams) -> ValidationReport:
             bad.append(f"Morse index of {cp.name!r} outside [0, {params.dim_m}]: {cp.index}")
         if not 0 < cp.value < 1:
             bad.append(f"critical value of {cp.name!r} not in (0,1): {cp.value}")
-    return ValidationReport(tuple(bad))
+    return tuple(bad)
 
 
 def minimal_chern_number(params: BundleParams) -> int:

@@ -201,15 +201,6 @@ def _class_zero_of_degree(params: BundleParams, twice_mu: int) -> Iterator[Gener
                 yield Generator(cp.name, num // 4, 0, sign)
 
 
-def _class_zero_slice(
-    params: BundleParams, twice_mu: int, action_floor: Fraction, lo: int, hi: int
-) -> tuple[Generator, ...]:
-    """Sphere-class-0 generators of one degree above the floor, levels in [lo, hi]."""
-    above = _above_floor(params, action_floor)
-    gens = _class_zero_of_degree(params, twice_mu)
-    return canonical_sort(params, (g for g in gens if lo <= level(params, g) <= hi and above(g)))
-
-
 def _least_level(params: BundleParams, twice_mu: int, action_floor: Fraction) -> int:
     """Least level a generator of one degree can have above the floor (c >= 0).
 

@@ -2,10 +2,13 @@
 
 Trajectory counts cannot be computed at a desk, so test fixtures sample them:
 candidate entries are the pairs of enumerated generators the per-entry rules
-admit, assembled into units that keep the square of the total differential
-zero, then loaded through the full validator, dropping offenders in canonical
-order until the windowed square check passes.  Everything is a pure function
-of (scenario, seed), which keeps reports byte-reproducible.
+admit, assembled greedily into units with disjoint endpoints, then loaded
+through the full validator.  Disjoint units do not make the square of the
+total differential zero, since a table acts on whole Novikov shift orbits, so
+a load often fails the windowed square check; each failed load then removes
+one entry, as :func:`_load_with_repair` describes, until the table loads.
+Everything is a pure function of (scenario, seed), which keeps reports
+byte-reproducible.
 
 A candidate is one integer code over the window's generators in canonical
 order, so the seeded shuffle permutes plain ints; only the codes the greedy
@@ -45,7 +48,7 @@ from .differentials import (
     apply_total,
     load_table,
 )
-from .generators import Generator, _class_zero_slice, enumerate_generators, sort_key
+from .generators import Generator, enumerate_generators, sort_key
 
 
 @lru_cache(maxsize=128)
@@ -56,17 +59,18 @@ def _pool(
     level_lo: int,
     level_hi: int,
 ) -> tuple[Generator, ...]:
-    """Finite sampling pool for one degree.
+    """Finite sampling pool for one degree: the enumerated window.
 
-    Enumeration does the work unless the level step is 0; then the pool is
-    the sphere-class-0 slice.  Aspherical, that is all there is.  For c = 0,
-    where any level window meeting the feasible range holds infinitely many
-    generators, it is the slice of shift-orbit representatives, which is all a
-    table needs since entries are stored on representatives anyway.
+    When the level step is 0 the window is enumerated on the base's aspherical
+    twin, which is the base itself when aspherical.  For c = 0, where any
+    level window meeting the feasible range holds infinitely many generators,
+    the twin yields the sphere-class-0 shift-orbit representatives, which is
+    all a table needs since entries are stored on representatives anyway; at
+    class 0 the twin has the same levels, gradings and action keys.
     """
-    if params.level_step:
-        return enumerate_generators(params, degree, floor, level_lo, level_hi)
-    return _class_zero_slice(params, degree, floor, level_lo, level_hi)
+    if not params.level_step:
+        params = BundleParams(params.dim_m, params.tau, params.morse)
+    return enumerate_generators(params, degree, floor, level_lo, level_hi)
 
 
 @lru_cache(maxsize=32)
@@ -141,9 +145,10 @@ def random_admissible_table(
 
     The candidate codes are shuffled with ``Random(seed)`` and decoded in that
     order; units are added greedily while their endpoints stay disjoint from
-    earlier ones (so no accidental composites arise).  The result is then
-    passed through the full validator, with a canonical-order repair loop as a
-    safety net.
+    earlier ones.  Disjoint endpoints do not keep shift images of different
+    units apart, so the result often fails the full validator's square
+    check; the repair loop of :func:`_load_with_repair` then removes entries
+    until the table loads.
     """
     rng = random.Random(seed)
     shared, gens = _candidate_entries(params, tuple(degrees), Fraction(floor), level_lo, level_hi)
@@ -173,7 +178,15 @@ def random_admissible_table(
 def _load_with_repair(
     params: BundleParams, entries: list[HigherDifferentialEntry]
 ) -> FilteredDifferential:
-    """Drop entries the error names, canonically last first, until the table loads."""
+    """Load the table, removing one entry per failed load until it loads.
+
+    The entry removed is the canonically last one whose source or target the
+    error names, or else the canonically last entry of the whole table.  The
+    error names generators of the normalized table, whose sources sit at
+    sphere class 0, while ``work`` holds the sampled entries; so an entry off
+    class 0 may match none, and the fallback then removes an entry the error
+    did not name.
+    """
     work = list(entries)
     while True:
         try:

@@ -108,9 +108,9 @@ def parse_scenario(text: str) -> Scenario:
             _read_kv(stripped, lineno, meta_kv, "meta", ("seed",))
             seed = _parse_int("seed", *meta_kv["seed"])
     bundle = _assemble_bundle(bundle_kv, crits)
-    report = validate(bundle)
-    if not report.ok:
-        raise ScenarioError("invalid bundle: " + "; ".join(report.violations))
+    violations = validate(bundle)
+    if violations:
+        raise ScenarioError("invalid bundle: " + "; ".join(violations))
     cycles: dict[str, Chain] = {}
     for name, degree, floor, gens, lineno in raw_cycles:
         if name in cycles:

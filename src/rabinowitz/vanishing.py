@@ -25,7 +25,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from heapq import heapify, heappop, heappush
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 from .bundle import BundleParams, CaseTag, TheoremCase
 from .chains import Chain, serialize_chain, truncate, zero_chain
@@ -36,7 +36,6 @@ from .generators import (
     _least_level,
     _level_above,
     enumerate_generators,
-    level,
 )
 
 
@@ -98,30 +97,6 @@ class PrimitiveResult(NamedTuple):
     @property
     def ok(self) -> bool:
         return self.residual.is_zero
-
-
-def level_ceiling(params: BundleParams, x: Chain) -> int:
-    """Largest level the induction starts from.
-
-    For c = 0 the level range is a priori [-dim_M/2, dim_M/2] and the start is
-    pinned at the top of that range regardless of the chain; otherwise it is
-    the maximal level among the terms.
-    """
-    return _start_level(params, (level(params, g) for g in x.terms))
-
-
-def _start_level(params: BundleParams, levels: Iterable[int]) -> int:
-    """The rule behind :func:`level_ceiling`, given the terms' levels; a chain's
-    levels are read only when the start is not pinned."""
-    case = params.case
-    if case.tag not in (CaseTag.C_NON_NEGATIVE, CaseTag.ASPHERICAL):
-        raise ValueError(f"level ceiling undefined in case {case.tag.value}")
-    if not params.aspherical and params.c == 0:
-        return params.dim_m // 2
-    top = max(levels, default=None)
-    if top is None:
-        raise ValueError("level ceiling of the zero chain is undefined (handle xi = 0 upstream)")
-    return top
 
 
 def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> LevelBound:
@@ -272,7 +247,8 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
         ]
     else:
         pending = _by_level(params, xi.terms)
-        ceiling = _start_level(params, pending)
+        # c = 0 pins the start at the top of the level range [-dim_M/2, dim_M/2].
+        ceiling = params.dim_m // 2 if params.c == 0 else max(pending)
         bounds = (level_floor(params, xi.degree, xi.floor),
                   level_floor(params, xi.degree + 2, xi.floor))
         stop = min(b.l_min for b in bounds)

@@ -60,6 +60,40 @@ def test_benchmark_traced_layers_exist():
         assert fn.__module__ == mod.__name__, f"{module}.{function}"
 
 
+# Names public only because they state a claim of the paper that a test
+# checks, each with that claim.  None is kept for that reason alone today.
+PAPER_CLAIMS: dict[str, str] = {}
+
+
+def test_every_public_name_has_a_reason():
+    # The package docstring's rule: a name stays public if the CLI or engine
+    # needs it, tests/test_acceptance.py imports it, it states a checked claim
+    # of the paper, or the per-layer spec names it as module.name.  Field
+    # stores, keyword arguments and attributes that share a name do not count.
+    engine = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                engine.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                engine.update(alias.name for alias in node.names)
+    acceptance = {
+        alias.name
+        for node in ast.walk(ast.parse((Path(__file__).parent / "test_acceptance.py").read_text()))
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("rabinowitz")
+        for alias in node.names
+    }
+    pattern = re.compile(r"(\w+)\.(\w+)\.\w+")
+    names = (m["name"] for m in json.loads(BENCHMARK.read_text())["per_layer"])
+    spec = {match.groups() for match in map(pattern.fullmatch, names) if match}
+    for name in rabinowitz.__all__:
+        module = getattr(rabinowitz, name).__module__.rpartition(".")[2]
+        reasons = (name in engine, name in acceptance, name in PAPER_CLAIMS, (module, name) in spec)
+        assert any(reasons), f"{module}.{name} is public for no reason"
+
+
 def test_every_lru_cache_is_bounded():
     # A memo without a finite maxsize keeps every key and value for the life
     # of the process.  An unbounded ``cache`` is allowed only on a function

@@ -25,18 +25,16 @@ def mk(dim_m=2, tau=Fraction(1, 2), crits=None, nu=1, c=2, aspherical=False):
 
 
 def test_validate_admissible():
-    assert validate(mk()).ok
+    assert validate(mk()) == ()
 
 
 def test_validate_boundary_value_rejected():
     params = mk(crits=(("q0", 0, 0), ("q2", 2, Fraction(1, 5))))
-    report = validate(params)
-    assert any("not in (0,1)" in v for v in report.violations)
+    assert any("not in (0,1)" in v for v in validate(params))
 
 
 def test_validate_odd_dimension_rejected():
-    report = validate(mk(dim_m=3))
-    assert any("odd" in v for v in report.violations)
+    assert any("odd" in v for v in validate(mk(dim_m=3)))
 
 
 def test_validate_collects_everything():
@@ -47,8 +45,15 @@ def test_validate_collects_everything():
         0,
         None,
     )
-    report = validate(params)
-    assert len(report.violations) >= 5
+    assert len(validate(params)) >= 5
+
+
+@pytest.mark.parametrize("params,violation", [
+    (mk(dim_m=-2), "dim_M negative: -2"),
+    (BundleParams(2, Fraction(1, 2), (), 1, 2), "Morse data empty: at least one critical point required"),
+])
+def test_validate_names_the_violation(params, violation):
+    assert violation in validate(params)
 
 
 @pytest.mark.parametrize(

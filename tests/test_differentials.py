@@ -168,6 +168,16 @@ def test_rule_depth_cutoff(c0_params):
     assert ok == ()
 
 
+@pytest.mark.parametrize("name,entry,violations", [
+    ("cp1", E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "x")),
+     ("malformed: sign must be '+' or '-', got 'x'",)),
+    ("aspherical4", E(2, G("p0", 1, 1, "-"), G("p2", 0, 0, "+")),
+     ("malformed: aspherical scenario forces sphere class 0, got 1",)),
+])
+def test_rule_malformed(name, entry, violations):
+    assert validate_entry(params_of(name), entry) == violations
+
+
 def test_rule_shift_duplicate(cp1_params):
     base = E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+"))
     shifted = E(2, G("q0", 1, 1, "-"), G("q2", 1, 1, "+"))

@@ -57,6 +57,8 @@ def test_cz_fiber_disk_goldens(cp1_params, aspherical4_params):
     assert cz_fiber_disk(aspherical4_params, 3, 0) == 6
     assert cz_fiber_disk(cp1_params, 0, 0) == 0
     assert cz_fiber_disk(cp1_params, 1, 1) == 4
+    with pytest.raises(ValueError, match="forces sphere class 0"):
+        cz_fiber_disk(aspherical4_params, 3, 1)
 
 
 def test_cz_flat_capping_goldens():
@@ -70,6 +72,8 @@ def test_cz_flat_capping_goldens():
         cz_flat_capping(p_c, 1)
     with pytest.raises(ValueError):
         cz_flat_capping(p_b, 0)
+    with pytest.raises(ValueError, match="aspherical base"):
+        cz_flat_capping(BundleParams(2, Fraction(1, 2), crits), 1)
 
 
 def test_grading_goldens(cp1_params):

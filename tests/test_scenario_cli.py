@@ -1,9 +1,14 @@
 import io
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import rabinowitz
 from rabinowitz import Generator, ScenarioError, parse_scenario, vanishing
 from rabinowitz.cli import main
 from rabinowitz.scenario import parse_fraction, parse_generator
@@ -113,6 +118,12 @@ def test_cmd_validate_rejects_bad_table(tmp_path):
     code, out = run_cli("validate", "--scenario", str(bad))
     assert code == 2
     assert "rejected" in out
+    code, out = run_cli("check", "--scenario", str(bad))
+    assert code == 2
+    assert out.splitlines()[-1] == (
+        "FAIL: declared table valid (entry [d4 (q0,0,0,-) -> (q0,1,-1,+)] rejected: "
+        "grading: target grading 3 != source grading 1 - 2)"
+    )
 
 
 def test_cmd_validate_parse_error(tmp_path):
@@ -216,6 +227,18 @@ def test_entry_naming_an_unknown_point_is_malformed(tmp_path):
         "differentials: entry [d1 (q9,0,0,-) -> (q0,0,0,+)] rejected: "
         'malformed: "unknown critical point id \'q9\'"'
     )
+
+
+def test_module_runs_main():
+    # ``python -m rabinowitz.cli`` goes through the module's __main__ guard.
+    path = str(scenario_path("cp1"))
+    src = str(Path(rabinowitz.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run(
+        [sys.executable, "-m", "rabinowitz.cli", "validate", "--scenario", path],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert (done.returncode, done.stdout) == run_cli("validate", "--scenario", path)
 
 
 def test_cmd_validate_missing_file():

@@ -20,11 +20,11 @@ from rabinowitz import (
     action,
     add,
     apply_d0,
+    apply_total,
     build_chain,
     d0_primitive,
     enumerate_generators,
     find_primitive,
-    level_ceiling,
     level_floor,
     load_scenario,
     load_table,
@@ -45,30 +45,28 @@ FLOOR = Fraction(-30)
 # --- level bounds ------------------------------------------------------------
 
 
+def _boundary(params, eta_terms, floor):
+    """The closed chain d(eta) under the fiber-only table, with the table."""
+    d = load_table(params, [])
+    xi, _ = apply_total(d, build_chain(params, eta_terms, floor))
+    return d, xi
+
+
 def test_level_ceiling_c0_clamped(c0_params):
-    x = build_chain(c0_params, [G("q0", 0, 0, "+")], Fraction(-2))
-    assert level_ceiling(c0_params, x) == c0_params.dim_m // 2
-    assert level_ceiling(c0_params, zero_chain(3, Fraction(0))) == 1
+    # The one term sits at level -1; c = 0 pins the start at dim_M/2 anyway.
+    d, xi = _boundary(c0_params, [G("q2", 1, 0, "-")], Fraction(-2))
+    assert xi.terms == {G("q2", 0, 0, "+")}
+    result = find_primitive(d, xi)
+    assert result.ok and result.level_ceiling == c0_params.dim_m // 2 == 1
 
 
 def test_level_ceiling_max_level(cp1_params):
-    x = build_chain(
-        cp1_params, [G("q0", 1, 0, "-"), G("q0", 0, 1, "-")], Fraction(0)
-    )  # levels 1 and 5
-    assert level_ceiling(cp1_params, x) == 5
-    single = build_chain(cp1_params, [G("q0", 1, 0, "-")], Fraction(0))
-    assert level_ceiling(cp1_params, single) == 1
-
-
-def test_level_ceiling_rejects_empty_for_positive_c(cp1_params):
-    with pytest.raises(ValueError):
-        level_ceiling(cp1_params, zero_chain(5, Fraction(0)))
-
-
-def test_level_ceiling_rejects_very_negative(neg2_params):
-    x = build_chain(neg2_params, [G("q0", 0, 0, "+")], Fraction(-2))
-    with pytest.raises(ValueError):
-        level_ceiling(neg2_params, x)
+    d, xi = _boundary(cp1_params, [G("q0", 1, 0, "-"), G("q0", 0, 1, "-")], Fraction(-1))
+    assert xi.terms == {G("q0", 0, 0, "+"), G("q0", -1, 1, "+")}  # levels 1 and 5
+    result = find_primitive(d, xi)
+    assert result.ok and result.level_ceiling == 5
+    d, single = _boundary(cp1_params, [G("q0", 1, 0, "-")], Fraction(-1))
+    assert find_primitive(d, single).level_ceiling == 1
 
 
 def test_level_floor_c0(c0_params):
