@@ -19,7 +19,7 @@ from typing import Iterable, NamedTuple
 from .bundle import BundleParams
 from .generators import (
     Generator,
-    _above_floor,
+    _level_above,
     _require_odd,
     action,
     canonical_sort,
@@ -63,7 +63,7 @@ def build_chain(
     if degree is not None:
         _require_odd(degree)
     floor = Fraction(floor)
-    above = _above_floor(params, floor)
+    level_above = _level_above(params, floor)
     term_set = frozenset(terms)
     for g in term_set:
         validate_generator(params, g)
@@ -72,7 +72,7 @@ def build_chain(
             degree = d
         elif d != degree:
             raise ValueError(f"mixed degrees: term {g} has grading {d}, expected {degree}")
-        if not above(g):
+        if level_above(g) is None:
             raise ValueError(f"term {g} has action {action(params, g)} below the floor {floor}")
     if degree is None:
         raise ValueError("degree required for a chain with no terms")
@@ -85,7 +85,8 @@ def truncate(params: BundleParams, x: Chain, floor: Fraction) -> AddResult:
         raise ValueError(
             f"cannot refine a floor: chain is only exact above {x.floor}, requested {floor}"
         )
-    kept = frozenset(filter(_above_floor(params, floor), x.terms))
+    level_above = _level_above(params, floor)
+    kept = frozenset(g for g in x.terms if level_above(g) is not None)
     dropped = canonical_sort(params, x.terms - kept)
     return AddResult(Chain(x.degree, floor, kept), dropped)
 

@@ -115,7 +115,8 @@ def validate_entry(params: BundleParams, entry: HigherDifferentialEntry) -> tupl
         try:
             validate_generator(params, g)
         except (KeyError, ValueError) as err:
-            bad.append(f"malformed: {err}")
+            # args[0], since str() of a KeyError adds quotes.
+            bad.append(f"malformed: {err.args[0]}")
     if bad:
         return tuple(bad)
     ls, gs, key_s = _invariants(params, entry.source)

@@ -20,8 +20,7 @@ formulas used throughout:
 Comparisons run on integers: :func:`_invariants` reads the point's row of
 integer coefficients cached on :class:`BundleParams` and returns (level,
 twice_mu, L*action), L = ``params.action_denominator``, as three linear forms
-in (cover, sphere); :func:`_level_above` holds the one floor test, and
-:func:`_above_floor` is its predicate form.
+in (cover, sphere); :func:`_level_above` holds the one floor test.
 :func:`enumerate_generators` runs one path for every case: each
 sphere-class-0 generator of the degree starts a slice of fixed degree, and its
 level window and action floor are solved for the sphere class on integers.  The
@@ -99,12 +98,6 @@ def _level_above(params: BundleParams, floor: Fraction) -> Callable[[Generator],
         return lv if key * den >= bar else None
 
     return level_above
-
-
-def _above_floor(params: BundleParams, floor: Fraction) -> Callable[[Generator], bool]:
-    """The predicate ``action(g) >= floor``."""
-    level_above = _level_above(params, floor)
-    return lambda g: level_above(g) is not None
 
 
 def action(params: BundleParams, g: Generator) -> Fraction:

@@ -48,7 +48,6 @@ class ScenarioError(ValueError):
     def __init__(self, message: str, line: int | None = None):
         where = f"line {line}: " if line is not None else ""
         super().__init__(where + message)
-        self.line = line
 
 
 class Scenario(NamedTuple):
@@ -118,7 +117,8 @@ def parse_scenario(text: str) -> Scenario:
         try:
             cycles[name] = build_chain(bundle, gens, floor, degree)
         except (ValueError, KeyError) as err:
-            raise ScenarioError(f"cycle {name!r}: {err}", lineno) from None
+            # args[0], since str() of a KeyError adds quotes.
+            raise ScenarioError(f"cycle {name!r}: {err.args[0]}", lineno) from None
     return Scenario(bundle, tuple(entries), cycles, seed)
 
 

@@ -11,9 +11,10 @@ checked against exhaustive enumeration; each bound is certified once per
 (bundle, degree, floor) in a process.
 
 In the very-negative regime (2*c*nu <= -dim_M) the differential preserves
-sphere classes, so the cycle splits into finitely supported class components
-and the same induction runs independently per class; the run then also reports
-the class-wise term counts and the action-gap certificate with the uniform
+sphere classes, so each class component of the cycle is finitely supported
+and the cycle's highest class gives the run a finite stop.  The one induction
+is then reported per class: theta parts labelled by class and level, and per
+class the term counts and the action-gap certificate with the uniform
 constant C = tau/2 * dim_M + max f - min f.
 
 Every run re-verifies its own output: the residual d(theta) + xi, truncated at
@@ -78,8 +79,8 @@ class ClassReport(NamedTuple):
     sphere: int
     cycle_terms: int
     theta_terms: int
-    max_gap: Fraction | None     # max over theta terms of the distance to the
-    gap_ok: bool                 # nearest cycle term in the same class
+    max_gap: Fraction | None     # max over the class's theta terms of the distance to
+    gap_ok: bool                 # the nearest cycle term of the class; None if no theta term
 
 
 class PrimitiveResult(NamedTuple):
@@ -152,7 +153,8 @@ def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> Verify
 def _descend(
     d: FilteredDifferential, pending: dict[int, set[Generator]], floor: Fraction, stop: int
 ) -> list[tuple[int, frozenset[Generator]]]:
-    """Shared level induction: theta parts for a chain, highest level first.
+    """The level induction, run once per cycle in every case: theta parts,
+    highest level first.
 
     ``pending`` is the chain's terms in level buckets (:func:`_by_level`),
     and the induction consumes it as its remainder.  Only levels that hold
@@ -163,8 +165,10 @@ def _descend(
     d(theta_l) + r_l from the one kernel ``_raw_step`` is theta_l's table
     image; its terms above ``floor`` are folded into the buckets, and one
     still at level >= l is refused.  A nonzero correction below ``stop``
-    breaks the certified bound.  Theta parts are bare sets until
-    :func:`find_primitive` wraps them in chains.
+    breaks the bound :func:`find_primitive` certified for the case.  In the
+    very-negative regime a part may hold terms of several sphere classes that
+    share its level.  Theta parts are bare sets until :func:`find_primitive`
+    wraps them in chains.
     """
     params = d.params
     level_above = _level_above(params, floor)
@@ -210,8 +214,11 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
 
     Rejects scenarios outside the supported cases, non-closed cycles (the
     differential image travels with the error), and c >= 1 scenarios with
-    (c-1)*tau >= 1 where the level bounds are unavailable.  In the
-    very-negative regime the induction runs independently per sphere class.
+    (c-1)*tau >= 1 where the level bounds are unavailable.  Every case runs
+    one :func:`_descend` over the cycle's level buckets down to a finite stop:
+    the certified level bound, or in the very-negative regime the least level
+    of the cycle's highest sphere class.  A very-negative result reports that
+    run per class, with no level ceiling, stop level or bounds.
     """
     params = d.params
     case = params.case
@@ -232,59 +239,47 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
             (),
         )
 
-    ceiling = stop = gap_bound = None
-    bounds: tuple[LevelBound, ...] = ()
-    if case.tag is CaseTag.C_VERY_NEGATIVE:
-        half = params.dim_m // 2
-        gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value
-        by_class: dict[int, set[Generator]] = {}
-        for g in xi.terms:
-            by_class.setdefault(g.sphere, set()).add(g)
-        # Each class stops at the least level any generator of that class has.
-        components = [
-            (a, by_class[a], _by_level(params, by_class[a]), params.level_step * a - half)
-            for a in sorted(by_class)
-        ]
+    pending = _by_level(params, xi.terms)
+    very_negative = case.tag is CaseTag.C_VERY_NEGATIVE
+    if very_negative:
+        # The differential keeps sphere classes, so the run ends at the least
+        # level of the cycle's highest class, its lowest in level.
+        stop = params.level_step * max(g.sphere for g in xi.terms) - params.dim_m // 2
     else:
-        pending = _by_level(params, xi.terms)
         # c = 0 pins the start at the top of the level range [-dim_M/2, dim_M/2].
         ceiling = params.dim_m // 2 if params.c == 0 else max(pending)
         bounds = (level_floor(params, xi.degree, xi.floor),
                   level_floor(params, xi.degree + 2, xi.floor))
         stop = min(b.l_min for b in bounds)
-        components = [(None, xi.terms, pending, stop)]
 
-    theta_terms: set[Generator] = set()
-    labelled: list[tuple[str, Chain]] = []
-    reports: list[ClassReport] = []
-    for a, part, part_pending, part_stop in components:
-        theta_parts = _descend(d, part_pending, xi.floor, part_stop)
-        prefix = "" if a is None else f"class={a},"
-        part_theta: set[Generator] = set()
-        for l, th in theta_parts:
-            part_theta ^= th
-            labelled.append((f"{prefix}level={l}", Chain(xi.degree + 2, theta_floor, th)))
-        theta_terms ^= part_theta
-        if a is not None:
-            # Gaps compare L*action keys; only the largest becomes a Fraction.
-            xi_keys = [_invariants(params, g)[2] for g in part]
-            gaps = [min(abs(_invariants(params, g)[2] - k) for k in xi_keys) for g in part_theta]
-            max_gap = Fraction(max(gaps), params.action_denominator) if gaps else None
-            reports.append(ClassReport(
-                a, len(part), len(part_theta), max_gap,
-                max_gap is None or max_gap <= gap_bound,
-            ))
-    theta = Chain(xi.degree + 2, theta_floor, frozenset(theta_terms))
+    theta_parts = _descend(d, pending, xi.floor, stop)
+    # Each part sits at its own level, so theta is their disjoint union.
+    theta = Chain(xi.degree + 2, theta_floor, frozenset().union(*(th for _, th in theta_parts)))
     residual, dropped = verify_primitive(d, xi, theta)
-    return PrimitiveResult(
-        case,
-        theta,
-        tuple(labelled),
-        residual,
-        dropped,
-        level_ceiling=ceiling,
-        stop_level=stop,
-        bounds=bounds,
-        gap_constant=gap_bound,
-        class_reports=tuple(reports),
-    )
+    if not very_negative:
+        labelled = [(f"level={l}", Chain(theta.degree, theta_floor, th)) for l, th in theta_parts]
+        return PrimitiveResult(case, theta, tuple(labelled), residual, dropped,
+                               level_ceiling=ceiling, stop_level=stop, bounds=bounds)
+
+    # The same run, reported per sphere class.
+    split: dict[tuple[int, int], set[Generator]] = {}
+    for l, th in theta_parts:
+        for g in th:
+            split.setdefault((g.sphere, l), set()).add(g)
+    labelled = [
+        (f"class={a},level={l}", Chain(theta.degree, theta_floor, frozenset(split[a, l])))
+        for a, l in sorted(split, key=lambda al: (al[0], -al[1]))  # class-major
+    ]
+    gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value
+    reports = []
+    for a in sorted({g.sphere for g in xi.terms}):
+        # Gaps compare L*action keys; only the largest becomes a Fraction.
+        xi_keys = [_invariants(params, g)[2] for g in xi.terms if g.sphere == a]
+        gaps = [min(abs(_invariants(params, g)[2] - k) for k in xi_keys)
+                for g in theta.terms if g.sphere == a]
+        max_gap = Fraction(max(gaps), params.action_denominator) if gaps else None
+        reports.append(ClassReport(
+            a, len(xi_keys), len(gaps), max_gap, max_gap is None or max_gap <= gap_bound,
+        ))
+    return PrimitiveResult(case, theta, tuple(labelled), residual, dropped,
+                           gap_constant=gap_bound, class_reports=tuple(reports))

@@ -166,6 +166,10 @@ def test_cmd_validate_parse_error(tmp_path):
             MINIMAL + "[cycles]\ncycle x degree 3 floor -1 (q0,0,0,+) junk\n",
             "line 11: unparsed text in cycle terms: '(q0,0,0,+) junk'",
         ),
+        (
+            MINIMAL + "[cycles]\ncycle bad degree 3 floor -1 (q9,0,0,+)\n",
+            "line 11: cycle 'bad': unknown critical point id 'q9'",
+        ),
         # The one parse error without a line: the key is absent from the file.
         (MINIMAL.replace("tau = 1/2\n", ""), "missing bundle key 'tau'"),
         (
@@ -222,10 +226,10 @@ def test_entry_naming_an_unknown_point_is_malformed(tmp_path):
     path.write_text(MINIMAL + "[differentials]\nentry 1 (q9,0,0,-) -> (q0,0,0,+)\n")
     code, out = run_cli("validate", "--scenario", str(path))
     assert code == 2
-    # The KeyError's text keeps its own quotes.
+    # The KeyError's message, without the quotes str() would add.
     assert out.splitlines()[-1] == (
         "differentials: entry [d1 (q9,0,0,-) -> (q0,0,0,+)] rejected: "
-        'malformed: "unknown critical point id \'q9\'"'
+        "malformed: unknown critical point id 'q9'"
     )
 
 

@@ -11,6 +11,7 @@ from conftest import (
 )
 from rabinowitz import (
     CaseTag,
+    ClassReport,
     Chain,
     FilteredDifferential,
     Generator,
@@ -461,6 +462,66 @@ def test_class_preservation_keeps_runs_independent(neg4_params):
     result_shifted = find_primitive(d, shifted)
     assert result_shifted.ok
     assert result_shifted.theta == scalar_shift(neg4_params, result.theta, 2)
+
+
+def test_multi_class_result_is_pinned(neg4_params):
+    # Four classes in one cycle; classes 0 and 1 share level -2, and the
+    # labels stay class-major with levels descending within each class.
+    d = random_admissible_table(neg4_params, 0, (5, 7, 9), FLOOR, -12, 12)
+    xi, _ = random_boundary(neg4_params, d, 0, 5, FLOOR, -12, 12, size=6)
+    assert sorted(map(str, xi.terms)) == [
+        "(r0,-6,-2,+)", "(r0,0,0,+)", "(r0,3,1,+)", "(r4,5,1,+)", "(r4,8,2,+)",
+    ]
+    result = find_primitive(d, xi)
+    assert result.ok and not result.dropped
+    assert [(label, sorted(map(str, part.terms))) for label, part in result.theta_parts] == [
+        ("class=-2,level=10", ["(r0,-5,-2,-)"]),
+        ("class=-2,level=6", ["(r4,-3,-2,-)"]),
+        ("class=0,level=2", ["(r0,1,0,-)"]),
+        ("class=0,level=-2", ["(r4,3,0,-)"]),
+        ("class=1,level=-2", ["(r0,4,1,-)"]),
+        ("class=2,level=-10", ["(r4,9,2,-)"]),
+    ]
+    assert {(part.degree, part.floor) for _, part in result.theta_parts} == {(7, Fraction(-59, 2))}
+    assert result.class_reports == (
+        ClassReport(-2, 1, 2, Fraction(3, 4), True),
+        ClassReport(0, 1, 2, Fraction(3, 4), True),
+        ClassReport(1, 2, 1, Fraction(1, 4), True),
+        ClassReport(2, 1, 1, Fraction(1, 2), True),
+    )
+    assert result.gap_constant == Fraction(3, 2)
+    assert (result.level_ceiling, result.stop_level, result.bounds) == (None, None, ())
+
+
+def test_class_gap_is_measured_within_the_class():
+    # With tau = 3, class -3's theta term lies 9/5 in action from class -2's
+    # cycle term but 3 from its own class's one: the gap stays in the class.
+    params = BundleParams(
+        4, Fraction(3), (CritPoint("p0", 0, Fraction(1, 20)), CritPoint("p1", 4, Fraction(1, 4))), 1, -2
+    )
+    d, xi = _boundary(params, [G("p0", -6, -2, "-"), G("p1", -7, -3, "-")], FLOOR)
+    assert xi.terms == {G("p0", -7, -2, "+"), G("p1", -8, -3, "+")}
+    assert action(params, G("p1", -7, -3, "-")) - action(params, G("p0", -7, -2, "+")) == Fraction(-9, 5)
+    result = find_primitive(d, xi)
+    assert result.ok and result.case.tag is CaseTag.C_VERY_NEGATIVE
+    assert result.class_reports == (
+        ClassReport(-3, 1, 1, Fraction(3), True),
+        ClassReport(-2, 1, 1, Fraction(3), True),
+    )
+
+
+def test_class_changing_table_ends_in_an_error(neg2_params):
+    # Built directly, so the table is never validated: its entry moves a
+    # term from class 0 to class 1, and the stop of the cycle's classes
+    # ends the run instead of a descent without end.
+    entry = HigherDifferentialEntry(2, G("q0", 1, 0, "-"), G("q0", 0, 1, "+"))
+    d = FilteredDifferential(neg2_params, (entry,))
+    xi = build_chain(neg2_params, [G("q0", 0, 0, "+")], Fraction(-100))
+    with pytest.raises(InductionError) as info:
+        find_primitive(d, xi)
+    assert str(info.value) == (
+        "correction terms survived below the certified stop level -1: levels [-3]"
+    )
 
 
 def test_class_slice_size_documented(neg2_params):
