@@ -46,10 +46,11 @@ class BundleParams(_BundleFields):
     ``nu * Z`` on spheres, and the first Chern class of the base equals
     ``c * omega`` on spheres) and are both ``None`` for aspherical ones.  The
     C^2-smallness of the Morse function is an unchecked modelling assumption;
-    no quantitative bound is available, so none is validated.  The per-point
-    constants, their coefficient rows, the case and the case's rules (level
-    step, refusal, depth cutoff) are cached, not fields, so equality, hashing
-    and repr ignore them; the hash of the fields is cached too.  The fields
+    no quantitative bound is available, so none is validated.  The action
+    denominator L, L*tau, the per-point constants and their coefficient rows,
+    the extreme critical values, the case and the case's rules (level step,
+    refusal, depth cutoff) are cached, not fields, so equality, hashing and
+    repr ignore them; the hash of the fields is cached too.  The fields
     live on a named-tuple base; this subclass keeps a ``__dict__`` for the
     caches.
     """
@@ -87,11 +88,6 @@ class BundleParams(_BundleFields):
     def tau_key(self) -> int:
         """L*tau: the action key gained per cover."""
         return self.action_denominator // self.tau.denominator * self.tau.numerator
-
-    @cached_property
-    def min_key(self) -> int:
-        """L*(tau+1)*min f over the critical points, an integer."""
-        return int((self.tau + 1) * self.action_denominator * self.min_value)
 
     @cached_property
     def level_step(self) -> int:

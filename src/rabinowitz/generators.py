@@ -23,9 +23,10 @@ twice_mu, L*action), L = ``params.action_denominator``, as three linear forms
 in (cover, sphere); :func:`_level_above` holds the one floor test.
 :func:`enumerate_generators` runs one path for every case: each
 sphere-class-0 generator of the degree starts a slice of fixed degree, and its
-level window and action floor are solved for the sphere class on integers.  The
-case enters only through ``params.level_step`` (2*c*nu, 0 when aspherical) and
-the single sphere class of an aspherical base.
+level window and action floor are solved for the sphere class on integers; a
+missing end of the window is no constraint.  The case enters only through
+``params.level_step`` (2*c*nu, 0 when aspherical) and the single sphere class
+of an aspherical base.
 :func:`action` still returns the exact ``Fraction``, built only where a report
 prints an action or an error message quotes one.  A :class:`Generator` is a
 named tuple, so building, hashing and ordering one is tuple work.
@@ -33,6 +34,7 @@ named tuple, so building, hashing and ordering one is tuple work.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from math import inf
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -154,6 +156,10 @@ def canonical_sort(params: BundleParams, gens: Iterable[Generator]) -> tuple[Gen
     return tuple(sorted(gens, key=lambda g: sort_key(params, g)))
 
 
+def _uncontrolled(params: BundleParams) -> str:
+    return f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: action no longer controls the sphere class"
+
+
 def sphere_class_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> int:
     """Least sphere class a generator of the given degree can have above the floor.
 
@@ -162,22 +168,15 @@ def sphere_class_floor(params: BundleParams, twice_mu: int, action_floor: Fracti
     ``e = morse_index - dim_M/2 -+ 1/2``; minimizing the right-hand side over
     ``|e| <= dim_M/2 + 1/2`` and over critical values yields a bound valid for
     every generator.  Requires ``(c - 1) * tau < 1`` so the divisor is positive
-    (automatic for c <= 1).  The ceiling is taken on integers: both sides are
-    scaled by 4*L*q for the floor p/q, with L*tau = ``params.tau_key``.
+    (automatic for c <= 1).
     """
     if params.aspherical:
         raise ValueError("sphere classes are trivial in aspherical scenarios")
-    scale, k_n = params.action_denominator, params.tau_key
-    slope = scale - (params.c - 1) * k_n  # L * (1 - (c-1)*tau)
-    if slope <= 0:
-        raise ValueError(
-            f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: "
-            "action no longer controls the sphere class"
-        )
-    p, q = action_floor.numerator, action_floor.denominator
-    # (mu + e_max)/2 * tau with doubled mu is (twice_mu + dim_M + 1) * k_n / 4L
-    num = 4 * scale * p - q * ((twice_mu + params.dim_m + 1) * k_n - 4 * params.min_key)
-    return -(-num // (4 * q * params.nu * slope))  # ceil
+    per_class = (1 - (params.c - 1) * params.tau) * params.nu
+    if per_class <= 0:
+        raise ValueError(_uncontrolled(params))
+    peak = Fraction(twice_mu + params.dim_m + 1, 4) * params.tau
+    return math.ceil((action_floor - peak + (params.tau + 1) * params.min_value) / per_class)
 
 
 def _require_odd(twice_mu: int) -> None:
@@ -216,35 +215,17 @@ def enumerate_generators(
     Each sphere-class-0 generator of the degree starts one slice n = n0 +
     (1-c)*nu*a along which the degree is fixed and level and L*action are
     linear in the sphere class a; the level window and the action floor are
-    solved for a exactly on integers.  Missing window ends are derived where
-    the case permits: levels lie in [-dim_M/2, dim_M/2] when the level step
-    2*c*nu is 0 (aspherical, c = 0), and the end on the floor's side follows
-    from :func:`sphere_class_floor` otherwise.  A window that provably holds
-    infinitely many generators raises :class:`InfiniteSliceError`: the other
-    end is missing, or c = 0 and a critical point sits in the window.  The
-    result is in canonical order: level desc, action desc, base id, cover, sign.
+    solved for a exactly on integers.  A missing end of the window is no
+    constraint.  A slice that holds infinitely many generators raises
+    :class:`InfiniteSliceError`: one unbounded above in the sphere class
+    names the window end its case misses (the upper for c >= 1, the lower for
+    c <= -1, any for c = 0), and one unbounded below only names
+    (c-1)*tau >= 1.  The result is in canonical order: level desc, action
+    desc, base id, cover, sign.
     """
     _require_odd(twice_mu)
     action_floor = Fraction(action_floor)
-    step, half = params.level_step, params.dim_m // 2
-    if step > 0 and level_hi is None:
-        raise InfiniteSliceError(
-            "infinite slice: no upper level bound and c >= 1 "
-            "(sphere class unbounded above at any action floor)"
-        )
-    if step < 0 and level_lo is None:
-        raise InfiniteSliceError(
-            "infinite slice: no lower level bound and c <= -1 "
-            "(sphere class unbounded above at any action floor)"
-        )
-    if level_lo is None:
-        try:
-            level_lo = _least_level(params, twice_mu, action_floor)
-        except ValueError as err:
-            raise InfiniteSliceError(f"infinite slice: {err}") from None
-    if level_hi is None:  # step < 0: levels fall as the floor-bounded class rises
-        level_hi = (half + step * sphere_class_floor(params, twice_mu, action_floor)
-                    if step else half)
+    step = params.level_step
     bar, den = action_floor.numerator * params.action_denominator, action_floor.denominator
     if params.aspherical:
         classes, cover_step, slope = (0, 0), 0, 0
@@ -255,8 +236,11 @@ def enumerate_generators(
     for g0 in _class_zero_of_degree(params, twice_mu):
         lv0, _, key0 = _invariants(params, g0)
         a_lo, a_hi = classes
-        # The classes a with coef*a >= rhs: level >= lo, level <= hi, action >= floor.
-        bounds = ((step, level_lo - lv0), (-step, lv0 - level_hi), (slope, bar - key0 * den))
+        # The classes a with coef*a >= rhs: action >= floor, level >= lo, level <= hi;
+        # a missing end is 0*a >= 0, no constraint.
+        bounds = ((slope, bar - key0 * den),
+                  (0, 0) if level_lo is None else (step, level_lo - lv0),
+                  (0, 0) if level_hi is None else (-step, lv0 - level_hi))
         for coef, rhs in bounds:
             if coef > 0:
                 a_lo = max(a_lo, -(-rhs // coef))
@@ -266,11 +250,15 @@ def enumerate_generators(
                 a_lo, a_hi = inf, -inf  # no class at all
         if a_lo > a_hi:
             continue
-        if a_hi - a_lo == inf:  # level step 0, so c = 0 with the point in the window
-            raise InfiniteSliceError(
-                "infinite slice: c = 0 leaves the sphere class "
-                f"unconstrained for critical point {g0.base!r}"
-            )
+        if a_hi == inf:  # the case's window end is missing, or c = 0 keeps the level
+            if not step:
+                raise InfiniteSliceError(
+                    f"infinite slice: c = 0 leaves the sphere class unconstrained for critical point {g0.base!r}"
+                )
+            end = "no upper level bound and c >= 1" if step > 0 else "no lower level bound and c <= -1"
+            raise InfiniteSliceError(f"infinite slice: {end} (sphere class unbounded above at any action floor)")
+        if a_lo == -inf:
+            raise InfiniteSliceError(f"infinite slice: {_uncontrolled(params)}")
         found += [Generator(g0.base, g0.cover + cover_step * a, a, g0.sign)
                   for a in range(a_lo, a_hi + 1)]
     return canonical_sort(params, found)

@@ -103,18 +103,14 @@ class PrimitiveResult(NamedTuple):
 def level_floor(params: BundleParams, twice_mu: int, action_floor: Fraction) -> LevelBound:
     """Certified lower level bound for one degree above an action floor.
 
-    The refusals are checked on every call.  The bound itself is certified
-    once per (bundle, degree, floor) in a process and then shared, which is
-    safe because a :class:`LevelBound` is an immutable named tuple.
+    The case refusal is checked here; (c-1)*tau >= 1 is refused by
+    :func:`sphere_class_floor` inside the memo, which caches no exception.  So
+    both fire on every call, before any enumeration.  The bound itself is
+    certified once per (bundle, degree, floor) in a process and then shared,
+    which is safe because a :class:`LevelBound` is an immutable named tuple.
     """
-    case = params.case
-    if case.tag not in (CaseTag.ASPHERICAL, CaseTag.C_NON_NEGATIVE):
-        raise ValueError(f"level floor undefined in case {case.tag.value}")
-    if case.cz_finiteness_ok is False:
-        raise ValueError(
-            f"(c-1)*tau = {(params.c - 1) * params.tau} >= 1: "
-            "the action floor does not bound levels in this scenario"
-        )
+    if params.case.tag not in (CaseTag.ASPHERICAL, CaseTag.C_NON_NEGATIVE):
+        raise ValueError(f"level floor undefined in case {params.case.tag.value}")
     return _certified_bound(params, twice_mu, action_floor.numerator, action_floor.denominator)
 
 
@@ -218,7 +214,8 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     one :func:`_descend` over the cycle's level buckets down to a finite stop:
     the certified level bound, or in the very-negative regime the least level
     of the cycle's highest sphere class.  A very-negative result reports that
-    run per class, with no level ceiling, stop level or bounds.
+    run per class, with no level ceiling, stop level or bounds; a theta term in
+    a class the cycle lacks has no report and raises :class:`InductionError`.
     """
     params = d.params
     case = params.case
@@ -266,13 +263,17 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     for l, th in theta_parts:
         for g in th:
             split.setdefault((g.sphere, l), set()).add(g)
+    classes = {g.sphere for g in xi.terms}
+    stray = sorted({a for a, _ in split} - classes)
+    if stray:  # only a table that moves terms between classes gets here
+        raise InductionError(f"theta has terms in sphere classes the cycle lacks: {stray}")
     labelled = [
         (f"class={a},level={l}", Chain(theta.degree, theta_floor, frozenset(split[a, l])))
         for a, l in sorted(split, key=lambda al: (al[0], -al[1]))  # class-major
     ]
     gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value
     reports = []
-    for a in sorted({g.sphere for g in xi.terms}):
+    for a in sorted(classes):
         # Gaps compare L*action keys; only the largest becomes a Fraction.
         xi_keys = [_invariants(params, g)[2] for g in xi.terms if g.sphere == a]
         gaps = [min(abs(_invariants(params, g)[2] - k) for k in xi_keys)

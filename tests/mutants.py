@@ -78,6 +78,44 @@ MUTANTS = [
         'raise InductionError(f"higher differential failed to drop the level at {l}")',
         "continue",
     ),
+    (
+        "the zero-slope branch of enumerate_generators removed: a coefficient-0 bound never empties a slice",
+        "generators.py",
+        "            elif rhs > 0:\n                a_lo, a_hi = inf, -inf  # no class at all\n",
+        "",
+    ),
+    (
+        "the two infinity checks of enumerate_generators swapped",
+        "generators.py",
+        "        if a_hi == inf:  # the case's window end is missing, or c = 0 keeps the level\n",
+        "        if a_lo == -inf:\n"
+        '            raise InfiniteSliceError(f"infinite slice: {_uncontrolled(params)}")\n'
+        "        if a_hi == inf:\n",
+    ),
+    (
+        "a strict floor test in _level_above",
+        "generators.py",
+        "return lv if key * den >= bar else None",
+        "return lv if key * den > bar else None",
+    ),
+    (
+        "a depth cutoff of dim_M + 1",
+        "bundle.py",
+        "return self.dim_m if self.c == 0 else None",
+        "return self.dim_m + 1 if self.c == 0 else None",
+    ),
+    (
+        "candidate codes left unsorted",
+        "randomized.py",
+        "    codes.sort()\n",
+        "",
+    ),
+    (
+        "sphere_class_floor one class too high",
+        "generators.py",
+        "return math.ceil((action_floor - peak + (params.tau + 1) * params.min_value) / per_class)",
+        "return math.ceil((action_floor - peak + (params.tau + 1) * params.min_value) / per_class) + 1",
+    ),
 ]
 
 

@@ -240,12 +240,36 @@ NO_LOWER = "infinite slice: no lower level bound and c <= -1 (sphere class unbou
     ("c0", 3, None, None, "infinite slice: c = 0 leaves the sphere class unconstrained for critical point 'q0'"),
 ])
 def test_enumerate_refusal_texts_and_order(name, twice_mu, lo, hi, text):
-    # Each infinite slice is refused with its own text; with both ends
-    # missing, the end the case cannot derive is named first.
+    # Each infinite slice is refused with its own text; a slice unbounded
+    # both ways names the window end of its case, not (c-1)*tau >= 1.
+    # TILTED's action is -2/3 on its whole slice, so its rows sit at floor -1,
+    # which keeps the slice.
     params = TILTED if name == "tilted" else params_of(name)
+    floor = Fraction(-1) if name == "tilted" else Fraction(0)
     with pytest.raises(InfiniteSliceError) as err:
-        enumerate_generators(params, twice_mu, Fraction(0), lo, hi)
+        enumerate_generators(params, twice_mu, floor, lo, hi)
     assert str(err.value) == text
+
+
+@pytest.mark.parametrize("lo, hi", [(None, 4), (None, None), (-4, None)])
+def test_enumerate_slice_below_the_floor_is_empty_at_any_window(lo, hi):
+    # At floor 0 the action floor drops TILTED's whole slice, so no window
+    # end is needed for a finite answer.
+    assert enumerate_generators(TILTED, 3, Fraction(0), lo, hi) == ()
+
+
+# c = 3, tau = 1: (c-1)*tau = 2, so the action falls as the sphere class
+# rises and the floor bounds the class above; the lower level end bounds it below.
+STEEP = BundleParams(2, Fraction(1), (CritPoint("p", 0, Fraction(1, 3)), CritPoint("r", 2, Fraction(1, 2))), 1, 3)
+
+
+def test_enumerate_lower_end_suffices_when_the_floor_bounds_the_class_above():
+    got = enumerate_generators(STEEP, 3, Fraction(0), -10, None)
+    assert " ".join(map(str, got)) == "(r,1,0,+) (p,2,-1,+) (r,3,-1,+)"
+    assert list(got) == ck.enumerate_slice(ck_base(STEEP), 3, Fraction(0), -10, 100)
+    with pytest.raises(InfiniteSliceError) as err:
+        enumerate_generators(STEEP, 3, Fraction(0), None, 10)
+    assert str(err.value) == "infinite slice: (c-1)*tau = 2 >= 1: action no longer controls the sphere class"
 
 
 def test_enumerate_aspherical_default_window_is_the_level_range(aspherical4_params):
@@ -256,11 +280,12 @@ def test_enumerate_aspherical_default_window_is_the_level_range(aspherical4_para
 
 
 def test_enumerate_derives_bound_from_action(cp1_params, neg2_params):
-    # c >= 1: lower level bound follows from the action floor
+    # A missing end is no constraint: the action floor bounds the sphere class.
+    # c >= 1: no generator lies below the lower level end the floor implies
     derived = enumerate_generators(cp1_params, 5, Fraction(0), None, 10)
     explicit = enumerate_generators(cp1_params, 5, Fraction(0), -30, 10)
     assert derived == explicit
-    # c <= -1: upper level bound follows from the action floor
+    # c <= -1: nor above the upper one
     derived = enumerate_generators(neg2_params, 3, Fraction(0), -10, None)
     explicit = enumerate_generators(neg2_params, 3, Fraction(0), -10, 30)
     assert derived == explicit
@@ -365,6 +390,36 @@ def test_enumerate_matches_level_walk(params, twice_mu, floor, lo, width):
     assert list(got) == ck.enumerate_slice(ck_base(params), twice_mu, floor, lo, lo + width)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    params=integer_key_params(c_values=(-3, -2, -1, 1, 2, 3)),
+    twice_mu=st.integers(-6, 6).map(lambda k: 2 * k + 1),
+    floor=floors(),
+    end=st.integers(-15, 15),
+    upper=st.booleans(),
+)
+def test_one_sided_window_matches_the_checker_at_two_far_ends(params, twice_mu, floor, end, upper):
+    # A missing end is no constraint.  A returned slice is finite, so the
+    # checker's window may end anywhere beyond it; a refused one is infinite,
+    # so once the far end reaches the slice, pushing it out finds more
+    # generators.  Bases with (c-1)*tau >= 1 are drawn too: there the floor
+    # bounds the class above.
+    def checker(far):
+        window = (-far, end) if upper else (end, far)
+        return ck.enumerate_slice(ck_base(params), twice_mu, floor, *window)
+
+    try:
+        got = enumerate_generators(params, twice_mu, floor, *((None, end) if upper else (end, None)))
+    except InfiniteSliceError:
+        far = 64
+        while not checker(far) and far < 2**14:  # the drawn floors and slopes start every slice below 2**14
+            far *= 2
+        assert 0 < len(checker(far)) < len(checker(2 * far))
+        return
+    far = 64 + 2 * max([abs(end)] + [abs(level(params, g)) for g in got])
+    assert list(got) == checker(far) == checker(2 * far)
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     params=integer_key_params(),
@@ -384,6 +439,8 @@ def test_sphere_class_floor_matches_exact_rationals(params, twice_mu, floor):
     else:
         got = sphere_class_floor(params, twice_mu, floor)
         assert got == fraction_sphere_class_floor(params, twice_mu, floor)
+        if params.c:  # no generator above the floor lies below the bound
+            assert all(g[2] >= got for g in ck.enumerate_slice(ck_base(params), twice_mu, floor, -40, 40))
 
 
 @pytest.mark.parametrize("name", ["c0", "c1", "cp1", "neg2", "neg4"])

@@ -314,6 +314,32 @@ def test_cmd_enumerate_infinite_slice_rejected():
     assert "infinite slice" in out
 
 
+ENUM_HEADER = "generator | action | twice_mu | level | eta\n"
+NO_UPPER = "error: infinite slice: no upper level bound and c >= 1 (sphere class unbounded above at any action floor)\n"
+NO_LOWER = "error: infinite slice: no lower level bound and c <= -1 (sphere class unbounded above at any action floor)\n"
+
+
+@pytest.mark.parametrize("name, code, expected", [
+    ("aspherical4", 0, ENUM_HEADER + (
+        "(p0,0,0,+) | -3/16 | 5 | 2 | -1/8\n"
+        "(p1,1,0,-) | 1/8 | 5 | 1 | 3/4\n"
+        "(p2,1,0,+) | -1/16 | 5 | 0 | 5/8\n"
+        "(p3,2,0,-) | 1/16 | 5 | -1 | 11/8\n"
+        "(p4,2,0,+) | -5/16 | 5 | -2 | 9/8\n"
+    )),
+    ("c0", 2, "error: infinite slice: c = 0 leaves the sphere class unconstrained for critical point 'q0'\n"),
+    ("c1", 2, NO_UPPER),
+    ("cp1", 2, NO_UPPER),
+    ("neg2", 2, NO_LOWER),
+    ("neg4", 2, NO_LOWER),
+])
+def test_cmd_enumerate_without_window(name, code, expected):
+    # No --window: only the aspherical slice is finite, and each spherical
+    # case is refused with its own text.
+    got = run_cli("enumerate", "--scenario", str(scenario_path(name)), "--degree", "5", "--floor=-3/2")
+    assert got == (code, expected)
+
+
 def test_cmd_diff_golden():
     code, out = run_cli(
         "diff", "--scenario", str(scenario_path("cp1")), "--cycle", "notclosed"

@@ -112,11 +112,14 @@ def test_level_floor_randomized_scenarios():
         assert enumerate_generators(params, degree, floor, *window) == ()
 
 
+TILT_TEXT = r"^\(c-1\)\*tau = 2 >= 1: action no longer controls the sphere class$"
+
+
 def test_level_floor_rejects_large_c_tau():
     params = BundleParams(
         2, Fraction(2), (CritPoint("p", 0, Fraction(1, 3)),), 1, 2
     )
-    with pytest.raises(ValueError, match="action floor does not bound"):
+    with pytest.raises(ValueError, match=TILT_TEXT):
         level_floor(params, 3, Fraction(0))
 
 
@@ -164,7 +167,7 @@ def test_level_floor_refuses_on_every_call(neg2_params, enumerations):
     for _ in range(3):
         with pytest.raises(ValueError, match="level floor undefined in case c-very-negative"):
             level_floor(neg2_params, 3, Fraction(0))
-        with pytest.raises(ValueError, match="action floor does not bound"):
+        with pytest.raises(ValueError, match=TILT_TEXT):
             level_floor(large, 3, Fraction(0))
     assert enumerations == []
 
@@ -522,6 +525,18 @@ def test_class_changing_table_ends_in_an_error(neg2_params):
     assert str(info.value) == (
         "correction terms survived below the certified stop level -1: levels [-3]"
     )
+
+
+def test_class_the_cycle_lacks_ends_in_an_error(neg2_params):
+    # Built directly, so the table is never validated: its entry sends the
+    # class-0 theta term into class 1 at a level the run still visits, so
+    # theta gains a class with no cycle terms to report on.
+    entry = HigherDifferentialEntry(2, G("q0", 1, 0, "-"), G("q0", -1, 1, "+"))
+    d = FilteredDifferential(neg2_params, (entry,))
+    xi = build_chain(neg2_params, [G("q0", 0, 0, "+")], Fraction(-100))
+    with pytest.raises(InductionError) as info:
+        find_primitive(d, xi)
+    assert str(info.value) == "theta has terms in sphere classes the cycle lacks: [1]"
 
 
 def test_class_slice_size_documented(neg2_params):
