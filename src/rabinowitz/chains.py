@@ -19,12 +19,11 @@ from typing import Iterable, NamedTuple
 from .bundle import BundleParams
 from .generators import (
     Generator,
+    _invariants,
     _level_above,
     _require_odd,
     action,
     canonical_sort,
-    grading,
-    validate_generator,
 )
 
 
@@ -59,15 +58,18 @@ def build_chain(
     floor: Fraction,
     degree: int | None = None,
 ) -> Chain:
-    """Validated constructor: odd homogeneous degree, every action >= floor."""
+    """Validated constructor: odd homogeneous degree, every action >= floor.
+
+    The terms are checked in the order given, so an error names the first
+    bad one, and a missing degree is the first term's grading.
+    """
     if degree is not None:
         _require_odd(degree)
     floor = Fraction(floor)
     level_above = _level_above(params, floor)
-    term_set = frozenset(terms)
-    for g in term_set:
-        validate_generator(params, g)
-        d = grading(params, g)
+    terms = tuple(terms)
+    for g in terms:
+        d = _invariants(params, g)[1]
         if degree is None:
             degree = d
         elif d != degree:
@@ -76,7 +78,7 @@ def build_chain(
             raise ValueError(f"term {g} has action {action(params, g)} below the floor {floor}")
     if degree is None:
         raise ValueError("degree required for a chain with no terms")
-    return Chain(degree, floor, term_set)
+    return Chain(degree, floor, frozenset(terms))
 
 
 def truncate(params: BundleParams, x: Chain, floor: Fraction) -> AddResult:

@@ -38,7 +38,6 @@ from .generators import (
     action,
     canonical_sort,
     sort_key,
-    validate_generator,
 )
 
 
@@ -111,16 +110,16 @@ def _normalize(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
 def validate_entry(params: BundleParams, entry: HigherDifferentialEntry) -> tuple[str, ...]:
     """Per-entry rule violations, one line per broken rule (empty = compliant)."""
     bad: list[str] = []
+    ends = []
     for g in (entry.source, entry.target):
         try:
-            validate_generator(params, g)
+            ends.append(_invariants(params, g))
         except (KeyError, ValueError) as err:
             # args[0], since str() of a KeyError adds quotes.
             bad.append(f"malformed: {err.args[0]}")
     if bad:
         return tuple(bad)
-    ls, gs, key_s = _invariants(params, entry.source)
-    lt, gt, key_t = _invariants(params, entry.target)
+    (ls, gs, key_s), (lt, gt, key_t) = ends
     if gt != gs - 2:
         bad.append(f"grading: target grading {gt} != source grading {gs} - 2")
     if entry.drop < 1 or lt != ls - entry.drop:

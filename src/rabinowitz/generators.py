@@ -21,6 +21,10 @@ Comparisons run on integers: :func:`_invariants` reads the point's row of
 integer coefficients cached on :class:`BundleParams` and returns (level,
 twice_mu, L*action), L = ``params.action_denominator``, as three linear forms
 in (cover, sphere); :func:`_level_above` holds the one floor test.
+:func:`_invariants` is also the one check of what a generator is: it refuses
+an unknown critical point id, a sign other than '+' or '-' and a nonzero
+sphere class on an aspherical base, so every invariant, order and report
+refuses them with the same named error.
 :func:`enumerate_generators` runs one path for every case: each
 sphere-class-0 generator of the degree starts a slice of fixed degree, and its
 level window and action floor are solved for the sphere class on integers; a
@@ -40,8 +44,6 @@ from math import inf
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .bundle import BundleParams
-
-SIGNS = ("+", "-")
 
 
 class Generator(NamedTuple):
@@ -64,29 +66,34 @@ class InfiniteSliceError(ValueError):
     """Requested enumeration window provably contains infinitely many generators."""
 
 
-def validate_generator(params: BundleParams, g: Generator) -> None:
-    params.crit(g.base)  # raises KeyError for unknown ids
-    if g.sign not in SIGNS:
-        raise ValueError(f"sign must be '+' or '-', got {g.sign!r}")
-    if params.aspherical and g.sphere != 0:
-        raise ValueError(f"aspherical scenario forces sphere class 0, got {g.sphere}")
-
-
 def eta(params: BundleParams, g: Generator) -> Fraction:
     """Lagrange multiplier of the critical point: cover - f(base)."""
+    _invariants(params, g)  # refuses what is not a generator
     return Fraction(g.cover) - params.crit(g.base).value
 
 
 def _invariants(params: BundleParams, g: Generator) -> tuple[int, int, int]:
-    """(level, twice_mu, L*action) of ``g`` from its point's coefficient row."""
+    """(level, twice_mu, L*action) of ``g`` from its point's coefficient row.
+
+    This is the one check of what a generator is, and it refuses, in this
+    order: an unknown critical point id (``KeyError``), a sign other than
+    '+' or '-', and a nonzero sphere class on an aspherical base (both
+    ``ValueError``).  Every invariant, report and table rule reads a
+    generator through here.
+    """
     base, n, a, sign = g
     lv, mu, key, k_n, l_a, m_a, k_a = params.rows[base]
-    mu += 4 * n + (1 if sign == "+" else -1)
+    if sign == "+":
+        mu += 4 * n + 1
+    elif sign == "-":
+        mu += 4 * n - 1
+    else:
+        raise ValueError(f"sign must be '+' or '-', got {sign!r}")
     key += k_n * n
     if not a:
         return lv, mu, key
     if l_a is None:
-        raise ValueError("aspherical scenario forces sphere class 0")
+        raise ValueError(f"aspherical scenario forces sphere class 0, got {a}")
     return lv + l_a * a, mu + m_a * a, key + k_a * a
 
 
@@ -191,16 +198,6 @@ def _class_zero_of_degree(params: BundleParams, twice_mu: int) -> Iterator[Gener
             num = twice_mu + 2 * cp.index - params.dim_m - s
             if num % 4 == 0:
                 yield Generator(cp.name, num // 4, 0, sign)
-
-
-def _least_level(params: BundleParams, twice_mu: int, action_floor: Fraction) -> int:
-    """Least level a generator of one degree can have above the floor (c >= 0).
-
-    Aspherical and c = 0 levels never fall below -dim_M/2; for c >= 1 the
-    level rises with the sphere class, which the floor bounds below.
-    """
-    step, half = params.level_step, params.dim_m // 2
-    return -half + step * sphere_class_floor(params, twice_mu, action_floor) if step else -half
 
 
 def enumerate_generators(

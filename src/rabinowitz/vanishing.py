@@ -34,9 +34,9 @@ from .differentials import FilteredDifferential, _by_level, _fiber_primitive, _r
 from .generators import (
     Generator,
     _invariants,
-    _least_level,
     _level_above,
     enumerate_generators,
+    sphere_class_floor,
 )
 
 
@@ -119,10 +119,16 @@ def _certified_bound(params: BundleParams, twice_mu: int, num: int, den: int) ->
     """The memo behind :func:`level_floor`, keyed on the floor's integer pair:
     hashing a ``Fraction`` costs a modular inverse per lookup.  A failed
     certificate raises, and ``lru_cache`` caches no exception, so it fails
-    again on every call."""
+    again on every call.
+
+    The least level: aspherical and c = 0 levels never fall below -dim_M/2;
+    for c >= 1 the level rises with the sphere class, which the floor bounds
+    below (:func:`sphere_class_floor`)."""
     action_floor = Fraction(num, den)
-    l_min = _least_level(params, twice_mu, action_floor)
-    span = params.dim_m + 1 + params.level_step
+    step, l_min = params.level_step, -(params.dim_m // 2)
+    if step:
+        l_min += step * sphere_class_floor(params, twice_mu, action_floor)
+    span = params.dim_m + 1 + step
     window = (l_min - span, l_min - 1)
     witnesses = enumerate_generators(params, twice_mu, action_floor, *window)
     if witnesses:

@@ -1,4 +1,3 @@
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -46,14 +45,25 @@ def ck_pool(params, twice_mu, floor, lo, hi) -> list:
     return ck.enumerate_slice(base, twice_mu, floor, lo, hi)
 
 
-def fraction_sphere_class_floor(params, twice_mu, floor) -> int:
-    """Reference closed form: the least integer a with
-    nu*a >= (floor - (twice_mu + dim_M + 1)*tau/4 + (tau+1)*min f) / (1 - (c-1)*tau).
+def checker_sphere_class_floor(params, twice_mu, floor, bound) -> int:
+    """The least sphere class a generator of the degree can have above the
+    floor, found by the checker's enumeration (c != 0, (c-1)*tau < 1).
 
-    Kept here because ``bench/checker.py`` has no sphere-class bound to compare with."""
-    peak = Fraction(twice_mu + params.dim_m + 1, 4) * params.tau
-    least = (params.tau + 1) * min(cp.value for cp in params.morse)
-    return math.ceil((floor - peak + least) / ((1 - (params.c - 1) * params.tau) * params.nu))
+    Along one degree, action = tau*(twice_mu + 2*index - dim_M - s)/4 +
+    (1-(c-1)*tau)*nu*a - (tau+1)*f(q), so the least class is reached by a
+    critical point of index dim_M at the least critical value, sign '-'.  A
+    virtual point of that kind is added to the checker's base; its '-'
+    generators exist at every class when (twice_mu + dim_M + 1) % 4 == 0,
+    and then their least class above the floor is the bound.  ``bound`` only
+    sizes the level window, |2*c*nu|*(|bound|+4) + dim_M + 2 on each side,
+    which holds that class and some to spare.
+    """
+    assert params.c and (twice_mu + params.dim_m + 1) % 4 == 0
+    base = ck_base(params)
+    base.crit["virtual"] = (params.dim_m, min(value for _, value in base.crit.values()))
+    reach = abs(2 * params.c * params.nu) * (abs(bound) + 4) + params.dim_m + 2
+    return min(g[2] for g in ck.enumerate_slice(base, twice_mu, floor, -reach, reach)
+               if g[0] == "virtual" and g[3] == "-")
 
 
 def decoded_candidates(params, degrees, floor, lo, hi):

@@ -116,6 +116,46 @@ MUTANTS = [
         "return math.ceil((action_floor - peak + (params.tau + 1) * params.min_value) / per_class)",
         "return math.ceil((action_floor - peak + (params.tau + 1) * params.min_value) / per_class) + 1",
     ),
+    (
+        "table targets not shifted by the source's sphere class in _raw_step",
+        "differentials.py",
+        "Generator(tq, tn, ta + a, ts)",
+        "Generator(tq, tn, ta, ts)",
+    ),
+    (
+        "the +1 of (tau + 1) dropped from the critical-value term of the action",
+        "bundle.py",
+        "scale, half = (self.tau + 1) * self.action_denominator",
+        "scale, half = self.tau * self.action_denominator",
+    ),
+    (
+        "a strict action rule: a target of equal action refused",
+        "differentials.py",
+        "if key_t > key_s:",
+        "if key_t >= key_s:",
+    ),
+    (
+        "drop 0 admitted by the level rule",
+        "differentials.py",
+        "if entry.drop < 1 or lt != ls - entry.drop:",
+        "if entry.drop < 0 or lt != ls - entry.drop:",
+    ),
+    (
+        "the canonical order by level ascending",
+        "generators.py",
+        "return (-lv, -key, g.base, g.cover, g.sign)",
+        "return (lv, -key, g.base, g.cover, g.sign)",
+    ),
+    (
+        "the sign refusal of _invariants removed: any sign but '+' read as '-'",
+        "generators.py",
+        "    elif sign == \"-\":\n"
+        "        mu += 4 * n - 1\n"
+        "    else:\n"
+        "        raise ValueError(f\"sign must be '+' or '-', got {sign!r}\")\n",
+        "    else:\n"
+        "        mu += 4 * n - 1\n",
+    ),
 ]
 
 

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -27,6 +28,19 @@ def pool5(params):
 def test_build_chain_rejects_mixed_degree(cp1_params):
     with pytest.raises(ValueError):
         build_chain(cp1_params, [G("q0", 1, 0, "-"), G("q0", 0, 0, "+")], FLOOR)
+
+
+def test_build_chain_names_the_first_bad_term_given(cp1_params):
+    # Terms are checked in the order given; a missing degree is the first term's grading.
+    five, three = G("q0", 1, 0, "-"), G("q0", 0, 0, "+")
+    with pytest.raises(ValueError, match=r"^mixed degrees: term \(q0,0,0,\+\) has grading 3, expected 5$"):
+        build_chain(cp1_params, [five, three], FLOOR)
+    with pytest.raises(ValueError, match=r"^mixed degrees: term \(q0,1,0,-\) has grading 5, expected 3$"):
+        build_chain(cp1_params, iter([three, five]), FLOOR)
+    low, lower = G("q0", 1, 1, "-"), G("q2", 2, 1, "-")  # both of degree 9, below 3
+    for first, second in ((low, lower), (lower, low)):
+        with pytest.raises(ValueError, match=f"^term {re.escape(str(first))} has action"):
+            build_chain(cp1_params, [first, second], Fraction(3))
 
 
 def test_build_chain_rejects_below_floor(cp1_params):

@@ -13,7 +13,9 @@ from conftest import (
     params_of,
 )
 from rabinowitz import (
+    BundleParams,
     Chain,
+    CritPoint,
     Generator,
     HigherDifferentialEntry,
     TableValidationError,
@@ -144,6 +146,9 @@ def test_rule_level(cp1_params):
     assert any(v.startswith("level:") for v in bad)
     ok = validate_entry(cp1_params, E(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "+")))
     assert ok == ()
+    # drop 0 is refused even where the levels agree
+    assert validate_entry(cp1_params, E(0, G("q0", 1, 0, "+"), G("q0", 1, 0, "-"))) == (
+        "level: declared drop 0 but levels go 1 -> 1 (drop must be >= 1)",)
 
 
 def test_rule_action(cp1_params):
@@ -151,6 +156,12 @@ def test_rule_action(cp1_params):
     assert any(v.startswith("action:") for v in bad)
     ok = validate_entry(cp1_params, E(2, G("q2", 1, 0, "-"), G("q0", 0, -1, "+")))
     assert ok == ()
+    # a target of equal action is admitted: two points of one critical value
+    level_set = BundleParams(2, Fraction(1, 2), (CritPoint("p", 0, Fraction(1, 3)),
+                                                 CritPoint("r", 2, Fraction(1, 3))))
+    entry = E(2, G("p", 0, 0, "-"), G("r", 0, 0, "+"))
+    assert action(level_set, entry.source) == action(level_set, entry.target)
+    assert validate_entry(level_set, entry) == ()
 
 
 def test_rule_class_preservation(neg2_params):

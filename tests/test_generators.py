@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import checker as ck
-from conftest import ck_base, ck_pool, fraction_sphere_class_floor, params_of
+from conftest import ck_base, ck_pool, checker_sphere_class_floor, params_of
 from rabinowitz import (
     BundleParams,
     Chain,
@@ -20,12 +20,15 @@ from rabinowitz import (
     cz_flat_capping,
     enumerate_generators,
     eta,
+    find_primitive,
     grading,
     level,
+    load_table,
     sphere_class_floor,
     truncate,
     validate_entry,
 )
+from rabinowitz.generators import sort_key
 from rabinowitz.randomized import _pool
 
 G = Generator
@@ -43,6 +46,31 @@ def test_action_goldens(cp1_params):
 def test_action_unknown_id(cp1_params):
     with pytest.raises(KeyError):
         action(cp1_params, G("nope", 0, 0, "+"))
+
+
+SIGN_TEXT = "sign must be '+' or '-', got 'x'"
+
+
+def test_a_bad_sign_is_refused_by_name(cp1, aspherical4_params):
+    params, bad = cp1.bundle, G("q0", 0, 0, "x")
+    for invariant in (action, eta, grading, level, sort_key, lambda p, g: canonical_sort(p, [g])):
+        with pytest.raises(ValueError) as err:
+            invariant(params, bad)
+        assert err.value.args == (SIGN_TEXT,)
+    # A raw chain skips build_chain; the induction reads its levels through the same check.
+    d = load_table(params, cp1.entries)
+    with pytest.raises(ValueError) as err:
+        find_primitive(d, Chain(3, Fraction(-1), frozenset({bad})))
+    assert type(err.value) is ValueError and err.value.args == (SIGN_TEXT,)
+    # The refusals come in order: id, then sign, then sphere class.
+    flat = aspherical4_params
+    with pytest.raises(KeyError, match="unknown critical point id 'q0'"):
+        level(flat, G("q0", 0, 1, "x"))
+    with pytest.raises(ValueError) as err:
+        level(flat, G("p0", 0, 1, "x"))
+    assert err.value.args == (SIGN_TEXT,)
+    with pytest.raises(ValueError, match="^aspherical scenario forces sphere class 0, got 1$"):
+        level(flat, G("p0", 0, 1, "-"))
 
 
 def test_eta_definition(cp1_params):
@@ -438,23 +466,27 @@ def test_sphere_class_floor_matches_exact_rationals(params, twice_mu, floor):
         assert str(err.value) == f"(c-1)*tau = {tilt} >= 1: action no longer controls the sphere class"
     else:
         got = sphere_class_floor(params, twice_mu, floor)
-        assert got == fraction_sphere_class_floor(params, twice_mu, floor)
         if params.c:  # no generator above the floor lies below the bound
             assert all(g[2] >= got for g in ck.enumerate_slice(ck_base(params), twice_mu, floor, -40, 40))
+            if (twice_mu + params.dim_m + 1) % 4 == 0:  # and a generator of index dim_M can reach it
+                assert got == checker_sphere_class_floor(params, twice_mu, floor, got)
 
 
 @pytest.mark.parametrize("name", ["c0", "c1", "cp1", "neg2", "neg4"])
 def test_sphere_class_floor_is_exact_on_the_boundary(name):
     # A floor exactly on the bound of class a gives a and any floor above it
-    # a + 1; random floors almost never land on a bound.
+    # a + 1; random floors almost never land on a bound.  Where a generator
+    # of index dim_M reaches the bound (c != 0 and the degree's residue), the
+    # checker's enumeration finds class a too.
     params = params_of(name)
     per_class = (1 - (params.c - 1) * params.tau) * params.nu
     least = (params.tau + 1) * min(cp.value for cp in params.morse)
-    for twice_mu in (-3, 1, 5):
+    for twice_mu in (-3, -1, 1, 3, 5):
         peak = Fraction(twice_mu + params.dim_m + 1, 4) * params.tau
         for a in range(-3, 4):
             floor = a * per_class + peak - least
-            assert fraction_sphere_class_floor(params, twice_mu, floor) == a
+            if params.c and (twice_mu + params.dim_m + 1) % 4 == 0:
+                assert checker_sphere_class_floor(params, twice_mu, floor, a) == a
             assert sphere_class_floor(params, twice_mu, floor) == a
             assert sphere_class_floor(params, twice_mu, floor + Fraction(1, 10**9)) == a + 1
 
@@ -485,7 +517,7 @@ def test_integer_keys_agree_with_exact_rationals(data, params, floor):
         assert level(params, g) == ck.level(base, g)
         if g.sphere:
             for invariant in (action, grading, level):
-                with pytest.raises(ValueError, match="^aspherical scenario forces sphere class 0$"):
+                with pytest.raises(ValueError, match=f"^aspherical scenario forces sphere class 0, got {g.sphere}$"):
                     invariant(flat, g)
         else:
             assert (action(flat, g), grading(flat, g), level(flat, g)) == (

@@ -245,6 +245,24 @@ def test_module_runs_main():
     assert (done.returncode, done.stdout) == run_cli("validate", "--scenario", path)
 
 
+def test_cycle_error_names_the_first_bad_term_at_any_hash_seed(tmp_path):
+    # A cycle's terms are checked in file order, not in the hash order of a set.
+    path = tmp_path / "order.scn"
+    path.write_text(scenario_path("cp1").read_text().replace(
+        "cycle xi0 degree 3 floor -1 (q0,0,0,+)",
+        "cycle xi0 degree 3 floor 5 (q0,0,0,+) (q2,0,1,+) (q0,-1,1,-) (q2,-1,2,-)",
+    ))
+    expected = "parse error: line 17: cycle 'xi0': term (q0,0,0,+) has action -3/20 below the floor 5\n"
+    src = str(Path(rabinowitz.__file__).resolve().parent.parent)
+    for seed in ("1", "5"):
+        done = subprocess.run(
+            [sys.executable, "-m", "rabinowitz.cli", "validate", "--scenario", str(path)],
+            capture_output=True, text=True, check=False,
+            env={**os.environ, "PYTHONPATH": src, "PYTHONHASHSEED": seed},
+        )
+        assert (done.returncode, done.stdout) == (4, expected)
+
+
 def test_cmd_validate_missing_file():
     code, out = run_cli("validate", "--scenario", "/nonexistent.scn")
     assert code == 4

@@ -153,9 +153,10 @@ def test_level_floor_certifies_once_per_bundle_degree_and_floor(enumerations):
 
 
 def test_level_floor_rechecks_a_failed_certificate(cp1_params, enumerations, monkeypatch):
-    # A least level set too high leaves generators in the certificate window.
-    real = vanishing._least_level
-    monkeypatch.setattr(vanishing, "_least_level", lambda *args: real(*args) + 40)
+    # A least level set too high leaves generators in the certificate window:
+    # 10 more sphere classes are 40 more levels on cp1 (level step 4).
+    real = vanishing.sphere_class_floor
+    monkeypatch.setattr(vanishing, "sphere_class_floor", lambda *args: real(*args) + 10)
     for _ in range(3):
         with pytest.raises(InductionError, match="level bound certificate failed"):
             level_floor(cp1_params, 5, Fraction(-3))
