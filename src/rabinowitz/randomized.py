@@ -12,9 +12,11 @@ byte-reproducible.
 
 A candidate is one integer code over the window's generators in canonical
 order, so the seeded shuffle permutes plain ints; only the codes the greedy
-loop reads are decoded into entries.  ``random.shuffle`` draws depend only on
-the list's length, so a seeded table depends on the candidates and their
-order, not on how they are stored.
+loop reads are decoded into entries.  :func:`_shuffled` permutes them with
+``random.Random(seed).shuffle``'s own loop and draws, inlined; a test pins
+the two together.  Its draws depend only on the list's length, so a seeded
+table depends on the candidates and their order, not on how they are
+stored.
 
 Fixtures sample many seeds on one window, so the pools and the candidate
 codes are built once per (params, degrees, floor, level window) and
@@ -125,6 +127,27 @@ def _decode(code: int, gens: tuple[Generator, ...]) -> HigherDifferentialEntry:
     return HigherDifferentialEntry(drop, gens[s], gens[t])
 
 
+def _shuffled(items: tuple[int, ...], seed: int) -> list[int]:
+    """A copy of ``items`` permuted as ``random.Random(seed).shuffle`` would.
+
+    This is the stdlib's Fisher-Yates loop with its ``_randbelow`` draw
+    inlined: for each ``i`` it draws ``(i + 1).bit_length()`` random bits
+    until they fall below ``i + 1``.  Every draw is needed, since the last
+    one fixes ``x[0]``; inlining saves only the Python call per draw, which
+    is most of a stock shuffle's time.
+    """
+    x = list(items)
+    getrandbits = random.Random(seed).getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        m = i + 1
+        k = m.bit_length()
+        j = getrandbits(k)
+        while j >= m:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+    return x
+
+
 def _lift(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
     """Companion entry between the fiber preimages of a +-to-+ entry."""
     return HigherDifferentialEntry(
@@ -143,17 +166,15 @@ def random_admissible_table(
 ) -> FilteredDifferential:
     """A validated table sampled reproducibly from the given window.
 
-    The candidate codes are shuffled with ``Random(seed)`` and decoded in that
+    The candidate codes are shuffled by :func:`_shuffled` and decoded in that
     order; units are added greedily while their endpoints stay disjoint from
     earlier ones.  Disjoint endpoints do not keep shift images of different
     units apart, so the result often fails the full validator's square
     check; the repair loop of :func:`_load_with_repair` then removes entries
     until the table loads.
     """
-    rng = random.Random(seed)
     shared, gens = _candidate_entries(params, tuple(degrees), Fraction(floor), level_lo, level_hi)
-    codes = list(shared)
-    rng.shuffle(codes)
+    codes = _shuffled(shared, seed)
     chosen: list[HigherDifferentialEntry] = []
     used: set[Generator] = set()
     for code in codes:

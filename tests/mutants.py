@@ -156,6 +156,18 @@ MUTANTS = [
         "    else:\n"
         "        mu += 4 * n - 1\n",
     ),
+    (
+        "the shuffle keeping a draw equal to i + 1: an index past the list",
+        "randomized.py",
+        "while j >= m:",
+        "while j > m:",
+    ),
+    (
+        "the shuffle drawing i.bit_length() bits: one too few at each power of two",
+        "randomized.py",
+        "k = m.bit_length()",
+        "k = i.bit_length()",
+    ),
 ]
 
 

@@ -398,13 +398,18 @@ def test_square_check_probes_are_complete(cp1_params, neg2_params, aspherical4_p
     # Any validator-passing table must square to zero *everywhere*, not just at
     # the probe points the load-time check uses; sample random rule-passing
     # entry sets and compose the checker's differential twice on a window far
-    # wider than the probes.
+    # wider than the probes.  Seed 71 loads 12 samples within 27 (cp1), 79
+    # (neg2) and 434 (aspherical4) attempts; the bound on attempts turns a
+    # sampler or validator that stops loading into a failure, not a hang.
     rng = random.Random(71)
-    for params in (cp1_params, neg2_params, aspherical4_params):
+    bases = {"cp1": cp1_params, "neg2": neg2_params, "aspherical4": aspherical4_params}
+    for name, params in bases.items():
         cands = decoded_candidates(params, (3, 5, 7), FLOOR, -8, 8)
         pool = {g for tm in (1, 3, 5, 7, 9) for g in ck_pool(params, tm, FLOOR, -12, 12)}
-        loaded = 0
+        loaded = attempts = 0
         while loaded < 12:
+            attempts += 1
+            assert attempts <= 2000, f"{name}: {loaded} of 12 samples loaded in 2000 attempts"
             entries = rng.sample(cands, rng.randint(1, min(6, len(cands))))
             try:
                 d = load_table(params, entries)

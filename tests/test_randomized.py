@@ -1,6 +1,7 @@
 """Candidate generation and table sampling checked against a brute-force rule scan."""
 
 import hashlib
+import random
 import sys
 from fractions import Fraction
 
@@ -29,7 +30,7 @@ from rabinowitz import (
 )
 from rabinowitz import differentials
 from rabinowitz.cli import _default_window
-from rabinowitz.randomized import _candidate_entries, _pool
+from rabinowitz.randomized import _candidate_entries, _pool, _shuffled
 
 # The benchmark's sampling bases: c = 2 (sample_table) and c = 1, tau = 3/4
 # (wide_primitive), each with the window it samples on.
@@ -177,6 +178,20 @@ def test_seeded_tables_are_pinned():
             d = random_admissible_table(params, seed, *window)
             digest.update("".join(f"{e}\n" for e in d.entries).encode() + b"\n")
     assert digest.hexdigest() == "f56e46abaad34447217f92336d8c3895135fe7a4"
+
+
+def test_shuffled_draws_as_the_stdlib_shuffle():
+    # Seeded tables rest on this: the inlined loop must permute exactly as
+    # random.Random(seed).shuffle at every length (930 is sample_table's
+    # candidate count, the others cross powers of two of the bit count).
+    # The memo hands every caller the same codes, so the input stays as it was.
+    for length in [*range(71), 127, 128, 129, 255, 256, 257, 930]:
+        items = list(range(length))
+        for seed in range(12):
+            expected = items[:]
+            random.Random(seed).shuffle(expected)
+            assert _shuffled(tuple(items), seed) == expected, (length, seed)
+            assert _shuffled(items, seed) == expected and items == list(range(length))
 
 
 def test_sampling_memo_cannot_leak_state():

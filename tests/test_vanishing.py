@@ -1,10 +1,13 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import Phase, assume, given, settings, strategies as st
 
+import checker as ck
 from conftest import (
     CASE_SCENARIOS,
     assert_drop_partition,
+    ck_base,
     params_of,
     scenario_path,
     synthetic_params,
@@ -411,6 +414,52 @@ def test_battery_neg2(neg2_params):
 
 def test_battery_neg4(neg4_params):
     _battery(neg4_params, 4000, 5)
+
+
+# Each kind of base with its case tag and the c it draws; nu is 1-3.
+KINDS = {
+    "aspherical": (CaseTag.ASPHERICAL, None),
+    "c=0": (CaseTag.C_NON_NEGATIVE, st.just(0)),
+    "c>=1": (CaseTag.C_NON_NEGATIVE, st.integers(1, 3)),
+    "very-negative": (CaseTag.C_VERY_NEGATIVE, st.integers(-4, -1)),
+}
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=40, deadline=None,
+          phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
+@given(data=st.data())
+def test_primitive_on_random_bundles_checked_by_the_checker(kind, data):
+    # The kind is fixed first, so every run covers every case tag.  A seeded
+    # table and a known boundary xi = d(eta) on a random bundle; the checker,
+    # not the engine, confirms d(theta) = xi above the floor and that theta
+    # lies at or above floor + tau.  Bundles the algorithm refuses are skipped.
+    # A failure is shrunk but not explained: the explain phase traces every
+    # line of each replayed induction, which doubled the time of a failing run.
+    tag, c_values = KINDS[kind]
+    draw = data.draw
+    dim = draw(st.sampled_from((2, 4, 6)))
+    crits = []
+    for k in range(draw(st.integers(1, 4))):
+        den = draw(st.integers(2, 8))
+        value = Fraction(draw(st.integers(1, den - 1)), den)
+        crits.append(CritPoint(f"q{k}", draw(st.integers(0, dim)), value))
+    tau = Fraction(draw(st.integers(1, 6)), draw(st.integers(2, 8)))
+    nu, c = (None, None) if c_values is None else (draw(st.integers(1, 3)), draw(c_values))
+    params = BundleParams(dim, tau, tuple(crits), nu, c)
+    assume(params.refusal is None)
+    assert params.case.tag is tag
+    degree = 2 * draw(st.integers(-3, 3)) + 1
+    pad = dim + 2 * abs(params.level_step) + 2
+    window = (Fraction(-20), -pad, pad)
+    d = random_admissible_table(params, draw(st.integers(0, 999)),
+                                (degree, degree + 2, degree + 4), *window)
+    base = ck_base(params)
+    for _ in range(3):
+        xi, _ = random_boundary(params, d, draw(st.integers(0, 999)), degree, *window, size=5)
+        theta = find_primitive(d, xi).theta.terms
+        assert ck.boundary_above(base, d.entries, theta, xi.floor) == xi.terms
+        assert all(ck.action(base, g) >= xi.floor + tau for g in theta)
 
 
 # --- very negative case: class split, counts, gaps -----------------------------
