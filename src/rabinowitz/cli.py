@@ -51,37 +51,25 @@ def build_parser() -> argparse.ArgumentParser:
         prog="rabinowitz",
         description="symbolic engine for the Floer chain complex of a negative line bundle",
     )
+    scenario, cycle, seed = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    scenario.add_argument("--scenario", required=True, help="path to a scenario file")
+    cycle.add_argument("--cycle", required=True)
+    seed.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--scenario", required=True, help="path to a scenario file")
-
-    p_val = sub.add_parser("validate", help="validate scenario, table, and cycles")
-    common(p_val)
-
-    p_enum = sub.add_parser("enumerate", help="list one degree slice of generators")
-    common(p_enum)
+    sub.add_parser("validate", parents=[scenario], help="validate scenario, table, and cycles")
+    p_enum = sub.add_parser("enumerate", parents=[scenario],
+                            help="list one degree slice of generators")
     p_enum.add_argument("--degree", type=int, required=True, help="doubled grading (odd)")
     p_enum.add_argument("--floor", type=parse_fraction, required=True, help="action floor p/q")
     p_enum.add_argument("--window", type=_parse_window, default=None, help="level window LO:HI")
-
-    p_diff = sub.add_parser("diff", help="apply the differential to a named cycle")
-    common(p_diff)
-    p_diff.add_argument("--cycle", required=True)
-
-    p_prim = sub.add_parser("primitive", help="construct a primitive for a named cycle")
-    common(p_prim)
-    p_prim.add_argument("--cycle", required=True)
-    p_prim.add_argument(
-        "--random-table",
-        action="store_true",
-        help="replace the scenario table by a seeded admissible one",
-    )
-    p_prim.add_argument("--seed", type=int, default=None, help="override the scenario seed")
-
-    p_check = sub.add_parser("check", help="run the scenario property suite")
-    common(p_check)
-    p_check.add_argument("--seed", type=int, default=None, help="override the scenario seed")
+    sub.add_parser("diff", parents=[scenario, cycle],
+                   help="apply the differential to a named cycle")
+    p_prim = sub.add_parser("primitive", parents=[scenario, cycle, seed],
+                            help="construct a primitive for a named cycle")
+    p_prim.add_argument("--random-table", action="store_true",
+                        help="replace the scenario table by a seeded admissible one")
+    sub.add_parser("check", parents=[scenario, seed], help="run the scenario property suite")
     return parser
 
 
@@ -164,7 +152,7 @@ def cmd_diff(scenario, args) -> int:
     image, dropped = apply_total(d, cycle)
     print(f"cycle {args.cycle}: {serialize_chain(params, cycle)}")
     print(f"differential: {serialize_chain(params, image)}")
-    _print_drops(params, dropped)
+    _print_drops(dropped)
     return OK
 
 
@@ -203,7 +191,7 @@ def cmd_primitive(scenario, args) -> int:
                 f" theta terms {rep.theta_terms}, max action gap {gap},"
                 f" within bound: {'yes' if rep.gap_ok else 'no'}"
             )
-    _print_drops(params, result.dropped)
+    _print_drops(result.dropped)
     print(f"residual: {serialize_chain(params, result.residual)}")
     if not result.ok:
         print("verification FAILED")
@@ -218,27 +206,22 @@ def _default_window(params, cycle) -> tuple[int, int]:
     return min(levels) - pad, max(levels) + pad
 
 
-def _print_drops(params, dropped) -> None:
-    if dropped:
-        listing = " ".join(str(g) for g in dropped)
-        print(f"dropped below floor: {listing}")
-    else:
-        print("dropped below floor: none")
+def _print_drops(dropped) -> None:
+    print(f"dropped below floor: {' '.join(map(str, dropped)) or 'none'}")
 
 
 def cmd_check(scenario, args) -> int:
     """Property suite over seeded fixtures; prints one line per check."""
     params = scenario.bundle
     seed = scenario.seed if args.seed is None else args.seed
-    failures = 0
+    failed: list[str] = []
 
     def note(name: str, ok: bool, detail: str = "") -> None:
-        nonlocal failures
         tag = "PASS" if ok else "FAIL"
         suffix = f" ({detail})" if detail else ""
         print(f"{tag}: {name}{suffix}")
         if not ok:
-            failures += 1
+            failed.append(name)
 
     print("PASS: bundle invariants")  # load_scenario refuses an invalid bundle
     case = params.case
@@ -249,7 +232,7 @@ def cmd_check(scenario, args) -> int:
         note("declared table valid", True)
     except TableValidationError as err:
         note("declared table valid", False, err.report[0])
-    if failures:
+    if failed:
         return FAIL_VALIDATION
 
     degree = 3
@@ -275,7 +258,7 @@ def cmd_check(scenario, args) -> int:
     note("verification residuals empty", residual_ok)
     if not residual_ok:
         return FAIL_RESIDUAL
-    return OK if failures == 0 else FAIL_VALIDATION
+    return FAIL_VALIDATION if failed else OK
 
 
 if __name__ == "__main__":

@@ -55,12 +55,17 @@ class HigherDifferentialEntry(NamedTuple):
 
 
 class TableValidationError(ValueError):
-    """Report lines of a rejected table, and the set of generators they name."""
+    """A rejected table, from its failures: (report line, generators it names) pairs.
 
-    def __init__(self, report: tuple[str, ...], generators: frozenset[Generator]):
-        super().__init__("\n".join(report))
-        self.report = report
-        self.generators = generators
+    ``report`` is the lines in order, ``generators`` every generator they name,
+    and the message the lines joined.  A rejected entry names its own source
+    and target; a failing square probe names itself and its residue.
+    """
+
+    def __init__(self, failures: list[tuple[str, tuple[Generator, ...]]]):
+        self.report = tuple(line for line, _ in failures)
+        self.generators = frozenset(g for _, named in failures for g in named)
+        super().__init__("\n".join(self.report))
 
 
 def apply_d0(params: BundleParams, x: Chain) -> Chain:
@@ -202,12 +207,13 @@ def load_table(
 ) -> FilteredDifferential:
     """Validate and normalize a higher-differential table.
 
-    Raises :class:`TableValidationError` naming every violated rule per entry;
-    on success the table is stored on shift representatives in canonical order
-    and the windowed square check has passed.
+    Raises :class:`TableValidationError` with one failure per violated rule
+    per entry, each naming that entry's source and target; else with one per
+    failing square probe, naming the probe and its residue.  On success the
+    table is stored on shift representatives in canonical order and the
+    windowed square check has passed.
     """
-    report: list[str] = []
-    named: set[Generator] = set()
+    failures: list[tuple[str, tuple[Generator, ...]]] = []
     normalized: list[HigherDifferentialEntry] = []
     seen: set[HigherDifferentialEntry] = set()
     for entry in entries:
@@ -215,24 +221,20 @@ def load_table(
         norm = _normalize(entry)
         if norm in seen:
             broken.append("shift-duplicate: coincides with an earlier entry modulo Novikov shift")
-        if broken:
-            report.extend(f"entry [{entry}] rejected: {line}" for line in broken)
-            named.update((entry.source, entry.target))
+        ends = (entry.source, entry.target)
+        failures += [(f"entry [{entry}] rejected: {line}", ends) for line in broken]
         seen.add(norm)
         normalized.append(norm)
-    if report:
-        raise TableValidationError(tuple(report), frozenset(named))
+    if failures:
+        raise TableValidationError(failures)
     normalized.sort(key=lambda e: e.order_key(params))
     d = FilteredDifferential(params, tuple(normalized))
-    square = check_d_squared_window(d)
-    if square:
-        raise TableValidationError(
-            tuple(
-                f"d-squared: composite at {w} is nonzero: {' '.join(str(g) for g in residue)}"
-                for w, residue in square
-            ),
-            frozenset(g for w, residue in square for g in (w, *residue)),
-        )
+    failures = [
+        (f"d-squared: composite at {w} is nonzero: {' '.join(map(str, residue))}", (w, *residue))
+        for w, residue in check_d_squared_window(d)
+    ]
+    if failures:
+        raise TableValidationError(failures)
     return d
 
 

@@ -28,10 +28,9 @@ the next one's candidates.  The public entry points turn degrees into a
 tuple and the floor into a ``Fraction`` before the lookup, so a list of
 degrees still works.
 
-The building blocks mirror how the fiber differential interacts with a table:
-an entry out of a - generator into a + generator is self-consistent on its
-own, while an entry between + generators needs the companion entry between
-the canonical fiber preimages of its endpoints.
+The unit rule: a unit's target is a + generator, and a + source brings its
+fiber companion, the entry between the canonical fiber preimages of its ends,
+without which the fiber differential makes the square nonzero at once.
 """
 
 from __future__ import annotations
@@ -148,13 +147,6 @@ def _shuffled(items: tuple[int, ...], seed: int) -> list[int]:
     return x
 
 
-def _lift(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
-    """Companion entry between the fiber preimages of a +-to-+ entry."""
-    return HigherDifferentialEntry(
-        entry.drop, entry.source.fiber_partner(), entry.target.fiber_partner()
-    )
-
-
 def random_admissible_table(
     params: BundleParams,
     seed: int,
@@ -168,10 +160,12 @@ def random_admissible_table(
 
     The candidate codes are shuffled by :func:`_shuffled` and decoded in that
     order; units are added greedily while their endpoints stay disjoint from
-    earlier ones.  Disjoint endpoints do not keep shift images of different
-    units apart, so the result often fails the full validator's square
-    check; the repair loop of :func:`_load_with_repair` then removes entries
-    until the table loads.
+    earlier ones.  A unit's target is a + generator, and a + source brings its
+    fiber companion, the entry between the fiber partners of its ends.
+    Disjoint endpoints do not keep shift images of different units apart, so
+    the result often fails the full validator's square check; the repair
+    loop of :func:`_load_with_repair` then removes entries until the table
+    loads.
     """
     shared, gens = _candidate_entries(params, tuple(degrees), Fraction(floor), level_lo, level_hi)
     codes = _shuffled(shared, seed)
@@ -180,14 +174,12 @@ def random_admissible_table(
     for code in codes:
         if len(chosen) >= size:
             break
-        entry = _decode(code, gens)
+        entry = drop, source, target = _decode(code, gens)
+        if target.sign == "-":
+            continue
         unit = [entry]
-        if entry.source.sign == "+":
-            if entry.target.sign != "+":
-                continue  # needs a fiber companion that does not exist
-            unit.append(_lift(entry))
-        elif entry.target.sign == "-":
-            continue  # a bare -to- entry never squares to zero on its own
+        if source.sign == "+":
+            unit.append(HigherDifferentialEntry(drop, source.fiber_partner(), target.fiber_partner()))
         endpoints = {e.source for e in unit} | {e.target for e in unit}
         if endpoints & used:
             continue
@@ -231,8 +223,7 @@ def random_chain(
     rng = random.Random(seed)
     pool = _pool(params, degree, Fraction(floor), level_lo, level_hi)
     take = min(size, len(pool))
-    terms = frozenset(rng.sample(pool, take)) if take else frozenset()
-    return Chain(degree, Fraction(floor), terms)
+    return Chain(degree, Fraction(floor), frozenset(rng.sample(pool, take)))
 
 
 def random_boundary(

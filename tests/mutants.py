@@ -1,4 +1,4 @@
-"""Mutant gate for the tier-1 suite, stdlib only.
+"""Mutant gate for the tier-1 suite: stdlib and pytest only.
 
 Run from anywhere, with pytest installed:
 
@@ -7,16 +7,27 @@ Run from anywhere, with pytest installed:
 For each mutant in ``MUTANTS`` the script copies the repository (without
 ``.git`` and caches) to a temporary directory, applies one exact-string edit
 to one file of ``src/rabinowitz`` there, and runs tier-1 in that copy
-(``pytest -v`` at its root) under a time limit and a 1 GiB address-space
-limit.  A mutant is killed when the suite fails or runs past the time limit;
-the report names the failing tests, or the test that was running when the
-time ran out or pytest died.  The unmutated copy runs first, and its duration
-sets the time limit.
+(``pytest -v`` at its root) under a 1 GiB address-space limit.  A mutant is
+killed when the suite fails; the report names the failing tests, sorted.
 
-The script exits 0 when every mutant is killed, and 1 when one survives, when
-an edit's text is missing from its file or not unique there, or when the
-unmutated copy fails.  Mutants run one at a time.  The file name does not
-start with ``test_``, so pytest does not collect it.
+The suite runs with this file loaded as a pytest plugin (``-p mutants``),
+which changes nothing of tier-1's own settings and makes each report
+repeatable.  It loads a Hypothesis profile with ``derandomize=True`` and no
+shrink or explain phase, and it ends each test that runs past
+``TEST_LIMIT`` seconds with :class:`PastTestLimit`, which pytest reports as
+that test's failure and Hypothesis neither catches nor shrinks; so a mutant
+that makes a test hang or run away is killed by that test, by name.  Tests
+that pin their own phases keep them, bounded by the same limit.  A suite
+that runs past five times the unmutated suite's duration (at least 60 s),
+or one that dies without reporting a failed test, is killed by the test it
+was running: the last line of its verbose output.
+
+The report goes to standard output and the durations to standard error, so
+two runs print the same report.  The script exits 0 when every mutant is
+killed, and 1 when one survives, when an edit's text is missing from its
+file or not unique there, or when the unmutated copy fails.  Mutants run
+one at a time.  The file name does not start with ``test_``, so pytest does
+not collect it.
 """
 
 from __future__ import annotations
@@ -25,15 +36,22 @@ import os
 import re
 import resource
 import shutil
+import signal
 import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 IGNORED = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache", ".hypothesis", ".benchmarks")
 MEMORY_LIMIT = 1 << 30  # bytes of address space per suite run
+TEST_LIMIT = 5.0  # seconds per test; the slowest unmutated test takes about 1 s
+# Past the limit the alarm repeats at this interval until the test ends: a
+# raise that lands in a finalizer is printed and ignored, and the test runs on.
+LIMIT_REPEAT = 0.5
 # A test line of ``pytest -v``: the node id, then its outcome and progress.
 OUTCOME = re.compile(r"^(\S+::.*) (PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS)\s+\[\s*\d+%\]$")
 
@@ -168,7 +186,60 @@ MUTANTS = [
         "k = m.bit_length()",
         "k = i.bit_length()",
     ),
+    (
+        "a + source admitted without its fiber companion",
+        "randomized.py",
+        '        if source.sign == "+":\n'
+        "            unit.append(HigherDifferentialEntry(drop, source.fiber_partner(), target.fiber_partner()))\n",
+        "",
+    ),
+    (
+        "a -to- unit admitted",
+        "randomized.py",
+        'if target.sign == "-":',
+        'if target.sign == "-" and source.sign == "+":',
+    ),
+    (
+        "a rejected entry naming only its source",
+        "differentials.py",
+        "ends = (entry.source, entry.target)",
+        "ends = (entry.source,)",
+    ),
+    (
+        "a failing square probe naming only its residue",
+        "differentials.py",
+        "(w, *residue))",
+        "tuple(residue))",
+    ),
 ]
+
+
+class PastTestLimit(BaseException):
+    """A test ran past ``TEST_LIMIT``; not an ``Exception``, so Hypothesis lets it through."""
+
+
+def _past_limit(signum, frame) -> None:
+    raise PastTestLimit(f"the test ran past the gate's limit of {TEST_LIMIT:.0f} s")
+
+
+def pytest_configure(config) -> None:
+    """Plugin set-up in each suite run: the repeatable profile and the limit's handler."""
+    from hypothesis import Phase, settings
+
+    settings.register_profile(
+        "mutants", derandomize=True, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+    settings.load_profile("mutants")
+    signal.signal(signal.SIGALRM, _past_limit)
+
+
+@pytest.hookimpl(wrapper=True)
+def pytest_runtest_call(item):
+    """Run one test under the per-test limit."""
+    signal.setitimer(signal.ITIMER_REAL, TEST_LIMIT, LIMIT_REPEAT)
+    try:
+        return (yield)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
 
 
 def _limit_memory() -> None:
@@ -176,14 +247,15 @@ def _limit_memory() -> None:
 
 
 def run_suite(root: Path, limit: float) -> tuple[bool, list[str], float]:
-    """Run tier-1 in ``root``: (passed, killing tests, seconds).
+    """Run tier-1 in ``root`` with this file as a plugin: (passed, killing tests, seconds).
 
     A suite cut by the time limit, or one that dies without reporting a
     failed test (a ``MemoryError`` inside pytest itself), is killed by the
     test it was running: the last line of its verbose output.
     """
-    env = {**os.environ, "PYTHONPATH": str(root / "src"), "PYTHONUNBUFFERED": "1"}
-    command = [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider",
+    path = os.pathsep.join(str(root / part) for part in ("src", "tests"))
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
+    command = [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider", "-p", "mutants",
                "--continue-on-collection-errors"]
     start = time.monotonic()
     try:
@@ -200,7 +272,7 @@ def run_suite(root: Path, limit: float) -> tuple[bool, list[str], float]:
     failed = [m[1] for m in map(OUTCOME.match, out.splitlines())
               if m and m[2] in ("FAILED", "ERROR")]
     running = out.rstrip("\n").rsplit("\n", 1)[-1].strip()
-    return False, failed or [f"{running} ({why})"], seconds
+    return False, sorted(failed) or [f"{running} ({why})"], seconds
 
 
 def main() -> int:
@@ -217,7 +289,8 @@ def main() -> int:
             print("tier-1 fails without a mutant: " + "; ".join(failed))
             return 1
         limit = max(60.0, 5 * seconds)
-        print(f"unmutated tier-1 passed in {seconds:.1f} s; time limit {limit:.0f} s")
+        print(f"unmutated tier-1 passed; per-test limit {TEST_LIMIT:.0f} s")
+        print(f"unmutated tier-1: {seconds:.1f} s; suite limit {limit:.0f} s", file=sys.stderr)
         survivors = 0
         for k, (name, path, old, new) in enumerate(MUTANTS):
             copy = Path(tmp) / f"mutant{k}"
@@ -226,11 +299,12 @@ def main() -> int:
             target.write_text(target.read_text().replace(old, new))
             passed, failed, seconds = run_suite(copy, limit)
             shutil.rmtree(copy)
+            print(f"{name}: {seconds:.1f} s", file=sys.stderr)
             if passed:
                 survivors += 1
-                print(f"SURVIVED {name} ({seconds:.1f} s)")
+                print(f"SURVIVED {name}")
                 continue
-            print(f"killed   {name} ({seconds:.1f} s) by {len(failed)} test(s):")
+            print(f"killed   {name} by {len(failed)} test(s):")
             for test in failed:
                 print(f"    {test}")
     print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")

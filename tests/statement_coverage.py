@@ -30,7 +30,6 @@ SRC = ROOT / "src" / "rabinowitz"
 
 # (file, statement source) -> why the statement emits no line event when run.
 ALLOWED = {
-    ("cli.py", "nonlocal failures"): "a nonlocal declaration compiles to no instruction",
     ("cli.py", "sys.exit(main())"): (
         "the __main__ guard runs only in the subprocess of "
         "test_scenario_cli.py::test_module_runs_main, which this tracer does not see"

@@ -432,8 +432,11 @@ KINDS = {
 def test_primitive_on_random_bundles_checked_by_the_checker(kind, data):
     # The kind is fixed first, so every run covers every case tag.  A seeded
     # table and a known boundary xi = d(eta) on a random bundle; the checker,
-    # not the engine, confirms d(theta) = xi above the floor and that theta
-    # lies at or above floor + tau.  Bundles the algorithm refuses are skipped.
+    # not the engine, confirms that the table obeys the six rules and squares
+    # to zero at shifts -1, 0 and 1, that d(theta) = xi above the floor, that
+    # theta lies at or above floor + tau and, outside the very-negative case,
+    # at or above the stop level, and in that case each class report's counts
+    # and largest gap.  Bundles the algorithm refuses are skipped.
     # A failure is shrunk but not explained: the explain phase traces every
     # line of each replayed induction, which doubled the time of a failing run.
     tag, c_values = KINDS[kind]
@@ -455,11 +458,24 @@ def test_primitive_on_random_bundles_checked_by_the_checker(kind, data):
     d = random_admissible_table(params, draw(st.integers(0, 999)),
                                 (degree, degree + 2, degree + 4), *window)
     base = ck_base(params)
+    assert ck.table_violations(base, d.entries) == []
+    assert ck.square_defects(base, d.entries, shifts=(-1, 0, 1)) == []
     for _ in range(3):
         xi, _ = random_boundary(params, d, draw(st.integers(0, 999)), degree, *window, size=5)
-        theta = find_primitive(d, xi).theta.terms
+        result = find_primitive(d, xi)
+        theta = result.theta.terms
         assert ck.boundary_above(base, d.entries, theta, xi.floor) == xi.terms
         assert all(ck.action(base, g) >= xi.floor + tau for g in theta)
+        if tag is not CaseTag.C_VERY_NEGATIVE:
+            assert all(ck.level(base, g) >= result.stop_level for g in theta)
+            continue
+        assert [rep.sphere for rep in result.class_reports] == sorted({g[2] for g in xi.terms})
+        for rep in result.class_reports:
+            xs = [ck.action(base, g) for g in xi.terms if g[2] == rep.sphere]
+            gaps = [min(abs(ck.action(base, g) - x) for x in xs)
+                    for g in theta if g[2] == rep.sphere]
+            assert (rep.cycle_terms, rep.theta_terms) == (len(xs), len(gaps))
+            assert rep.max_gap == (max(gaps) if gaps else None)
 
 
 # --- very negative case: class split, counts, gaps -----------------------------
