@@ -15,9 +15,13 @@ Exit codes:
     3  nonzero verification residual
     4  the scenario could not be read or parsed
 
-After the scenario loads, ``main`` is the one place that turns an exception
-into an exit code.  ``check`` reports an unsupported case as a ``FAIL`` line.
-All output is a pure function of (scenario, seed, command, flags).
+The names given to ``add_parser`` in :func:`build_parser` are the one list of
+commands: ``main`` runs command ``x`` as the module's ``cmd_x``, looked up at
+each call.  After the scenario loads, ``main`` resolves the seed once
+(``--seed``, else ``[meta] seed``, which defaults to 0) into ``args.seed``,
+and it is the one place that turns an exception into an exit code.  ``check``
+reports an unsupported case as a ``FAIL`` line.  All output is a pure function
+of (scenario, seed, command, flags).
 """
 
 from __future__ import annotations
@@ -83,15 +87,10 @@ def main(argv: list[str] | None = None) -> int:
     except (OSError, UnicodeDecodeError) as err:
         print(f"cannot read scenario: {err}")
         return FAIL_PARSE
-    handler = {
-        "validate": cmd_validate,
-        "enumerate": cmd_enumerate,
-        "diff": cmd_diff,
-        "primitive": cmd_primitive,
-        "check": cmd_check,
-    }[args.command]
+    if getattr(args, "seed", None) is None:  # no --seed, or a command without one
+        args.seed = scenario.seed
     try:
-        return handler(scenario, args)
+        return globals()[f"cmd_{args.command}"](scenario, args)
     except NotClosedError as err:
         print(f"not closed: {err}")
     except (ValueError, InductionError) as err:
@@ -158,14 +157,13 @@ def cmd_diff(scenario, args) -> int:
 
 def cmd_primitive(scenario, args) -> int:
     params = scenario.bundle
-    seed = scenario.seed if args.seed is None else args.seed
     cycle = _require_cycle(scenario, args.cycle)
     if args.random_table:
         window = _default_window(params, cycle)
         d = random_admissible_table(
-            params, seed, (cycle.degree, cycle.degree + 2), cycle.floor, *window
+            params, args.seed, (cycle.degree, cycle.degree + 2), cycle.floor, *window
         )
-        print(f"table: seeded ({seed}), {len(d.entries)} entries")
+        print(f"table: seeded ({args.seed}), {len(d.entries)} entries")
         for e in d.entries:
             print(f"  {e}")
     else:
@@ -213,7 +211,6 @@ def _print_drops(dropped) -> None:
 def cmd_check(scenario, args) -> int:
     """Property suite over seeded fixtures; prints one line per check."""
     params = scenario.bundle
-    seed = scenario.seed if args.seed is None else args.seed
     failed: list[str] = []
 
     def note(name: str, ok: bool, detail: str = "") -> None:
@@ -239,19 +236,19 @@ def cmd_check(scenario, args) -> int:
     floor = Fraction(-20)
     window = _default_window(params, zero_chain(degree, floor))
     d = random_admissible_table(
-        params, seed, (degree, degree + 2, degree + 4), floor, *window
+        params, args.seed, (degree, degree + 2, degree + 4), floor, *window
     )
     note("seeded table admissible", True, f"{len(d.entries)} entries")
     squared_ok = True
     for k in range(5):
-        x = random_chain(params, seed + 100 + k, degree + 2, floor, *window)
+        x = random_chain(params, args.seed + 100 + k, degree + 2, floor, *window)
         once, _ = apply_total(d, x)
         twice, _ = apply_total(d, once)
         squared_ok = squared_ok and twice.is_zero
     note("differential squares to zero on seeded chains", squared_ok)
     residual_ok = True
     for k in range(5):
-        xi, _ = random_boundary(params, d, seed + 200 + k, degree, floor, *window)
+        xi, _ = random_boundary(params, d, args.seed + 200 + k, degree, floor, *window)
         residual_ok = residual_ok and find_primitive(d, xi).ok
     # find_primitive returns or raises; a returned theta has degree + 2 by construction
     note("primitives found for seeded boundaries", True)

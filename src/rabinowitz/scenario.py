@@ -22,9 +22,12 @@ are written ``p/q`` and generators as ``(base,cover,sphere,sign)``:
     [meta]
     seed = 7
 
-Parse errors carry 1-based line numbers.  Loading validates the bundle, the
-cycle references, and cycle homogeneity, but deliberately not the differential
-table: reporting table violations is the job of the validate command.
+``_SECTION_KEYS`` is the one table of the sections and of the keys their
+``key = value`` lines may set; ``[meta]`` holds only the seed, which defaults
+to 0.  Parse errors carry 1-based line numbers.  Loading validates the bundle,
+the cycle references, and cycle homogeneity, but deliberately not the
+differential table: reporting table violations is the job of the validate
+command.
 """
 
 from __future__ import annotations
@@ -42,6 +45,13 @@ from .generators import Generator
 
 _GEN_RE = re.compile(r"\(\s*([A-Za-z_]\w*)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*([+-])\s*\)")
 _CRIT_RE = re.compile(r"crit\s*\(\s*([A-Za-z_]\w*)\s*,\s*(\d+)\s*,\s*([^,\s()]+)\s*\)")
+# Each section of a scenario file, with the keys its ``key = value`` lines may set.
+_SECTION_KEYS = {
+    "bundle": ("dim_m", "sphericity", "nu", "c", "tau"),
+    "differentials": (),
+    "cycles": (),
+    "meta": ("seed",),
+}
 
 
 class ScenarioError(ValueError):
@@ -79,11 +89,10 @@ def parse_generator(text: str, line: int | None = None) -> Generator:
 
 
 def parse_scenario(text: str) -> Scenario:
-    bundle_kv: dict[str, tuple[str, int]] = {}
+    kv: dict[str, dict[str, tuple[str, int]]] = {section: {} for section in _SECTION_KEYS}
     crits: list[CritPoint] = []
     entries: list[HigherDifferentialEntry] = []
     raw_cycles: list[tuple[str, int, Fraction, list[Generator], int]] = []
-    meta_kv: dict[str, tuple[str, int]] = {}
     seed = 0
     section = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -92,21 +101,22 @@ def parse_scenario(text: str) -> Scenario:
             continue
         if stripped.startswith("[") and stripped.endswith("]"):
             section = stripped[1:-1].strip().lower()
-            if section not in ("bundle", "differentials", "cycles", "meta"):
+            if section not in _SECTION_KEYS:
                 raise ScenarioError(f"unknown section [{section}]", lineno)
             continue
         if section is None:
             raise ScenarioError("content before any section header", lineno)
-        if section == "bundle":
-            _parse_bundle_line(stripped, lineno, bundle_kv, crits)
-        elif section == "differentials":
+        if section == "differentials":
             entries.append(_parse_entry_line(stripped, lineno))
         elif section == "cycles":
             raw_cycles.append(_parse_cycle_line(stripped, lineno))
-        else:  # meta
-            _read_kv(stripped, lineno, meta_kv, "meta", ("seed",))
-            seed = _parse_int("seed", *meta_kv["seed"])
-    bundle = _assemble_bundle(bundle_kv, crits)
+        elif section == "bundle" and stripped.startswith("crit"):
+            crits.append(_parse_crit_line(stripped, lineno))
+        else:
+            _read_kv(stripped, lineno, kv[section], section)
+            if section == "meta":
+                seed = _parse_int("seed", *kv["meta"]["seed"])
+    bundle = _assemble_bundle(kv["bundle"], crits)
     violations = validate(bundle)
     if violations:
         raise ScenarioError("invalid bundle: " + "; ".join(violations))
@@ -126,29 +136,24 @@ def load_scenario(path: str | Path) -> Scenario:
     return parse_scenario(Path(path).read_text(encoding="utf-8"))
 
 
-def _read_kv(line: str, lineno: int, kv: dict, section: str, keys: tuple[str, ...]) -> None:
-    """Record a ``key = value`` line of a section: a known key, given once."""
+def _read_kv(line: str, lineno: int, kv: dict, section: str) -> None:
+    """Record a ``key = value`` line of a section: a key of its table, given once."""
     if "=" not in line:
         raise ScenarioError(f"expected 'key = value', got {line!r}", lineno)
     key, value = line.split("=", 1)
     key = key.strip().lower()
-    if key not in keys:
+    if key not in _SECTION_KEYS[section]:
         raise ScenarioError(f"unknown {section} key {key!r}", lineno)
     if key in kv:
         raise ScenarioError(f"key {key!r} given twice (first on line {kv[key][1]})", lineno)
     kv[key] = (value.strip(), lineno)
 
 
-def _parse_bundle_line(line: str, lineno: int, kv: dict, crits: list[CritPoint]) -> None:
-    if line.startswith("crit"):
-        m = _CRIT_RE.fullmatch(line)
-        if not m:
-            raise ScenarioError(f"bad crit line {line!r} (want crit (id, index, value))", lineno)
-        crits.append(
-            CritPoint(m.group(1), int(m.group(2)), parse_fraction(m.group(3), lineno))
-        )
-        return
-    _read_kv(line, lineno, kv, "bundle", ("dim_m", "sphericity", "nu", "c", "tau"))
+def _parse_crit_line(line: str, lineno: int) -> CritPoint:
+    m = _CRIT_RE.fullmatch(line)
+    if not m:
+        raise ScenarioError(f"bad crit line {line!r} (want crit (id, index, value))", lineno)
+    return CritPoint(m.group(1), int(m.group(2)), parse_fraction(m.group(3), lineno))
 
 
 def _parse_entry_line(line: str, lineno: int) -> HigherDifferentialEntry:
@@ -191,8 +196,7 @@ def _assemble_bundle(kv: dict, crits: list[CritPoint]) -> BundleParams:
         return kv[key]
 
     dim_m = _parse_int("dim_M", *need("dim_m"))
-    tau_text, tau_line = need("tau")
-    tau = parse_fraction(tau_text, tau_line)
+    tau = parse_fraction(*need("tau"))
     sph_text, sph_line = need("sphericity")
     sph = sph_text.lower()
     if sph == "aspherical":
@@ -206,8 +210,5 @@ def _assemble_bundle(kv: dict, crits: list[CritPoint]) -> BundleParams:
         raise ScenarioError(
             f"sphericity must be 'spherical' or 'aspherical', got {sph_text!r}", sph_line
         )
-    nu_text, nu_line = need("nu")
-    c_text, c_line = need("c")
-    nu = _parse_int("nu", nu_text, nu_line)
-    c = _parse_int("c", c_text, c_line)
-    return BundleParams(dim_m, tau, tuple(crits), nu, c)
+    nu, c = need("nu"), need("c")  # a missing c is reported before a bad nu
+    return BundleParams(dim_m, tau, tuple(crits), _parse_int("nu", *nu), _parse_int("c", *c))

@@ -2,9 +2,10 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import strategies as st
 
 import checker as ck
-from rabinowitz import BundleParams, CritPoint, load_scenario
+from rabinowitz import BundleParams, CaseTag, CritPoint, load_scenario
 from rabinowitz.randomized import _candidate_entries, _decode
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -20,6 +21,32 @@ def params_of(name: str):
 
 # Golden scenarios covering every case tag: aspherical, c = 0, c >= 1, very negative.
 CASE_SCENARIOS = ("aspherical4", "c0", "c1", "cp1", "neg2", "neg4")
+
+
+# Each kind of random base with its case tag and the c it draws; nu is 1-3.
+BUNDLE_KINDS = {
+    "aspherical": (CaseTag.ASPHERICAL, None),
+    "c=0": (CaseTag.C_NON_NEGATIVE, st.just(0)),
+    "c>=1": (CaseTag.C_NON_NEGATIVE, st.integers(1, 3)),
+    "very-negative": (CaseTag.C_VERY_NEGATIVE, st.integers(-4, -1)),
+}
+
+
+def draw_bundle(draw, kind: str) -> BundleParams:
+    """A random base of one kind: dim_M 2, 4 or 6, one to four critical points
+    with values p/q in (0, 1) (q in 2..8), tau = p/q with p in 1..6 and q in
+    2..8.  The base may be one the algorithm refuses; its case tag is the
+    kind's when it is not."""
+    c_values = BUNDLE_KINDS[kind][1]
+    dim = draw(st.sampled_from((2, 4, 6)))
+    crits = []
+    for k in range(draw(st.integers(1, 4))):
+        den = draw(st.integers(2, 8))
+        value = Fraction(draw(st.integers(1, den - 1)), den)
+        crits.append(CritPoint(f"q{k}", draw(st.integers(0, dim)), value))
+    tau = Fraction(draw(st.integers(1, 6)), draw(st.integers(2, 8)))
+    nu, c = (None, None) if c_values is None else (draw(st.integers(1, 3)), draw(c_values))
+    return BundleParams(dim, tau, tuple(crits), nu, c)
 
 
 def synthetic_params(ncrit: int, dim: int, c: int, nu: int, tau: Fraction) -> BundleParams:

@@ -5,10 +5,11 @@ Run from anywhere, with pytest installed:
     python tests/mutants.py
 
 For each mutant in ``MUTANTS`` the script copies the repository (without
-``.git`` and caches) to a temporary directory, applies one exact-string edit
-to one file of ``src/rabinowitz`` there, and runs tier-1 in that copy
-(``pytest -v`` at its root) under a 1 GiB address-space limit.  A mutant is
-killed when the suite fails; the report names the failing tests, sorted.
+``.git`` and caches) to a temporary directory, applies its exact-string edits
+to files of ``src/rabinowitz`` there (one edit, or one per broken rule), and
+runs tier-1 in that copy (``pytest -v --tb=no`` at its root) under a 1 GiB
+address-space limit.  A mutant is killed when the suite fails; the report
+names the failing tests, sorted.
 
 The suite runs with this file loaded as a pytest plugin (``-p mutants``),
 which changes nothing of tier-1's own settings and makes each report
@@ -55,7 +56,8 @@ LIMIT_REPEAT = 0.5
 # A test line of ``pytest -v``: the node id, then its outcome and progress.
 OUTCOME = re.compile(r"^(\S+::.*) (PASSED|FAILED|ERROR|SKIPPED|XFAIL|XPASS)\s+\[\s*\d+%\]$")
 
-# (what the mutant breaks, file under src/rabinowitz, text, replacement)
+# (what the mutant breaks, file under src/rabinowitz, text, replacement,
+#  then any further (file, text, replacement) edits of the same mutant)
 MUTANTS = [
     (
         "the very-negative stop removed",
@@ -211,7 +213,95 @@ MUTANTS = [
         "(w, *residue))",
         "tuple(residue))",
     ),
+    (
+        "a + source without its fiber companion, with the square check switched off",
+        "randomized.py",
+        '        if source.sign == "+":\n'
+        "            unit.append(HigherDifferentialEntry("
+        "drop, source.fiber_partner(), target.fiber_partner()))\n",
+        "",
+        ("differentials.py", "for w, residue in check_d_squared_window(d)", "for w, residue in ()"),
+    ),
+    (
+        "_descend dropping its correction terms",
+        "vanishing.py",
+        "for g in _raw_step(d, th) ^ terms:",
+        "for g in ():",
+    ),
+    (
+        "verify_primitive truncating d(theta) before adding xi",
+        "vanishing.py",
+        "    raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)\n"
+        "    return VerifyResult(*truncate(d.params, raw, xi.floor))\n",
+        "    image = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms))\n"
+        "    image, dropped = truncate(d.params, image, xi.floor)\n"
+        "    return VerifyResult(image._replace(terms=image.terms ^ xi.terms), dropped)\n",
+    ),
+    (
+        "_pool dropping the level-0 generators on c = 0",
+        "randomized.py",
+        "        params = BundleParams(params.dim_m, params.tau, params.morse)\n"
+        "    return enumerate_generators(params, degree, floor, level_lo, level_hi)\n",
+        "        twin = BundleParams(params.dim_m, params.tau, params.morse)\n"
+        "        if params.c == 0:\n"
+        "            gens = enumerate_generators(twin, degree, floor, level_lo, level_hi)\n"
+        "            return tuple(g for g in gens if 2 * twin.crit(g.base).index != twin.dim_m)\n"
+        "        params = twin\n"
+        "    return enumerate_generators(params, degree, floor, level_lo, level_hi)\n",
+    ),
+    (
+        "_pool's enumeration missing its last generator",
+        "randomized.py",
+        "    return enumerate_generators(params, degree, floor, level_lo, level_hi)\n",
+        "    return enumerate_generators(params, degree, floor, level_lo, level_hi)[:-1]\n",
+    ),
+    (
+        "_candidate_entries handing out a mutable codes list",
+        "randomized.py",
+        "return tuple(codes), gens",
+        "return codes, gens",
+    ),
+    (
+        "_candidate_entries keyed on the degrees as given",
+        "randomized.py",
+        "_candidate_entries(params, tuple(degrees), Fraction(floor)",
+        "_candidate_entries(params, degrees, Fraction(floor)",
+    ),
+    (
+        "the level-bound memo keyed without twice_mu",
+        "vanishing.py",
+        "    return _certified_bound("
+        "params, twice_mu, action_floor.numerator, action_floor.denominator)\n",
+        "    key = (params, action_floor.numerator, action_floor.denominator)\n"
+        "    return level_floor.__dict__.setdefault(key, _certified_bound(\n"
+        "        params, twice_mu, action_floor.numerator, action_floor.denominator))\n",
+    ),
+    (
+        "__all__ keeping the modules the import block binds",
+        "__init__.py",
+        'if not name.startswith("_") and not isinstance(value, types.ModuleType)]',
+        'if not name.startswith("_")]',
+    ),
+    (
+        "--seed ignored: the [meta] seed always used",
+        "cli.py",
+        '    if getattr(args, "seed", None) is None:  # no --seed, or a command without one\n',
+        "    if True:\n",
+    ),
+    (
+        "[meta] accepting the bundle keys",
+        "scenario.py",
+        '"meta": ("seed",),',
+        '"meta": ("seed", "dim_m", "sphericity", "nu", "c", "tau"),',
+    ),
 ]
+
+
+# Edits tried and left out as equivalent: no program can tell them apart.
+# - The key tuples of [differentials] and [cycles] in scenario._SECTION_KEYS
+#   filled with the bundle keys: lines of those sections never reach _read_kv.
+# - main's seed rule as ``getattr(args, "seed", 0) is None``: validate,
+#   enumerate and diff then get no args.seed, and they never read it.
 
 
 class PastTestLimit(BaseException):
@@ -249,38 +339,55 @@ def _limit_memory() -> None:
 def run_suite(root: Path, limit: float) -> tuple[bool, list[str], float]:
     """Run tier-1 in ``root`` with this file as a plugin: (passed, killing tests, seconds).
 
-    A suite cut by the time limit, or one that dies without reporting a
-    failed test (a ``MemoryError`` inside pytest itself), is killed by the
-    test it was running: the last line of its verbose output.
+    A suite cut by the time limit, or one that dies (a ``MemoryError``
+    inside pytest itself, a signal), is also killed by the test it was
+    running: the last line of its verbose output, after the failures it
+    reported, if any.  The tail of such a suite's output goes to standard
+    error.
     """
     path = os.pathsep.join(str(root / part) for part in ("src", "tests"))
     env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
-    command = [sys.executable, "-m", "pytest", "-v", "-p", "no:cacheprovider", "-p", "mutants",
-               "--continue-on-collection-errors"]
+    # No tracebacks: the report reads only the outcome lines, and pytest fails
+    # with INTERNALERROR on a traceback entry without a line number, which the
+    # limit's raise leaves when it lands on a loop's backward jump.
+    command = [sys.executable, "-m", "pytest", "-v", "--tb=no", "-p", "no:cacheprovider",
+               "-p", "mutants", "--continue-on-collection-errors"]
     start = time.monotonic()
     try:
         done = subprocess.run(command, cwd=root, env=env, capture_output=True, text=True,
                               timeout=limit, preexec_fn=_limit_memory, check=False)
         out, why = done.stdout, f"pytest exit code {done.returncode}"
+        ended = done.returncode in (0, 1)  # passed, or some tests failed
     except subprocess.TimeoutExpired as err:
-        done = None
+        done, ended = None, False
         out = err.stdout.decode() if isinstance(err.stdout, bytes) else err.stdout or ""
         why = f"time limit {limit:.0f} s"
     seconds = time.monotonic() - start
     if done is not None and done.returncode == 0:
         return True, [], seconds
-    failed = [m[1] for m in map(OUTCOME.match, out.splitlines())
-              if m and m[2] in ("FAILED", "ERROR")]
-    running = out.rstrip("\n").rsplit("\n", 1)[-1].strip()
-    return False, sorted(failed) or [f"{running} ({why})"], seconds
+    failed = sorted(m[1] for m in map(OUTCOME.match, out.splitlines())
+                    if m and m[2] in ("FAILED", "ERROR"))
+    if ended and failed:
+        return False, failed, seconds
+    lines = out.rstrip("\n").split("\n")
+    print(f"the suite named no failed test, or stopped early ({why}); its output ends:",
+          *lines[-10:], sep="\n    ", file=sys.stderr)
+    return False, [*failed, f"{lines[-1].strip()} ({why})"], seconds
+
+
+def edits(mutant: tuple) -> list[tuple[str, str, str]]:
+    """The (file, text, replacement) edits of one entry of ``MUTANTS``."""
+    _, path, old, new, *more = mutant
+    return [(path, old, new), *more]
 
 
 def main() -> int:
-    for name, path, old, _ in MUTANTS:
-        count = (ROOT / "src" / "rabinowitz" / path).read_text().count(old)
-        if count != 1:
-            print(f"mutant {name!r}: its text occurs {count} times in {path}, not once")
-            return 1
+    for mutant in MUTANTS:
+        for path, old, _ in edits(mutant):
+            count = (ROOT / "src" / "rabinowitz" / path).read_text().count(old)
+            if count != 1:
+                print(f"mutant {mutant[0]!r}: its text occurs {count} times in {path}, not once")
+                return 1
     with tempfile.TemporaryDirectory() as tmp:
         clean = Path(tmp) / "clean"
         shutil.copytree(ROOT, clean, ignore=IGNORED)
@@ -292,11 +399,13 @@ def main() -> int:
         print(f"unmutated tier-1 passed; per-test limit {TEST_LIMIT:.0f} s")
         print(f"unmutated tier-1: {seconds:.1f} s; suite limit {limit:.0f} s", file=sys.stderr)
         survivors = 0
-        for k, (name, path, old, new) in enumerate(MUTANTS):
+        for k, mutant in enumerate(MUTANTS):
+            name = mutant[0]
             copy = Path(tmp) / f"mutant{k}"
             shutil.copytree(ROOT, copy, ignore=IGNORED)
-            target = copy / "src" / "rabinowitz" / path
-            target.write_text(target.read_text().replace(old, new))
+            for path, old, new in edits(mutant):
+                target = copy / "src" / "rabinowitz" / path
+                target.write_text(target.read_text().replace(old, new))
             passed, failed, seconds = run_suite(copy, limit)
             shutil.rmtree(copy)
             print(f"{name}: {seconds:.1f} s", file=sys.stderr)

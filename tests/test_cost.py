@@ -1,13 +1,16 @@
-"""Work counts: the calls of ``generators._invariants`` a computation makes.
+"""Work counts: the calls of ``generators._invariants`` and of
+``differentials._raw_step`` a computation makes.
 
-Every per-generator read passes through ``_invariants``, so its call count is
-a unit of work that is exact and the same on every machine.  These tests
-bound it by the size of the output, and check that it does not grow with the
-depth of a window end or of the action floor.
+Every per-generator read passes through ``_invariants``, and every application
+of the differential through ``_raw_step``, so their call counts are units of
+work that are exact and the same on every machine.  These tests bound them by
+the size of the output, and check that they do not grow with the depth of a
+window end or of the action floor.
 """
 
 import importlib
 import pkgutil
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,31 +18,37 @@ import pytest
 import rabinowitz
 from conftest import synthetic_params
 from rabinowitz import chains, differentials, generators, vanishing
+from rabinowitz.differentials import load_table
 from rabinowitz.generators import enumerate_generators
 from rabinowitz.randomized import random_admissible_table, random_boundary
 from rabinowitz.vanishing import _certified_bound, find_primitive
 
-BINDINGS = (generators, chains, differentials, vanishing)
+# Each counted function, with the modules that bind it.
+BINDINGS = {
+    "_invariants": (generators, chains, differentials, vanishing),
+    "_raw_step": (differentials, vanishing),
+}
 
 
 @pytest.fixture
-def reads(monkeypatch):
-    """``reads(f, *args)``: f's result and the ``_invariants`` calls it made."""
-    real = generators._invariants
-    calls = 0
+def work(monkeypatch):
+    """``work(f, *args)``: f's result and a Counter of the counted calls it made."""
+    counts = Counter()
 
-    def counted(params, g):
-        nonlocal calls
-        calls += 1
-        return real(params, g)
+    def counter(name, real):
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+        return counted
 
-    for module in BINDINGS:
-        monkeypatch.setattr(module, "_invariants", counted)
+    for name, modules in BINDINGS.items():
+        counted = counter(name, getattr(modules[0], name))
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
 
     def run(f, *args):
-        nonlocal calls
-        calls = 0
-        return f(*args), calls
+        counts.clear()
+        return f(*args), Counter(counts)
 
     return run
 
@@ -47,18 +56,19 @@ def reads(monkeypatch):
 def test_the_counted_bindings_are_all_of_them():
     modules = [importlib.import_module(f"rabinowitz.{m.name}")
                for m in pkgutil.iter_modules(rabinowitz.__path__)]
-    assert {m for m in modules if hasattr(m, "_invariants")} == set(BINDINGS)
+    for name, binding in BINDINGS.items():
+        assert {m for m in modules if hasattr(m, name)} == set(binding), name
 
 
-def test_enumeration_reads_track_the_generators_returned(reads, c1_params):
+def test_enumeration_reads_track_the_generators_returned(work, c1_params):
     # One read per sphere-class-0 start point (one per critical point in a
     # degree) and one per generator returned, in the canonical sort; the
     # lower level end moves from -100 to -10**6 without changing either.
-    found = {lo: reads(enumerate_generators, c1_params, 3, Fraction(-2), lo, 40)
+    found = {lo: work(enumerate_generators, c1_params, 3, Fraction(-2), lo, 40)
              for lo in (-100, -10**4, -10**6)}
-    (gens, calls), = set(found.values())
+    (gens, counts), = {(gens, counts["_invariants"]) for gens, counts in found.values()}
     assert len(gens) == 22
-    assert calls <= len(gens) + len(c1_params.morse)
+    assert counts <= len(gens) + len(c1_params.morse)
 
 
 # wide_primitive's base and table: c = 1, so the boundaries spread over about
@@ -67,21 +77,53 @@ def test_enumeration_reads_track_the_generators_returned(reads, c1_params):
 # of the two degrees.
 WIDE = synthetic_params(3, 2, 1, 2, Fraction(3, 4))
 CERTIFICATE_READS = 6
+# The theta parts of the boundary of each size: one per level visited.
+THETA_PARTS = {25: 14, 100: 58, 400: 200}
 
 
-@pytest.mark.parametrize("size", [25, 100, 400])
-def test_induction_reads_track_xi_and_theta(reads, size):
+@pytest.mark.parametrize("size", THETA_PARTS)
+def test_induction_reads_track_xi_and_theta(work, size):
+    # The differential is applied once to check that xi is closed, once per
+    # level the induction visits (one theta part each) and once to verify.
     d = random_admissible_table(WIDE, 7, (3, 5, 7), Fraction(-20), -12, 12, size=4)
     xi, _ = random_boundary(WIDE, d, 11, 3, Fraction(-120), -200, 200, size=size)
     counts = set()
     for floor in (Fraction(-120), Fraction(-10**6)):
         cycle = xi._replace(floor=floor)
         find_primitive(d, cycle)  # certifies the level bounds
-        result, warm = reads(find_primitive, d, cycle)
+        result, warm = work(find_primitive, d, cycle)
         _certified_bound.cache_clear()
-        _, cold = reads(find_primitive, d, cycle)
+        _, cold = work(find_primitive, d, cycle)
         assert result.ok and not xi.is_zero
-        assert warm <= len(xi.terms) + len(result.theta.terms)
-        assert cold - warm == CERTIFICATE_READS
-        counts.add((warm, len(result.theta.terms)))
+        assert len(result.theta_parts) == THETA_PARTS[size]
+        assert warm["_invariants"] <= len(xi.terms) + len(result.theta.terms)
+        assert cold["_invariants"] - warm["_invariants"] == CERTIFICATE_READS
+        assert warm["_raw_step"] == cold["_raw_step"] == THETA_PARTS[size] + 2
+        counts.add((warm["_invariants"], len(result.theta.terms)))
     assert len(counts) == 1
+
+
+# Seeded tables on synthetic_params(12, 4, c, nu, tau) (degrees 3/5/7, floor
+# -20, level window -30:30, table seed 5), with the entries and square-check
+# probes of each: the sources and the fiber partners of the + sources.
+INGEST = [
+    ((2, 1, Fraction(1, 2)), 40, 24, 24),
+    ((2, 1, Fraction(1, 2)), 160, 48, 47),
+    ((1, 2, Fraction(3, 4)), 40, 8, 6),
+    ((1, 2, Fraction(3, 4)), 160, 12, 10),
+]
+
+
+@pytest.mark.parametrize("c_nu_tau, size, entries, probes", INGEST)
+def test_clean_ingest_work_tracks_entries_and_probes(work, c_nu_tau, size, entries, probes):
+    # A load that passes reads each entry's two ends in the rules and twice
+    # more in the canonical sort, reads each probe once to order the probes,
+    # and applies the differential twice per probe.
+    params = synthetic_params(12, 4, *c_nu_tau)
+    d = random_admissible_table(params, 5, (3, 5, 7), Fraction(-20), -30, 30, size=size)
+    sources = {e.source for e in d.entries}
+    found = sources | {g.fiber_partner() for g in sources if g.sign == "+"}
+    assert (len(d.entries), len(found)) == (entries, probes)
+    again, counts = work(load_table, params, d.entries)
+    assert again.entries == d.entries
+    assert counts == {"_invariants": 4 * entries + probes, "_raw_step": 2 * probes}

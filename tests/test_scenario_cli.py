@@ -1,5 +1,7 @@
+import argparse
 import io
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -7,13 +9,24 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+import checker as ck
 import rabinowitz
-from rabinowitz import Generator, ScenarioError, parse_scenario, vanishing
+from rabinowitz import (
+    Generator,
+    ScenarioError,
+    cli,
+    parse_scenario,
+    random_admissible_table,
+    random_boundary,
+    random_chain,
+    vanishing,
+)
 from rabinowitz.cli import main
 from rabinowitz.scenario import parse_fraction, parse_generator
 
-from conftest import scenario_path
+from conftest import BUNDLE_KINDS, CASE_SCENARIOS, ck_base, draw_bundle, scenario_path
 
 G = Generator
 
@@ -470,3 +483,187 @@ def test_cli_refusal_matrix(tmp_path, edits, degree, refusal, case_detail):
         f"FAIL: scenario case applicable ({case_detail})\n"
         "PASS: declared table valid\n"
     )
+
+
+# --- one list of commands, one seed rule, one table of section keys -------------
+
+
+def test_every_command_runs_its_cmd_function():
+    # The names given to add_parser are the one list of commands; main runs
+    # command x as cli.cmd_x.
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {name[4:] for name in vars(cli) if name.startswith("cmd_")}
+
+
+def test_dispatch_reads_the_command_function_at_each_call(monkeypatch):
+    # build_parser is cached, so the dispatch must not be bound into it: a
+    # command function patched after the first call still runs.
+    path = str(scenario_path("cp1"))
+    assert run_cli("validate", "--scenario", path)[0] == 0
+    monkeypatch.setattr(cli, "cmd_validate", lambda scenario, args: 7)
+    assert run_cli("validate", "--scenario", path) == (7, "")
+
+
+@pytest.mark.parametrize("command", [("check",), ("primitive", "--cycle", "xi0", "--random-table")])
+def test_seed_flag_overrides_the_meta_seed_which_defaults_to_zero(tmp_path, command):
+    path = tmp_path / "seed.scn"
+    cycles = "[cycles]\ncycle xi0 degree 3 floor -1 (q0,0,0,+) (q2,1,0,+)\n"
+
+    def run(meta="", *flag):
+        path.write_text(MINIMAL + cycles + meta)
+        return run_cli(command[0], "--scenario", str(path), *command[1:], *flag)
+
+    unseeded = run()
+    assert unseeded == run("", "--seed", "0") == run("[meta]\nseed = 0\n")
+    assert unseeded[0] == 0
+    # check prints 6, 5 and 4 seeded entries for seeds 0, 1 and 3 on this base.
+    seeded = run("[meta]\nseed = 3\n")
+    assert seeded == run("", "--seed", "3") == run("[meta]\nseed = 1\n", "--seed", "3")
+    assert len({unseeded, seeded, run("[meta]\nseed = 1\n")}) == 3
+
+
+def test_meta_holds_only_the_seed(tmp_path):
+    path = tmp_path / "meta.scn"
+    for key in ("tau = 1/3", "dim_M = 2", "crit (q4, 0, 1/3)"):
+        path.write_text(MINIMAL + f"[meta]\n{key}\n")
+        name = key.split()[0].lower()
+        message = (f"line 11: unknown meta key {name!r}" if "=" in key
+                   else f"line 11: expected 'key = value', got {key!r}")
+        assert run_cli("validate", "--scenario", str(path)) == (4, f"parse error: {message}\n")
+    path.write_text(MINIMAL.replace("tau = 1/2", "seed = 3"))
+    assert run_cli("validate", "--scenario", str(path)) == (
+        4, "parse error: line 7: unknown bundle key 'seed'\n")
+
+
+def test_bundle_errors_keep_their_order(tmp_path):
+    # Every bundle key is looked up before nu and c are read, so a missing c
+    # is reported before a bad nu; a bad seed, read on its own line, comes
+    # before any error of the bundle's values.
+    path = tmp_path / "order.scn"
+    for text, message in (
+        (MINIMAL.replace("nu = 1", "nu = x").replace("c = 2\n", ""), "missing bundle key 'c'"),
+        (MINIMAL.replace("c = 2\n", "").replace("nu = 1\n", ""), "missing bundle key 'nu'"),
+        (MINIMAL.replace("dim_M = 2", "dim_M = x").replace("tau = 1/2", "tau = 1/0"),
+         "line 3: dim_M must be an integer, got 'x'"),
+        (MINIMAL.replace("tau = 1/2", "tau = 1/0") + "[meta]\nseed = s\n",
+         "line 11: seed must be an integer, got 's'"),
+    ):
+        path.write_text(text)
+        assert run_cli("validate", "--scenario", str(path)) == (4, f"parse error: {message}\n")
+
+
+# --- the reader under mutation, and the CLI against the checker -------------------
+
+
+GOLDEN_TEXTS = {name: scenario_path(name).read_text() for name in CASE_SCENARIOS}
+# A token: an arrow, a run of name, number and sign characters, or one other character.
+TOKEN = re.compile(r"->|[\w/.+-]+|\S")
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_mutated_golden_files_end_in_a_documented_exit(tmp_path_factory, data):
+    # One edit of a golden file: a line deleted, duplicated or swapped with
+    # the next, or one token replaced.  The reader and validate either accept
+    # the result or refuse it with a documented code, never with a traceback.
+    text = GOLDEN_TEXTS[data.draw(st.sampled_from(CASE_SCENARIOS))]
+    lines = text.splitlines()
+    edit = data.draw(st.sampled_from(("delete", "duplicate", "swap", "token")))
+    if edit == "token":
+        spans = [m.span() for m in TOKEN.finditer(text)]
+        start, end = spans[data.draw(st.integers(0, len(spans) - 1))]
+        new = data.draw(st.sampled_from(("x", "1/0", "(", "->", "=")))
+        text = text[:start] + new + text[end:]
+    else:
+        k = data.draw(st.integers(0, len(lines) - 2))
+        if edit == "delete":
+            del lines[k]
+        elif edit == "duplicate":
+            lines.insert(k, lines[k])
+        else:
+            lines[k], lines[k + 1] = lines[k + 1], lines[k]
+        text = "\n".join(lines) + "\n"
+    path = tmp_path_factory.getbasetemp() / "mutated.scn"
+    path.write_text(text)
+    code, out = run_cli("validate", "--scenario", str(path))
+    assert code in (0, 2, 4), out
+    if code == 4:
+        assert out.startswith(("parse error: ", "cannot read scenario: ")), out
+
+
+def _scenario_text(draw, params, d, cycles, seed) -> str:
+    """The scenario file of a base, a table and named cycles, written with the
+    bundle keys in random order and case, and comments."""
+    values = {"dim_M": params.dim_m, "tau": params.tau,
+              "sphericity": "spherical" if params.nu else "aspherical"}
+    if params.nu:
+        values.update(nu=params.nu, c=params.c)
+    case = draw(st.sampled_from((str.lower, str.upper, str)))
+    keys = draw(st.permutations(sorted(values)))
+    lines = ["# a random scenario", "[bundle]"]
+    lines += [f"{case(key)} = {values[key]}" for key in keys]
+    lines += [f"crit ({cp.name}, {cp.index}, {cp.value})  # critical point" for cp in params.morse]
+    lines += ["[differentials]"] + [f"entry {e.drop} {e.source} -> {e.target}" for e in d.entries]
+    lines.append("[cycles]")
+    for name, ch in cycles.items():
+        terms = " ".join(map(str, ch.terms))
+        lines.append(f"cycle {name} degree {ch.degree} floor {ch.floor} {terms}".rstrip())
+    lines += ["[meta]", f"seed = {seed}"]
+    return "\n".join(lines) + "\n"
+
+
+def _serialized(base, degree, floor, terms) -> str:
+    """serialize_chain's text, in the checker's canonical order."""
+    body = " ".join(f"({q},{n},{a},{s})" for q, n, a, s in
+                    sorted(terms, key=lambda g: ck.order_key(base, g))) or "0"
+    return f"degree={degree} floor={floor} terms: {body}"
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cli_answers_on_random_scenario_files_agree_with_the_checker(tmp_path_factory, kind, data):
+    # A random base of each kind, its seeded table, a boundary xi and a chain
+    # the checker finds not closed, written out as a scenario file: the engine's
+    # reader and the checker's read the same scenario, and diff and primitive
+    # answer as the checker's differential says.
+    draw = data.draw
+    params = draw_bundle(draw, kind)
+    assume(params.refusal is None)
+    degree = 2 * draw(st.integers(-3, 3)) + 1
+    pad = params.dim_m + 2 * abs(params.level_step) + 2
+    window = (Fraction(-20), -pad, pad)
+    d = random_admissible_table(params, draw(st.integers(0, 999)),
+                                (degree, degree + 2, degree + 4), *window)
+    base = ck_base(params)
+    xi, _ = random_boundary(params, d, draw(st.integers(0, 999)), degree, *window, size=5)
+    first = draw(st.integers(0, 999))
+    chains = (random_chain(params, s, degree, *window) for s in range(first, first + 20))
+    bad = next((ch for ch in chains if ck.boundary_above(base, d.entries, ch.terms, ch.floor)),
+               None)
+    assume(bad is not None)
+    seed = draw(st.integers(0, 999))
+    text = _scenario_text(draw, params, d, {"xi": xi, "bad": bad}, seed)
+
+    engine, checker = parse_scenario(text), ck.read_scenario(text)
+    assert engine.bundle == params and engine.entries == d.entries and engine.seed == seed
+    assert ck_base(engine.bundle) == checker.base
+    assert [tuple(e) for e in engine.entries] == checker.entries
+    assert {name: (ch.degree, ch.floor, set(ch.terms)) for name, ch in engine.cycles.items()} == (
+        checker.cycles)
+    assert checker.seed == seed
+
+    path = tmp_path_factory.getbasetemp() / "random.scn"
+    path.write_text(text)
+    s = ("--scenario", str(path))
+    image = ck.boundary_above(base, checker.entries, checker.cycles["bad"][2], bad.floor)
+    code, out = run_cli("diff", *s, "--cycle", "bad")
+    assert code == 0
+    assert out.splitlines()[1] == "differential: " + _serialized(base, degree - 2, bad.floor, image)
+    code, out = run_cli("primitive", *s, "--cycle", "xi")
+    assert (code, out.splitlines()[-1]) == (0, "verification OK"), out
+    theta_line, = (line for line in out.splitlines() if line.startswith("theta: "))
+    theta = ck.parse_generators(theta_line)
+    assert ck.boundary_above(base, checker.entries, theta, xi.floor) == checker.cycles["xi"][2]
+    code, out = run_cli("primitive", *s, "--cycle", "bad")
+    assert code == 2 and out.startswith("not closed: "), out

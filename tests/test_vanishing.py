@@ -5,9 +5,11 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 
 import checker as ck
 from conftest import (
+    BUNDLE_KINDS,
     CASE_SCENARIOS,
     assert_drop_partition,
     ck_base,
+    draw_bundle,
     params_of,
     scenario_path,
     synthetic_params,
@@ -29,6 +31,7 @@ from rabinowitz import (
     d0_primitive,
     enumerate_generators,
     find_primitive,
+    grading,
     level_floor,
     load_scenario,
     load_table,
@@ -367,6 +370,20 @@ def test_verify_unconditional_on_non_closed_input(cp1_params):
     assert check.residual == xi  # residual is d(0) + xi
 
 
+def test_verify_sums_before_it_truncates(cp1_params):
+    # d(theta) + xi is truncated once: a term below xi's floor that both
+    # summands hold cancels, and is neither kept nor dropped.
+    d = load_table(cp1_params, [])
+    g = G("q0", 1, 0, "-")
+    h = g.fiber_partner()
+    floor = action(cp1_params, h) + Fraction(1, 100)  # h lies below it
+    xi = Chain(grading(cp1_params, h), floor, frozenset({h}))
+    theta = Chain(xi.degree + 2, floor + cp1_params.tau, frozenset({g}))
+    assert verify_primitive(d, xi, theta) == (zero_chain(xi.degree, floor), ())
+    bare = verify_primitive(d, xi._replace(terms=frozenset()), theta)
+    assert bare == (zero_chain(xi.degree, floor), (h,))
+
+
 def test_verify_degree_mismatch(cp1_params):
     d = load_table(cp1_params, [])
     with pytest.raises(ValueError, match="degree mismatch"):
@@ -416,16 +433,7 @@ def test_battery_neg4(neg4_params):
     _battery(neg4_params, 4000, 5)
 
 
-# Each kind of base with its case tag and the c it draws; nu is 1-3.
-KINDS = {
-    "aspherical": (CaseTag.ASPHERICAL, None),
-    "c=0": (CaseTag.C_NON_NEGATIVE, st.just(0)),
-    "c>=1": (CaseTag.C_NON_NEGATIVE, st.integers(1, 3)),
-    "very-negative": (CaseTag.C_VERY_NEGATIVE, st.integers(-4, -1)),
-}
-
-
-@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
 @settings(max_examples=40, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
 @given(data=st.data())
@@ -439,19 +447,12 @@ def test_primitive_on_random_bundles_checked_by_the_checker(kind, data):
     # and largest gap.  Bundles the algorithm refuses are skipped.
     # A failure is shrunk but not explained: the explain phase traces every
     # line of each replayed induction, which doubled the time of a failing run.
-    tag, c_values = KINDS[kind]
+    tag = BUNDLE_KINDS[kind][0]
     draw = data.draw
-    dim = draw(st.sampled_from((2, 4, 6)))
-    crits = []
-    for k in range(draw(st.integers(1, 4))):
-        den = draw(st.integers(2, 8))
-        value = Fraction(draw(st.integers(1, den - 1)), den)
-        crits.append(CritPoint(f"q{k}", draw(st.integers(0, dim)), value))
-    tau = Fraction(draw(st.integers(1, 6)), draw(st.integers(2, 8)))
-    nu, c = (None, None) if c_values is None else (draw(st.integers(1, 3)), draw(c_values))
-    params = BundleParams(dim, tau, tuple(crits), nu, c)
+    params = draw_bundle(draw, kind)
     assume(params.refusal is None)
     assert params.case.tag is tag
+    dim, tau = params.dim_m, params.tau
     degree = 2 * draw(st.integers(-3, 3)) + 1
     pad = dim + 2 * abs(params.level_step) + 2
     window = (Fraction(-20), -pad, pad)
