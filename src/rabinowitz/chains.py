@@ -3,9 +3,11 @@
 A :class:`Chain` asserts that its term set is *exact above its floor* and says
 nothing below: the differential never increases action, so generators below
 any action level span a subcomplex and working in the quotient above the floor
-is well-defined.  Every operation that can push terms below the active floor
-computes its Z/2 result first and truncates it once: "dropped below floor"
-lists the terms of that result below the floor, each once, after cancellation.
+is well-defined.  A chain operation computes its Z/2 result first and
+truncates it once, at the result chain's own floor; no operation takes a
+second floor.  "Dropped below floor" lists the terms of that result below the
+floor, each once, after cancellation.  To coarsen a chain ``x`` to a floor
+``f >= x.floor``, call ``truncate(params, x._replace(floor=f))``.
 
 Chains are homogeneous in degree; mixed-degree data are maps degree -> Chain.
 Coefficients are Z/2 throughout, so term sets combine by symmetric difference.
@@ -81,25 +83,18 @@ def build_chain(
     return Chain(degree, floor, frozenset(terms))
 
 
-def truncate(params: BundleParams, x: Chain, floor: Fraction) -> AddResult:
-    """Coarsen the floor, reporting the terms that fall below it."""
-    if floor < x.floor:
-        raise ValueError(
-            f"cannot refine a floor: chain is only exact above {x.floor}, requested {floor}"
-        )
-    level_above = _level_above(params, floor)
+def truncate(params: BundleParams, x: Chain) -> AddResult:
+    """Drop the terms of ``x`` below its own floor, reporting them in canonical order."""
+    level_above = _level_above(params, x.floor)
     kept = frozenset(g for g in x.terms if level_above(g) is not None)
-    dropped = canonical_sort(params, x.terms - kept)
-    return AddResult(Chain(x.degree, floor, kept), dropped)
+    return AddResult(Chain(x.degree, x.floor, kept), canonical_sort(params, x.terms - kept))
 
 
 def add(params: BundleParams, x: Chain, y: Chain) -> AddResult:
     """Z/2 sum: symmetric difference of terms above the coarser floor."""
     if x.degree != y.degree:
         raise ValueError(f"degree mismatch: {x.degree} vs {y.degree}")
-    floor = max(x.floor, y.floor)
-    combined = Chain(x.degree, floor, x.terms ^ y.terms)
-    return truncate(params, combined, floor)
+    return truncate(params, Chain(x.degree, max(x.floor, y.floor), x.terms ^ y.terms))
 
 
 def scalar_shift(params: BundleParams, x: Chain, a0: int) -> Chain:

@@ -11,7 +11,9 @@ Exit codes:
     0  success
     2  the request was refused after the scenario loaded (unknown cycle,
        invalid table, infinite slice, unsupported case, non-closed cycle,
-       induction failure); argparse usage errors also exit 2
+       induction failure); argparse usage errors also exit 2, and so does
+       ``primitive --seed`` without ``--random-table``, before the scenario
+       is read
     3  nonzero verification residual
     4  the scenario could not be read or parsed
 
@@ -78,7 +80,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.command == "primitive" and args.seed is not None and not args.random_table:
+        parser.error("primitive: --seed is read only with --random-table")
     try:
         scenario = load_scenario(args.scenario)
     except ScenarioError as err:

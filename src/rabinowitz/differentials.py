@@ -72,7 +72,8 @@ def apply_d0(params: BundleParams, x: Chain) -> Chain:
     """Fiber differential: termwise, exactly; no truncation.
 
     Every image term has action exactly tau below its preimage, so the result
-    is exact above ``x.floor - tau``; re-truncate to ``x.floor`` on demand.
+    is exact above ``x.floor - tau``.  To re-truncate to ``x.floor``, call
+    ``truncate(params, y._replace(floor=x.floor))`` on the result ``y``.
     """
     terms = frozenset(g.fiber_partner() for g in x.terms if g.sign == "-")
     return Chain(x.degree - 2, x.floor - params.tau, terms)
@@ -245,7 +246,7 @@ def apply_table(d: FilteredDifferential, x: Chain) -> AddResult:
     because distinct generators have distinct d0 images.
     """
     raw = _raw_step(d, x.terms) ^ apply_d0(d.params, x).terms
-    return truncate(d.params, Chain(x.degree - 2, x.floor, raw), x.floor)
+    return truncate(d.params, Chain(x.degree - 2, x.floor, raw))
 
 
 def apply_total(d: FilteredDifferential, x: Chain) -> AddResult:
@@ -254,7 +255,7 @@ def apply_total(d: FilteredDifferential, x: Chain) -> AddResult:
     "Dropped below floor" lists the terms of the Z/2 image that lie below
     x.floor, each once, after cancellation.
     """
-    return truncate(d.params, Chain(x.degree - 2, x.floor, _raw_step(d, x.terms)), x.floor)
+    return truncate(d.params, Chain(x.degree - 2, x.floor, _raw_step(d, x.terms)))
 
 
 def _by_level(params: BundleParams, terms: Iterable[Generator]) -> dict[int, set[Generator]]:

@@ -149,7 +149,7 @@ def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> Verify
             f"degree mismatch: theta has degree {theta.degree}, expected {xi.degree + 2}"
         )
     raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)
-    return VerifyResult(*truncate(d.params, raw, xi.floor))
+    return VerifyResult(*truncate(d.params, raw))
 
 
 def _descend(

@@ -11,9 +11,9 @@ runs tier-1 in that copy (``pytest -v --tb=no`` at its root) under a 1 GiB
 address-space limit.  A mutant is killed when the suite fails; the report
 names the failing tests, sorted.
 
-The suite runs with this file loaded as a pytest plugin (``-p mutants``),
-which changes nothing of tier-1's own settings and makes each report
-repeatable.  It loads a Hypothesis profile with ``derandomize=True`` and no
+The suite runs with ``PYTHONHASHSEED=0`` and with this file loaded as a
+pytest plugin (``-p mutants``), which changes nothing of tier-1's own
+settings and makes each report repeatable.  It loads a Hypothesis profile with ``derandomize=True`` and no
 shrink or explain phase, and it ends each test that runs past
 ``TEST_LIMIT`` seconds with :class:`PastTestLimit`, which pytest reports as
 that test's failure and Hypothesis neither catches nor shrinks; so a mutant
@@ -232,10 +232,28 @@ MUTANTS = [
         "verify_primitive truncating d(theta) before adding xi",
         "vanishing.py",
         "    raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)\n"
-        "    return VerifyResult(*truncate(d.params, raw, xi.floor))\n",
+        "    return VerifyResult(*truncate(d.params, raw))\n",
         "    image = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms))\n"
-        "    image, dropped = truncate(d.params, image, xi.floor)\n"
+        "    image, dropped = truncate(d.params, image)\n"
         "    return VerifyResult(image._replace(terms=image.terms ^ xi.terms), dropped)\n",
+    ),
+    (
+        "truncate keeping every term",
+        "chains.py",
+        "kept = frozenset(g for g in x.terms if level_above(g) is not None)",
+        "kept = x.terms",
+    ),
+    (
+        "truncate reporting the dropped terms unsorted",
+        "chains.py",
+        "canonical_sort(params, x.terms - kept))",
+        "tuple(x.terms - kept))",
+    ),
+    (
+        "add truncating at the finer floor",
+        "chains.py",
+        "max(x.floor, y.floor)",
+        "min(x.floor, y.floor)",
     ),
     (
         "_pool dropping the level-0 generators on c = 0",
@@ -289,6 +307,13 @@ MUTANTS = [
         "    if True:\n",
     ),
     (
+        "primitive --seed accepted without --random-table",
+        "cli.py",
+        '    if args.command == "primitive" and args.seed is not None and not args.random_table:\n'
+        '        parser.error("primitive: --seed is read only with --random-table")\n',
+        "",
+    ),
+    (
         "[meta] accepting the bundle keys",
         "scenario.py",
         '"meta": ("seed",),',
@@ -302,6 +327,8 @@ MUTANTS = [
 #   filled with the bundle keys: lines of those sections never reach _read_kv.
 # - main's seed rule as ``getattr(args, "seed", 0) is None``: validate,
 #   enumerate and diff then get no args.seed, and they never read it.
+# - truncate building its result as ``x._replace(terms=kept)``: the same
+#   chain, only slower.
 
 
 class PastTestLimit(BaseException):
@@ -346,7 +373,9 @@ def run_suite(root: Path, limit: float) -> tuple[bool, list[str], float]:
     error.
     """
     path = os.pathsep.join(str(root / part) for part in ("src", "tests"))
-    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1"}
+    # A fixed hash seed: a mutant that leaks set order, such as an unsorted
+    # drop report, then fails the same tests on every run.
+    env = {**os.environ, "PYTHONPATH": path, "PYTHONUNBUFFERED": "1", "PYTHONHASHSEED": "0"}
     # No tracebacks: the report reads only the outcome lines, and pytest fails
     # with INTERNALERROR on a traceback entry without a line number, which the
     # limit's raise leaves when it lands on a loop's backward jump.

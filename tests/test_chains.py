@@ -4,6 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import checker as ck
+from conftest import assert_drop_partition, ck_base
 from rabinowitz import (
     Chain,
     Generator,
@@ -88,10 +90,20 @@ def test_add_coarsens_floor_and_reports(cp1_params):
     assert total.terms == y.terms
 
 
-def test_truncate_refuses_refinement(cp1_params):
-    x = build_chain(cp1_params, [G("q0", 1, 0, "-")], Fraction(0))
-    with pytest.raises(ValueError):
-        truncate(cp1_params, x, Fraction(-1))
+def test_truncate_keeps_its_floor_and_drops_only_below_it(cp1_params):
+    # One floor per chain: truncation keeps the chain's degree and floor, the
+    # terms at or above it by the checker's actions, and reports the rest
+    # once each in the checker's canonical order.  Floors include one each
+    # generator's action meets exactly.
+    base = ck_base(cp1_params)
+    pool = pool5(cp1_params)
+    for floor in sorted({FLOOR, Fraction(100)} | {ck.action(base, g) for g in pool}):
+        x = Chain(5, floor, frozenset(pool))
+        kept, dropped = truncate(cp1_params, x)
+        assert (kept.degree, kept.floor) == (5, floor)
+        assert kept.terms == {g for g in pool if ck.action(base, g) >= floor}
+        assert list(dropped) == sorted(x.terms - kept.terms, key=lambda g: ck.order_key(base, g))
+        assert_drop_partition(kept.terms, dropped, x.terms)
 
 
 def test_truncation_functorial(cp1_params):
@@ -99,11 +111,11 @@ def test_truncation_functorial(cp1_params):
     x = Chain(5, FLOOR, frozenset(pool[::2]))
     y = Chain(5, FLOOR, frozenset(pool[1::3]))
     kappa = Fraction(1, 4)
-    lhs = truncate(cp1_params, add(cp1_params, x, y).chain, kappa).chain
+    lhs = truncate(cp1_params, add(cp1_params, x, y).chain._replace(floor=kappa)).chain
     rhs = add(
         cp1_params,
-        truncate(cp1_params, x, kappa).chain,
-        truncate(cp1_params, y, kappa).chain,
+        truncate(cp1_params, x._replace(floor=kappa)).chain,
+        truncate(cp1_params, y._replace(floor=kappa)).chain,
     ).chain
     assert lhs == rhs
 

@@ -365,7 +365,7 @@ def test_chain_level_helpers_agree_with_apply_total(name):
             table = apply_table(d, x)
             for image, odd in ((table, full ^ fiber), (apply_total(d, x), full)):
                 terms = frozenset(map(G._make, odd))
-                assert image == truncate(params, Chain(x.degree - 2, x.floor, terms), x.floor)
+                assert image == truncate(params, Chain(x.degree - 2, x.floor, terms))
             images += not table.chain.is_zero
             summed: frozenset[Generator] = frozenset()
             for lv, part in split_by_level(params, x).items():

@@ -528,8 +528,7 @@ def test_integer_keys_agree_with_exact_rationals(data, params, floor):
     # at a floor that one generator's action meets exactly
     for bar in (floor, exact[gens[0]]):
         above = {g for g in gens if exact[g] >= bar}
-        x = Chain(7, bar - 100, frozenset(gens))
-        kept, dropped = truncate(params, x, bar)
+        kept, dropped = truncate(params, Chain(7, bar, frozenset(gens)))
         assert kept.terms == above and set(dropped) == set(gens) - above
         for g in gens:
             if exact[g] >= bar:

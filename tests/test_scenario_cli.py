@@ -522,6 +522,17 @@ def test_seed_flag_overrides_the_meta_seed_which_defaults_to_zero(tmp_path, comm
     assert len({unseeded, seeded, run("[meta]\nseed = 1\n")}) == 3
 
 
+def test_primitive_seed_without_random_table_is_a_usage_error(capsys):
+    # Only --random-table reads the seed, so --seed alone is refused, before
+    # the scenario is read: a missing file is not reported.
+    for path, seed in ((scenario_path("cp1"), "3"), ("/nonexistent.scn", "0")):
+        with pytest.raises(SystemExit) as info:
+            main(["primitive", "--scenario", str(path), "--cycle", "xi0", "--seed", seed])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "--random-table" in err.splitlines()[-1]
+
+
 def test_meta_holds_only_the_seed(tmp_path):
     path = tmp_path / "meta.scn"
     for key in ("tau = 1/3", "dim_M = 2", "crit (q4, 0, 1/3)"):
@@ -619,15 +630,10 @@ def _serialized(base, degree, floor, terms) -> str:
     return f"degree={degree} floor={floor} terms: {body}"
 
 
-@pytest.mark.parametrize("kind", BUNDLE_KINDS)
-@settings(max_examples=10, deadline=None)
-@given(data=st.data())
-def test_cli_answers_on_random_scenario_files_agree_with_the_checker(tmp_path_factory, kind, data):
-    # A random base of each kind, its seeded table, a boundary xi and a chain
-    # the checker finds not closed, written out as a scenario file: the engine's
-    # reader and the checker's read the same scenario, and diff and primitive
-    # answer as the checker's differential says.
-    draw = data.draw
+def _draw_scenario(draw, kind):
+    """A random base of one kind with its seeded table, a boundary xi, a chain
+    bad that the checker finds not closed, and a seed: (params, table, xi,
+    bad, seed)."""
     params = draw_bundle(draw, kind)
     assume(params.refusal is None)
     degree = 2 * draw(st.integers(-3, 3)) + 1
@@ -642,7 +648,20 @@ def test_cli_answers_on_random_scenario_files_agree_with_the_checker(tmp_path_fa
     bad = next((ch for ch in chains if ck.boundary_above(base, d.entries, ch.terms, ch.floor)),
                None)
     assume(bad is not None)
-    seed = draw(st.integers(0, 999))
+    return params, d, xi, bad, draw(st.integers(0, 999))
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cli_answers_on_random_scenario_files_agree_with_the_checker(tmp_path_factory, kind, data):
+    # A random base of each kind, its seeded table, a boundary xi and a chain
+    # the checker finds not closed, written out as a scenario file: the engine's
+    # reader and the checker's read the same scenario, and diff and primitive
+    # answer as the checker's differential says.
+    draw = data.draw
+    params, d, xi, bad, seed = _draw_scenario(draw, kind)
+    base, degree = ck_base(params), xi.degree
     text = _scenario_text(draw, params, d, {"xi": xi, "bad": bad}, seed)
 
     engine, checker = parse_scenario(text), ck.read_scenario(text)
@@ -667,3 +686,103 @@ def test_cli_answers_on_random_scenario_files_agree_with_the_checker(tmp_path_fa
     assert ck.boundary_above(base, checker.entries, theta, xi.floor) == checker.cycles["xi"][2]
     code, out = run_cli("primitive", *s, "--cycle", "bad")
     assert code == 2 and out.startswith("not closed: "), out
+
+
+def _drop_line(base, terms, floor) -> str:
+    """The drop report of a Z/2 result: its terms below the floor, in the checker's order."""
+    below = sorted((g for g in terms if ck.action(base, g) < floor),
+                   key=lambda g: ck.order_key(base, g))
+    return "dropped below floor: " + (" ".join(f"({q},{n},{a},{s})" for q, n, a, s in below)
+                                      or "none")
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_cli_reports_on_random_scenario_files_agree_with_the_checker(tmp_path_factory, kind, data):
+    # The draws of the test above, with xi and bad also declared at the
+    # least action of their terms, where images and residuals fall below the
+    # floor: every other report line of the commands, and every exit code,
+    # against the checker.
+    draw = data.draw
+    params, d, xi, bad, seed = _draw_scenario(draw, kind)
+    base = ck_base(params)
+    cycles = {"xi": xi, "bad": bad}
+    for name, ch in list(cycles.items()):
+        least = min((ck.action(base, g) for g in ch.terms), default=ch.floor)
+        cycles[f"{name}_top"] = ch._replace(floor=least)
+    text = _scenario_text(draw, params, d, cycles, seed)
+    checker = ck.read_scenario(text)
+    entries = checker.entries
+    path = tmp_path_factory.getbasetemp() / "random.scn"
+    path.write_text(text)
+    s = ("--scenario", str(path))
+
+    # diff and primitive: the drop report is the below-floor part of the Z/2 result.
+    for name in ("bad", "bad_top"):
+        _, floor, terms = checker.cycles[name]
+        code, out = run_cli("diff", *s, "--cycle", name)
+        assert code == 0
+        assert out.splitlines()[2] == _drop_line(base, ck.differential(entries, terms), floor)
+    for name in ("xi", "xi_top"):
+        _, floor, terms = checker.cycles[name]
+        code, out = run_cli("primitive", *s, "--cycle", name)
+        assert code == 0, out
+        theta_line, = (line for line in out.splitlines() if line.startswith("theta: "))
+        residual = ck.differential(entries, ck.parse_generators(theta_line)) ^ terms
+        assert out.splitlines()[-3] == _drop_line(base, residual, floor)
+
+    # validate: the case tag, N_E = |c-1|*nu on a spherical base, the table, the cycles.
+    code, out = run_cli("validate", *s)
+    lines = out.splitlines()
+    assert code == 0, out
+    assert lines[0] == "bundle: valid"
+    assert lines[1].split(" ")[0] == f"case={BUNDLE_KINDS[kind][0].value}"
+    assert lines[2].startswith("semi-positive=")
+    if base.spherical:
+        assert lines[3] == f"N_E={abs(base.c - 1) * base.nu}"
+    assert lines[3 + base.spherical:] == [f"differentials: {len(entries)} entries valid"] + [
+        f"cycle {name}: degree {degree}, floor {floor}, {len(terms)} terms"
+        for name, (degree, floor, terms) in sorted(checker.cycles.items())]
+
+    # enumerate: the checker's slice and closed forms; c = 0 leaves the class free.
+    degree = 2 * draw(st.integers(-3, 3)) + 1
+    floor = Fraction(draw(st.integers(-60, 10)), draw(st.integers(1, 4)))
+    pad = base.dim + 2 * abs(params.level_step) + 2
+    lo = draw(st.integers(-pad, pad))
+    hi = draw(st.integers(lo, pad))
+    code, out = run_cli("enumerate", *s, "--degree", str(degree), f"--floor={floor}",
+                        f"--window={lo}:{hi}")
+    if base.spherical and base.c == 0:
+        # The class-0 generators of the degree keep their level along the slice.
+        twin = ck.Base(base.dim, base.tau, base.crit)
+        if ck.enumerate_slice(twin, degree, Fraction(-10**6), lo, hi):
+            assert code == 2 and out.startswith("error: infinite slice: c = 0 "), out
+        else:
+            assert (code, out) == (0, ENUM_HEADER)
+    else:
+        assert (code, out) == (0, ENUM_HEADER + "".join(
+            f"({g[0]},{g[1]},{g[2]},{g[3]}) | {ck.action(base, g)} | {ck.twice_mu(base, g)}"
+            f" | {ck.level(base, g)} | {ck.eta(base, g)}\n"
+            for g in ck.enumerate_slice(base, degree, floor, lo, hi)))
+
+    # primitive --random-table: an admissible table, then the checker's verdict.
+    for name in ("xi", "bad"):
+        _, floor, terms = checker.cycles[name]
+        code, out = run_cli("primitive", *s, "--cycle", name, "--random-table")
+        lines = out.splitlines()
+        table = [(int(line.split()[0][1:]), *ck.parse_generators(line))
+                 for line in lines[1:] if line.startswith("  ")]
+        assert lines[0] == f"table: seeded ({seed}), {len(table)} entries"
+        assert ck.table_violations(base, table) == [] and ck.square_defects(base, table) == []
+        if ck.boundary_above(base, table, terms, floor):
+            assert code == 2 and lines[-1].startswith("not closed: "), out
+        else:
+            assert (code, lines[-1]) == (0, "verification OK"), out
+            theta_line, = (line for line in lines if line.startswith("theta: "))
+            theta = ck.parse_generators(theta_line)
+            assert ck.boundary_above(base, table, theta, floor) == terms
+            assert lines[-3] == _drop_line(base, ck.differential(table, theta) ^ terms, floor)
+
+    code, out = run_cli("check", *s)
+    assert code == 0 and all(line.startswith("PASS: ") for line in out.splitlines()), out
