@@ -47,12 +47,17 @@ class BundleParams(_BundleFields):
     ``c * omega`` on spheres) and are both ``None`` for aspherical ones.  The
     C^2-smallness of the Morse function is an unchecked modelling assumption;
     no quantitative bound is available, so none is validated.  The action
-    denominator L, L*tau, the per-point constants and their coefficient rows,
-    the extreme critical values, the case and the case's rules (level step,
-    refusal, depth cutoff) are cached, not fields, so equality, hashing and
-    repr ignore them; the hash of the fields is cached too.  The fields
-    live on a named-tuple base; this subclass keeps a ``__dict__`` for the
-    caches.
+    denominator L, the per-point rows, the extreme critical values, the case
+    and the case's rules (level step, refusal, depth cutoff) are cached, not
+    fields, so equality, hashing and repr ignore them; the hash of the fields
+    is cached too.  The fields live on a named-tuple base; this subclass keeps
+    a ``__dict__`` for the caches.
+
+    ``rows`` is the one table of the generator formulas: one row of integer
+    coefficients per critical point, with the point itself.
+    :func:`generators._invariants` reads a row forward, from (cover, sphere)
+    to (level, twice_mu, L*action), and :func:`generators.enumerate_generators`
+    solves it for the sphere classes of a slice of fixed degree.
     """
 
     def __hash__(self) -> int:
@@ -75,37 +80,31 @@ class BundleParams(_BundleFields):
                         *(((self.tau + 1) * cp.value).denominator for cp in self.morse))
 
     @cached_property
-    def points(self) -> dict[str, tuple[CritPoint, int, int]]:
-        """By id: (point, its level at class 0 = -index + dim_M/2, L*(tau+1)*f(q)).
-
-        Built in reverse, so the first of duplicate ids wins.
-        """
-        scale, half = (self.tau + 1) * self.action_denominator, self.dim_m // 2
-        return _ById((cp.name, (cp, half - cp.index, int(scale * cp.value)))
-                     for cp in reversed(self.morse))
-
-    @cached_property
-    def tau_key(self) -> int:
-        """L*tau: the action key gained per cover."""
-        return self.action_denominator // self.tau.denominator * self.tau.numerator
-
-    @cached_property
     def level_step(self) -> int:
         """Level gained per sphere class, 2*c*nu; 0 when aspherical (one class)."""
         return 0 if self.aspherical else 2 * self.c * self.nu
 
     @cached_property
-    def rows(self) -> dict[str, tuple[int, ...]]:
-        """By id: (l0, m0, k0, k_n, l_a, m_a, k_a) with level = l0 + l_a*a, twice_mu =
-        m0 + 4n + m_a*a -+ 1 and L*action = k0 + k_n*n + k_a*a; aspherical: l_a = None."""
-        k_n = self.tau_key
+    def rows(self) -> dict[str, tuple]:
+        """By id: (l0, m0, k0, k_n, l_a, m_a, k_a, point), the one table of the
+        generator formulas: level = l0 + l_a*a, twice_mu = m0 + 4n + m_a*a -+ 1
+        and L*action = k0 + k_n*n + k_a*a; aspherical: l_a = m_a = k_a = None.
+
+        In Morse order; the first of duplicate ids wins.
+        """
+        den, dim = self.action_denominator, self.dim_m
+        scale, k_n = (self.tau + 1) * den, den // self.tau.denominator * self.tau.numerator
         per_a = (None,) * 3 if self.aspherical else (
-            self.level_step, 4 * (self.c - 1) * self.nu, self.nu * self.action_denominator)
-        return _ById((name, (lv, self.dim_m - 2 * cp.index, -key, k_n, *per_a))
-                     for name, (cp, lv, key) in self.points.items())
+            self.level_step, 4 * (self.c - 1) * self.nu, self.nu * den)
+        rows = _ById()
+        for cp in self.morse:
+            if cp.name not in rows:
+                rows[cp.name] = (dim // 2 - cp.index, dim - 2 * cp.index, -int(scale * cp.value),
+                                 k_n, *per_a, cp)
+        return rows
 
     def crit(self, name: str) -> CritPoint:
-        return self.points[name][0]
+        return self.rows[name][-1]
 
     @cached_property
     def case(self) -> TheoremCase:

@@ -17,20 +17,19 @@ formulas used throughout:
     twice_mu        = 2*cz_fiber_disk - 2*morse_index + dim_M -+ 1   (+1 for '+')
     cz_base (level) = -morse_index + dim_M/2 + 2*c*nu*a
 
-Comparisons run on integers: :func:`_invariants` reads the point's row of
-integer coefficients cached on :class:`BundleParams` and returns (level,
-twice_mu, L*action), L = ``params.action_denominator``, as three linear forms
-in (cover, sphere); :func:`_level_above` holds the one floor test.
-:func:`_invariants` is also the one check of what a generator is: it refuses
-an unknown critical point id, a sign other than '+' or '-' and a nonzero
-sphere class on an aspherical base, so every invariant, order and report
-refuses them with the same named error.
-:func:`enumerate_generators` runs one path for every case: each
-sphere-class-0 generator of the degree starts a slice of fixed degree, and its
-level window and action floor are solved for the sphere class on integers; a
-missing end of the window is no constraint.  The case enters only through
-``params.level_step`` (2*c*nu, 0 when aspherical) and the single sphere class
-of an aspherical base.
+Comparisons run on integers.  ``params.rows`` holds, per critical point, the
+one table of these formulas: integer coefficients that make (level, twice_mu,
+L*action), L = ``params.action_denominator``, three linear forms in (cover,
+sphere).  :func:`_invariants` reads a row forward; :func:`_level_above` holds
+the one floor test.  :func:`_invariants` is also the one check of what a
+generator is: it refuses an unknown critical point id, a sign other than '+'
+or '-' and a nonzero sphere class on an aspherical base, so every invariant,
+order and report refuses them with the same named error.
+:func:`enumerate_generators` solves each row for one slice of fixed degree:
+the degree pins the class-0 cover and sign, and the level window and action
+floor are solved for the sphere class on integers; a missing end of the
+window is no constraint.  The case enters only through the row's per-class
+coefficients, which are absent on an aspherical base (one class).
 :func:`action` still returns the exact ``Fraction``, built only where a report
 prints an action or an error message quotes one.  A :class:`Generator` is a
 named tuple, so building, hashing and ordering one is tuple work.
@@ -41,7 +40,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import inf
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .bundle import BundleParams
 
@@ -82,7 +81,7 @@ def _invariants(params: BundleParams, g: Generator) -> tuple[int, int, int]:
     generator through here.
     """
     base, n, a, sign = g
-    lv, mu, key, k_n, l_a, m_a, k_a = params.rows[base]
+    lv, mu, key, k_n, l_a, m_a, k_a, _ = params.rows[base]
     if sign == "+":
         mu += 4 * n + 1
     elif sign == "-":
@@ -191,15 +190,6 @@ def _require_odd(twice_mu: int) -> None:
         raise ValueError(f"degree must be odd (doubled half-integer grading), got {twice_mu}")
 
 
-def _class_zero_of_degree(params: BundleParams, twice_mu: int) -> Iterator[Generator]:
-    """Sphere-class-0 generators of one degree: it pins the cover, parity the sign."""
-    for cp in params.morse:
-        for sign, s in (("+", 1), ("-", -1)):
-            num = twice_mu + 2 * cp.index - params.dim_m - s
-            if num % 4 == 0:
-                yield Generator(cp.name, num // 4, 0, sign)
-
-
 def enumerate_generators(
     params: BundleParams,
     twice_mu: int,
@@ -209,11 +199,12 @@ def enumerate_generators(
 ) -> tuple[Generator, ...]:
     """All generators of one degree with action >= floor and level in a window.
 
-    Each sphere-class-0 generator of the degree starts one slice n = n0 +
-    (1-c)*nu*a along which the degree is fixed and level and L*action are
-    linear in the sphere class a; the level window and the action floor are
-    solved for a exactly on integers.  A missing end of the window is no
-    constraint.  A slice that holds infinitely many generators raises
+    Each row of ``params.rows`` gives one slice: the degree pins the cover n0
+    and sign at sphere class 0, and along n = n0 - m_a/4*a = n0 + (1-c)*nu*a
+    the degree is fixed while level and L*action are linear in the sphere
+    class a; the level window and the action floor are solved for a exactly
+    on integers.  A missing end of the window is no constraint.  A slice that
+    holds infinitely many generators raises
     :class:`InfiniteSliceError`: one unbounded above in the sphere class
     names the window end its case misses (the upper for c >= 1, the lower for
     c <= -1, any for c = 0), and one unbounded below only names
@@ -222,20 +213,26 @@ def enumerate_generators(
     """
     _require_odd(twice_mu)
     action_floor = Fraction(action_floor)
-    step = params.level_step
     bar, den = action_floor.numerator * params.action_denominator, action_floor.denominator
-    if params.aspherical:
-        classes, cover_step, slope = (0, 0), 0, 0
+    # Along a slice the degree m0 + 4n + m_a*a -+ 1 is fixed, so the cover
+    # moves by -m_a/4 per class; every row shares (k_n, l_a, m_a, k_a).
+    _, _, _, k_n, step, m_a, k_a, _ = next(iter(params.rows.values()), (None,) * 8)
+    if step is None:  # aspherical: the one class 0
+        classes, step, cover_step, slope = (0, 0), 0, 0, 0
     else:
-        classes, cover_step = (-inf, inf), (1 - params.c) * params.nu
-        slope = (params.nu * params.action_denominator + cover_step * params.tau_key) * den
+        classes, cover_step = (-inf, inf), -m_a // 4
+        slope = (k_a + cover_step * k_n) * den
     found: list[Generator] = []
-    for g0 in _class_zero_of_degree(params, twice_mu):
-        lv0, _, key0 = _invariants(params, g0)
+    for lv0, m0, k0, _, _, _, _, cp in params.rows.values():
+        # The degree pins the class-0 cover n0 and, by its parity, the sign.
+        n0, r = divmod(twice_mu - m0 + 1, 4)
+        if r % 2:  # an odd dim_M: no generator has an odd degree
+            continue
+        sign = "+" if r else "-"
         a_lo, a_hi = classes
         # The classes a with coef*a >= rhs: action >= floor, level >= lo, level <= hi;
         # a missing end is 0*a >= 0, no constraint.
-        bounds = ((slope, bar - key0 * den),
+        bounds = ((slope, bar - (k0 + k_n * n0) * den),
                   (0, 0) if level_lo is None else (step, level_lo - lv0),
                   (0, 0) if level_hi is None else (-step, lv0 - level_hi))
         for coef, rhs in bounds:
@@ -250,12 +247,11 @@ def enumerate_generators(
         if a_hi == inf:  # the case's window end is missing, or c = 0 keeps the level
             if not step:
                 raise InfiniteSliceError(
-                    f"infinite slice: c = 0 leaves the sphere class unconstrained for critical point {g0.base!r}"
+                    f"infinite slice: c = 0 leaves the sphere class unconstrained for critical point {cp.name!r}"
                 )
             end = "no upper level bound and c >= 1" if step > 0 else "no lower level bound and c <= -1"
             raise InfiniteSliceError(f"infinite slice: {end} (sphere class unbounded above at any action floor)")
         if a_lo == -inf:
             raise InfiniteSliceError(f"infinite slice: {_uncontrolled(params)}")
-        found += [Generator(g0.base, g0.cover + cover_step * a, a, g0.sign)
-                  for a in range(a_lo, a_hi + 1)]
+        found += [Generator(cp.name, n0 + cover_step * a, a, sign) for a in range(a_lo, a_hi + 1)]
     return canonical_sort(params, found)

@@ -145,8 +145,26 @@ MUTANTS = [
     (
         "the +1 of (tau + 1) dropped from the critical-value term of the action",
         "bundle.py",
-        "scale, half = (self.tau + 1) * self.action_denominator",
-        "scale, half = self.tau * self.action_denominator",
+        "scale, k_n = (self.tau + 1) * den,",
+        "scale, k_n = self.tau * den,",
+    ),
+    (
+        "the row builder overwriting an earlier duplicate id: the last duplicate wins",
+        "bundle.py",
+        "if cp.name not in rows:",
+        "if True:",
+    ),
+    (
+        "the sign parity of enumerate_generators' cover pin flipped",
+        "generators.py",
+        'sign = "+" if r else "-"',
+        'sign = "-" if r else "+"',
+    ),
+    (
+        "the cover step of enumerate_generators with its sign flipped",
+        "generators.py",
+        "classes, cover_step = (-inf, inf), -m_a // 4",
+        "classes, cover_step = (-inf, inf), m_a // 4",
     ),
     (
         "a strict action rule: a target of equal action refused",

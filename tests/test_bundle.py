@@ -8,6 +8,8 @@ from rabinowitz import (
     CritPoint,
     Generator,
     action,
+    enumerate_generators,
+    grading,
     is_semi_positive,
     level,
     minimal_chern_number,
@@ -35,6 +37,11 @@ def test_validate_boundary_value_rejected():
 
 def test_validate_odd_dimension_rejected():
     assert any("odd" in v for v in validate(mk(dim_m=3)))
+    # Every grading is even there, so no generator has an odd degree.
+    params = mk(dim_m=3, aspherical=True)
+    assert grading(params, Generator("q0", 0, 0, "+")) == 4
+    for twice_mu in (-1, 1, 3, 5):
+        assert enumerate_generators(params, twice_mu, Fraction(-100)) == ()
 
 
 def test_validate_collects_everything():
@@ -140,12 +147,20 @@ def test_crit_duplicate_ids_first_wins():
     g = Generator("x", 1, 0, "+")
     assert level(params, g) == -first.index + params.dim_m // 2
     assert action(params, g) == params.tau - (params.tau + 1) * first.value
+    # Enumeration reads the same rows: only generators of the asked degree,
+    # as on the base without the later duplicate.
+    alone = params._replace(morse=params.morse[:1] + params.morse[2:])
+    for twice_mu in (1, 3, 5):
+        gens = enumerate_generators(params, twice_mu, Fraction(-6), -6, 6)
+        assert gens and {grading(params, g) for g in gens} == {twice_mu}
+        assert gens == enumerate_generators(alone, twice_mu, Fraction(-6), -6, 6)
 
 
 def test_cached_constants_leave_equality_hash_and_repr_alone():
     warm, cold = mk(), mk()
-    assert warm.action_denominator == 20 and warm.points["q2"][1:] == (-1, 6)
-    assert "points" in vars(warm) and "points" not in vars(cold)
+    assert warm.action_denominator == 20
+    assert warm.rows["q2"] == (-1, -2, -6, 10, 4, 4, 20, warm.morse[1])
+    assert "rows" in vars(warm) and "rows" not in vars(cold)
     assert warm == cold and hash(warm) == hash(cold) and repr(warm) == repr(cold)
     assert len({warm, cold}) == 1
 

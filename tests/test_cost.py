@@ -61,22 +61,20 @@ def test_the_counted_bindings_are_all_of_them():
 
 
 def test_enumeration_reads_track_the_generators_returned(work, c1_params):
-    # One read per sphere-class-0 start point (one per critical point in a
-    # degree) and one per generator returned, in the canonical sort; the
-    # lower level end moves from -100 to -10**6 without changing either.
+    # Each slice is solved from its point's row without a read, so the only
+    # reads are the canonical sort's, one per generator returned; the lower
+    # level end moves from -100 to -10**6 without changing either.
     found = {lo: work(enumerate_generators, c1_params, 3, Fraction(-2), lo, 40)
              for lo in (-100, -10**4, -10**6)}
     (gens, counts), = {(gens, counts["_invariants"]) for gens, counts in found.values()}
-    assert len(gens) == 22
-    assert counts <= len(gens) + len(c1_params.morse)
+    assert len(gens) == counts == 22
 
 
 # wide_primitive's base and table: c = 1, so the boundaries spread over about
 # 100 sphere classes.  Each level bound a cold memo certifies enumerates an
-# empty window, reading one start point per critical point (3 here) for each
-# of the two degrees.
+# empty window, which reads no generator.
 WIDE = synthetic_params(3, 2, 1, 2, Fraction(3, 4))
-CERTIFICATE_READS = 6
+CERTIFICATE_READS = 0
 # The theta parts of the boundary of each size: one per level visited.
 THETA_PARTS = {25: 14, 100: 58, 400: 200}
 

@@ -786,3 +786,21 @@ def test_cli_reports_on_random_scenario_files_agree_with_the_checker(tmp_path_fa
 
     code, out = run_cli("check", *s)
     assert code == 0 and all(line.startswith("PASS: ") for line in out.splitlines()), out
+
+
+def test_primitive_drop_line_agrees_with_the_checker_when_a_term_drops():
+    # cp1_drop's table sends the theta term (q0,1,0,-) below xi0's floor, a
+    # drop the random scenarios above almost never make: the drop line is
+    # the checker's below-floor part of d(theta) + xi, and it is not empty.
+    path = scenario_path("cp1_drop")
+    checker = ck.read_scenario(path.read_text())
+    _, floor, terms = checker.cycles["xi0"]
+    code, out = run_cli("primitive", "--scenario", str(path), "--cycle", "xi0")
+    lines = out.splitlines()
+    assert (code, lines[-1]) == (0, "verification OK"), out
+    theta_line, = (line for line in lines if line.startswith("theta: "))
+    theta = ck.parse_generators(theta_line)
+    assert ck.boundary_above(checker.base, checker.entries, theta, floor) == terms
+    residual = ck.differential(checker.entries, theta) ^ terms
+    assert lines[-3] == _drop_line(checker.base, residual, floor) == (
+        "dropped below floor: (q0,2,-2,+)")
