@@ -16,7 +16,6 @@ public if one of these holds:
 
 - the CLI or the engine needs it;
 - ``tests/test_acceptance.py`` needs it;
-- it states a claim of the paper that a test checks;
 - the per-layer spec of ``BENCHMARK.json`` names it.
 
 Any other helper goes rather than stay exported for its own tests.
@@ -36,8 +35,8 @@ from .bundle import (
     validate,
 )
 from .chains import (
-    AddResult,
     Chain,
+    Truncated,
     add,
     build_chain,
     scalar_shift,

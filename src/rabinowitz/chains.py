@@ -5,8 +5,10 @@ nothing below: the differential never increases action, so generators below
 any action level span a subcomplex and working in the quotient above the floor
 is well-defined.  A chain operation computes its Z/2 result first and
 truncates it once, at the result chain's own floor; no operation takes a
-second floor.  "Dropped below floor" lists the terms of that result below the
-floor, each once, after cancellation.  To coarsen a chain ``x`` to a floor
+second floor.  :class:`Truncated` is the one record every truncating
+operation returns, ``verify_primitive`` included: the kept chain and
+"dropped below floor", the terms of that result below the floor, each once,
+after cancellation.  To coarsen a chain ``x`` to a floor
 ``f >= x.floor``, call ``truncate(params, x._replace(floor=f))``.
 
 Chains are homogeneous in degree; mixed-degree data are maps degree -> Chain.
@@ -45,7 +47,11 @@ class Chain(NamedTuple):
         return not self.terms
 
 
-class AddResult(NamedTuple):
+class Truncated(NamedTuple):
+    """A Z/2 result truncated at its own floor, the record of every truncating
+    operation: :func:`truncate` builds it, and ``add``, ``apply_table``,
+    ``apply_total`` and ``verify_primitive`` return it."""
+
     chain: Chain
     dropped: tuple[Generator, ...]
 
@@ -83,14 +89,14 @@ def build_chain(
     return Chain(degree, floor, frozenset(terms))
 
 
-def truncate(params: BundleParams, x: Chain) -> AddResult:
+def truncate(params: BundleParams, x: Chain) -> Truncated:
     """Drop the terms of ``x`` below its own floor, reporting them in canonical order."""
     level_above = _level_above(params, x.floor)
     kept = frozenset(g for g in x.terms if level_above(g) is not None)
-    return AddResult(Chain(x.degree, x.floor, kept), canonical_sort(params, x.terms - kept))
+    return Truncated(Chain(x.degree, x.floor, kept), canonical_sort(params, x.terms - kept))
 
 
-def add(params: BundleParams, x: Chain, y: Chain) -> AddResult:
+def add(params: BundleParams, x: Chain, y: Chain) -> Truncated:
     """Z/2 sum: symmetric difference of terms above the coarser floor."""
     if x.degree != y.degree:
         raise ValueError(f"degree mismatch: {x.degree} vs {y.degree}")

@@ -174,7 +174,7 @@ def cmd_primitive(scenario, args) -> int:
     else:
         d = load_table(params, scenario.entries)
     result = find_primitive(d, cycle)
-    print(f"case: {result.case.tag.value}")
+    print(f"case: {params.case.tag.value}")
     if result.level_ceiling is not None:
         print(f"level ceiling: {result.level_ceiling}; stop level: {result.stop_level}")
     for bound in result.bounds:

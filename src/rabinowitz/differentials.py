@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .bundle import BundleParams, CaseTag
-from .chains import AddResult, Chain, truncate
+from .chains import Chain, Truncated, truncate
 from .generators import (
     Generator,
     _invariants,
@@ -239,7 +239,7 @@ def load_table(
     return d
 
 
-def apply_table(d: FilteredDifferential, x: Chain) -> AddResult:
+def apply_table(d: FilteredDifferential, x: Chain) -> Truncated:
     """The higher part of the differential (all drops i >= 1), truncated to x.floor.
 
     It is the kernel's image with the fiber part flipped back out, exact
@@ -249,7 +249,7 @@ def apply_table(d: FilteredDifferential, x: Chain) -> AddResult:
     return truncate(d.params, Chain(x.degree - 2, x.floor, raw))
 
 
-def apply_total(d: FilteredDifferential, x: Chain) -> AddResult:
+def apply_total(d: FilteredDifferential, x: Chain) -> Truncated:
     """Full differential d0 + sum of d_i, truncated once to x.floor.
 
     "Dropped below floor" lists the terms of the Z/2 image that lie below

@@ -62,14 +62,15 @@ def _pool(
 ) -> tuple[Generator, ...]:
     """Finite sampling pool for one degree: the enumerated window.
 
-    When the level step is 0 the window is enumerated on the base's aspherical
-    twin, which is the base itself when aspherical.  For c = 0, where any
-    level window meeting the feasible range holds infinitely many generators,
-    the twin yields the sphere-class-0 shift-orbit representatives, which is
-    all a table needs since entries are stored on representatives anyway; at
-    class 0 the twin has the same levels, gradings and action keys.
+    For c = 0, where any level window meeting the feasible range holds
+    infinitely many generators, the window is enumerated on the base's
+    aspherical twin, which yields the sphere-class-0 shift-orbit
+    representatives: all a table needs, since entries are stored on
+    representatives anyway.  At class 0 the twin has the same levels,
+    gradings and action keys.  Every other base, aspherical included, is
+    enumerated as it is, with the rows it has already built.
     """
-    if not params.level_step:
+    if params.c == 0:
         params = BundleParams(params.dim_m, params.tau, params.morse)
     return enumerate_generators(params, degree, floor, level_lo, level_hi)
 

@@ -28,8 +28,8 @@ from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from typing import NamedTuple
 
-from .bundle import BundleParams, CaseTag, TheoremCase
-from .chains import Chain, serialize_chain, truncate, zero_chain
+from .bundle import BundleParams, CaseTag
+from .chains import Chain, Truncated, serialize_chain, truncate, zero_chain
 from .differentials import FilteredDifferential, _by_level, _fiber_primitive, _raw_step, apply_total
 from .generators import (
     Generator,
@@ -68,11 +68,6 @@ class LevelBound(NamedTuple):
     certificate_window: tuple[int, int]
 
 
-class VerifyResult(NamedTuple):
-    residual: Chain
-    dropped: tuple[Generator, ...]
-
-
 class ClassReport(NamedTuple):
     """Per-sphere-class certificate of a very-negative run."""
 
@@ -84,7 +79,6 @@ class ClassReport(NamedTuple):
 
 
 class PrimitiveResult(NamedTuple):
-    case: TheoremCase
     theta: Chain
     theta_parts: tuple[tuple[str, Chain], ...]
     residual: Chain
@@ -138,18 +132,19 @@ def _certified_bound(params: BundleParams, twice_mu: int, num: int, den: int) ->
     return LevelBound(twice_mu, action_floor, l_min, window)
 
 
-def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> VerifyResult:
+def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> Truncated:
     """Unconditional check: d(theta) + xi, truncated once at xi's floor.
 
-    "Dropped below floor" lists the terms of the Z/2 sum d(theta) + xi that lie
-    below xi's floor, each once, after cancellation.
+    The result is :func:`truncate`'s record, as for every truncating
+    operation: the residual chain, and the terms of the Z/2 sum d(theta) + xi
+    that lie below xi's floor, each once, after cancellation.
     """
     if theta.degree != xi.degree + 2:
         raise ValueError(
             f"degree mismatch: theta has degree {theta.degree}, expected {xi.degree + 2}"
         )
     raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)
-    return VerifyResult(*truncate(d.params, raw))
+    return truncate(d.params, raw)
 
 
 def _descend(
@@ -224,7 +219,6 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     a class the cycle lacks has no report and raises :class:`InductionError`.
     """
     params = d.params
-    case = params.case
     if params.refusal is not None:
         raise ValueError(params.refusal)
     image, _ = apply_total(d, xi)
@@ -235,15 +229,11 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     theta_floor = xi.floor + params.tau
     if xi.is_zero:
         return PrimitiveResult(
-            case,
-            zero_chain(xi.degree + 2, theta_floor),
-            (),
-            zero_chain(xi.degree, xi.floor),
-            (),
+            zero_chain(xi.degree + 2, theta_floor), (), zero_chain(xi.degree, xi.floor), ()
         )
 
     pending = _by_level(params, xi.terms)
-    very_negative = case.tag is CaseTag.C_VERY_NEGATIVE
+    very_negative = params.case.tag is CaseTag.C_VERY_NEGATIVE
     if very_negative:
         # The differential keeps sphere classes, so the run ends at the least
         # level of the cycle's highest class, its lowest in level.
@@ -261,7 +251,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     residual, dropped = verify_primitive(d, xi, theta)
     if not very_negative:
         labelled = [(f"level={l}", Chain(theta.degree, theta_floor, th)) for l, th in theta_parts]
-        return PrimitiveResult(case, theta, tuple(labelled), residual, dropped,
+        return PrimitiveResult(theta, tuple(labelled), residual, dropped,
                                level_ceiling=ceiling, stop_level=stop, bounds=bounds)
 
     # The same run, reported per sphere class.
@@ -279,14 +269,15 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     ]
     gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value
     reports = []
+    # Gaps compare L*action keys, each term's read once; only the largest
+    # becomes a Fraction.
+    key = {g: _invariants(params, g)[2] for g in xi.terms | theta.terms}
     for a in sorted(classes):
-        # Gaps compare L*action keys; only the largest becomes a Fraction.
-        xi_keys = [_invariants(params, g)[2] for g in xi.terms if g.sphere == a]
-        gaps = [min(abs(_invariants(params, g)[2] - k) for k in xi_keys)
-                for g in theta.terms if g.sphere == a]
+        xi_keys = [key[g] for g in xi.terms if g.sphere == a]
+        gaps = [min(abs(key[g] - k) for k in xi_keys) for g in theta.terms if g.sphere == a]
         max_gap = Fraction(max(gaps), params.action_denominator) if gaps else None
         reports.append(ClassReport(
             a, len(xi_keys), len(gaps), max_gap, max_gap is None or max_gap <= gap_bound,
         ))
-    return PrimitiveResult(case, theta, tuple(labelled), residual, dropped,
+    return PrimitiveResult(theta, tuple(labelled), residual, dropped,
                            gap_constant=gap_bound, class_reports=tuple(reports))

@@ -56,8 +56,11 @@ def synthetic_params(ncrit: int, dim: int, c: int, nu: int, tau: Fraction) -> Bu
 
 
 def ck_base(params) -> ck.Base:
-    """The base in the engine-free checker's terms; aspherical keeps nu and c None."""
-    crit = {cp.name: (cp.index, cp.value) for cp in params.morse}
+    """The base in the engine-free checker's terms; aspherical keeps nu and c None.
+    Of duplicate ids the first point is kept, as in the engine."""
+    crit: dict = {}
+    for cp in params.morse:
+        crit.setdefault(cp.name, (cp.index, cp.value))
     return ck.Base(params.dim_m, params.tau, crit, params.nu, params.c)
 
 

@@ -89,8 +89,14 @@ MUTANTS = [
     (
         "the class gap taken against every cycle term",
         "vanishing.py",
-        "min(abs(_invariants(params, g)[2] - k) for k in xi_keys)",
-        "min(abs(_invariants(params, g)[2] - _invariants(params, h)[2]) for h in xi.terms)",
+        "min(abs(key[g] - k) for k in xi_keys)",
+        "min(abs(key[g] - key[h]) for h in xi.terms)",
+    ),
+    (
+        "the class report's theta keys read without the g.sphere == a filter",
+        "vanishing.py",
+        "for g in theta.terms if g.sphere == a]",
+        "for g in theta.terms]",
     ),
     (
         "the fold skipping a term at level >= l instead of raising",
@@ -250,10 +256,10 @@ MUTANTS = [
         "verify_primitive truncating d(theta) before adding xi",
         "vanishing.py",
         "    raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)\n"
-        "    return VerifyResult(*truncate(d.params, raw))\n",
+        "    return truncate(d.params, raw)\n",
         "    image = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms))\n"
         "    image, dropped = truncate(d.params, image)\n"
-        "    return VerifyResult(image._replace(terms=image.terms ^ xi.terms), dropped)\n",
+        "    return Truncated(image._replace(terms=image.terms ^ xi.terms), dropped)\n",
     ),
     (
         "truncate keeping every term",
@@ -279,11 +285,15 @@ MUTANTS = [
         "        params = BundleParams(params.dim_m, params.tau, params.morse)\n"
         "    return enumerate_generators(params, degree, floor, level_lo, level_hi)\n",
         "        twin = BundleParams(params.dim_m, params.tau, params.morse)\n"
-        "        if params.c == 0:\n"
-        "            gens = enumerate_generators(twin, degree, floor, level_lo, level_hi)\n"
-        "            return tuple(g for g in gens if 2 * twin.crit(g.base).index != twin.dim_m)\n"
-        "        params = twin\n"
+        "        gens = enumerate_generators(twin, degree, floor, level_lo, level_hi)\n"
+        "        return tuple(g for g in gens if 2 * twin.crit(g.base).index != twin.dim_m)\n"
         "    return enumerate_generators(params, degree, floor, level_lo, level_hi)\n",
+    ),
+    (
+        "_pool building the aspherical twin for every base",
+        "randomized.py",
+        "    if params.c == 0:\n        params = BundleParams(",
+        "    if True:\n        params = BundleParams(",
     ),
     (
         "_pool's enumeration missing its last generator",

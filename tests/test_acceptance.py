@@ -215,7 +215,7 @@ def test_criterion_6_vanishing_soundness():
                 )
                 result = find_primitive(d, xi)
                 assert result.ok, f"{name}: residual nonzero"
-                assert verify_primitive(d, xi, result.theta).residual.is_zero
+                assert verify_primitive(d, xi, result.theta).chain.is_zero
                 if not xi.is_zero:
                     nontrivial += 1
                 if case.tag is CaseTag.C_VERY_NEGATIVE and not xi.is_zero:

@@ -60,16 +60,11 @@ def test_benchmark_traced_layers_exist():
         assert fn.__module__ == mod.__name__, f"{module}.{function}"
 
 
-# Names public only because they state a claim of the paper that a test
-# checks, each with that claim.  None is kept for that reason alone today.
-PAPER_CLAIMS: dict[str, str] = {}
-
-
 def test_every_public_name_has_a_reason():
     # The package docstring's rule: a name stays public if the CLI or engine
-    # needs it, tests/test_acceptance.py imports it, it states a checked claim
-    # of the paper, or the per-layer spec names it as module.name.  Field
-    # stores, keyword arguments and attributes that share a name do not count.
+    # needs it, tests/test_acceptance.py imports it, or the per-layer spec
+    # names it as module.name.  Field stores, keyword arguments and
+    # attributes that share a name do not count.
     engine = set()
     for path in sorted(SRC.glob("*.py")):
         if path.name == "__init__.py":
@@ -90,7 +85,7 @@ def test_every_public_name_has_a_reason():
     spec = {match.groups() for match in map(pattern.fullmatch, names) if match}
     for name in rabinowitz.__all__:
         module = getattr(rabinowitz, name).__module__.rpartition(".")[2]
-        reasons = (name in engine, name in acceptance, name in PAPER_CLAIMS, (module, name) in spec)
+        reasons = (name in engine, name in acceptance, (module, name) in spec)
         assert any(reasons), f"{module}.{name} is public for no reason"
 
 

@@ -2,6 +2,8 @@ from fractions import Fraction
 
 import pytest
 
+import checker as ck
+from conftest import ck_base
 from rabinowitz import (
     BundleParams,
     CaseTag,
@@ -154,6 +156,11 @@ def test_crit_duplicate_ids_first_wins():
         gens = enumerate_generators(params, twice_mu, Fraction(-6), -6, 6)
         assert gens and {grading(params, g) for g in gens} == {twice_mu}
         assert gens == enumerate_generators(alone, twice_mu, Fraction(-6), -6, 6)
+    # The checker's adapter keeps the first point of an id too.
+    base = ck_base(params)
+    for g in (Generator(q, n, a, s) for q in "xy" for n in (0, 1) for a in (-1, 0, 1) for s in "+-"):
+        assert (ck.action(base, g), ck.level(base, g), ck.twice_mu(base, g)) == (
+            action(params, g), level(params, g), grading(params, g))
 
 
 def test_cached_constants_leave_equality_hash_and_repr_alone():

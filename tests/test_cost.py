@@ -125,3 +125,18 @@ def test_clean_ingest_work_tracks_entries_and_probes(work, c_nu_tau, size, entri
     again, counts = work(load_table, params, d.entries)
     assert again.entries == d.entries
     assert counts == {"_invariants": 4 * entries + probes, "_raw_step": 2 * probes}
+
+
+def test_class_reports_read_each_term_once(work, monkeypatch, neg2_params):
+    # A warm very-negative run reads each term of xi and theta once, through
+    # vanishing's own binding, for the class reports' gaps.  The other 39
+    # reads are the level buckets' (one per xi term) and the folds' 4.
+    d = random_admissible_table(neg2_params, 3, (3, 5, 7), Fraction(-20), -30, 30, size=6)
+    xi, _ = random_boundary(neg2_params, d, 11, 3, Fraction(-20), -30, 30, size=40)
+    find_primitive(d, xi)
+    reads, counted = [], vanishing._invariants
+    monkeypatch.setattr(vanishing, "_invariants", lambda *args: reads.append(args) or counted(*args))
+    result, counts = work(find_primitive, d, xi)
+    assert result.ok and (len(xi.terms), len(result.theta.terms)) == (35, 39)
+    assert len(reads) == len(xi.terms) + len(result.theta.terms)
+    assert counts["_invariants"] == 113

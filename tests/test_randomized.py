@@ -13,6 +13,7 @@ from conftest import (
     ck_base,
     ck_pool,
     decoded_candidates,
+    params_of,
     scenario_path,
     synthetic_params,
 )
@@ -28,7 +29,7 @@ from rabinowitz import (
     validate_entry,
     zero_chain,
 )
-from rabinowitz import differentials
+from rabinowitz import differentials, randomized
 from rabinowitz.cli import _default_window
 from rabinowitz.randomized import _candidate_entries, _pool, _shuffled
 
@@ -228,3 +229,19 @@ def test_equal_params_share_the_sampling_memo():
     random_admissible_table(retuned, 0, degrees, floor, lo, hi)
     final = _candidate_entries.cache_info()
     assert (final.hits, final.misses) == (after.hits, after.misses + 1)
+
+
+def test_pool_enumerates_on_the_twin_only_when_c_is_0(monkeypatch):
+    # Only c = 0 needs the aspherical twin; any other base, aspherical
+    # included, is enumerated as it is, with the rows it has already built.
+    seen, real = [], randomized.enumerate_generators
+    monkeypatch.setattr(randomized, "enumerate_generators",
+                        lambda base, *window: seen.append(base) or real(base, *window))
+    for name in CASE_SCENARIOS:
+        params = params_of(name)
+        seen.clear()
+        _pool.__wrapped__(params, 3, Fraction(-5), -2, 2)
+        if params.c == 0:
+            assert seen == [BundleParams(params.dim_m, params.tau, params.morse)], name
+        else:
+            assert len(seen) == 1 and seen[0] is params, name

@@ -410,7 +410,7 @@ def test_nonzero_residual_exits_3(monkeypatch):
     # The residual comes back as xi itself, as if d(theta) were zero.
     real = vanishing.verify_primitive
     monkeypatch.setattr(
-        vanishing, "verify_primitive", lambda d, xi, theta: real(d, xi, theta)._replace(residual=xi)
+        vanishing, "verify_primitive", lambda d, xi, theta: real(d, xi, theta)._replace(chain=xi)
     )
     s = ("--scenario", str(scenario_path("cp1")))
     code, out = run_cli("primitive", *s, "--cycle", "xi0")

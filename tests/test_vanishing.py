@@ -195,7 +195,7 @@ def test_cp1_fiber_only_golden(cp1_params):
     assert result.theta.terms == {G("q0", 1, 0, "-")}
     assert result.ok
     check = verify_primitive(d, xi, result.theta)
-    assert check.residual.is_zero
+    assert check.chain.is_zero
 
 
 def test_cp1_with_scenario_table(cp1):
@@ -359,7 +359,7 @@ def test_verify_detects_perturbed_theta(cp1_params):
     extra = G("q2", 2, 0, "-")  # degree 5; its d0 image survives
     bad_theta = Chain(5, Fraction(-1), theta.terms | {extra})
     check = verify_primitive(d, xi, bad_theta)
-    assert check.residual.terms == {G("q2", 1, 0, "+")}
+    assert check.chain.terms == {G("q2", 1, 0, "+")}
 
 
 def test_verify_unconditional_on_non_closed_input(cp1_params):
@@ -367,7 +367,7 @@ def test_verify_unconditional_on_non_closed_input(cp1_params):
     xi = build_chain(cp1_params, [G("q0", 1, 0, "-")], Fraction(-1))  # not closed
     theta = zero_chain(7, Fraction(-1))
     check = verify_primitive(d, xi, theta)
-    assert check.residual == xi  # residual is d(0) + xi
+    assert check.chain == xi  # residual is d(0) + xi
 
 
 def test_verify_sums_before_it_truncates(cp1_params):
@@ -406,7 +406,7 @@ def _battery(params, seed, xi_degree, n_tables=4, n_cycles=6, window=(-10, 10)):
             result = find_primitive(d, xi)
             assert result.ok
             check = verify_primitive(d, xi, result.theta)
-            assert check.residual.is_zero
+            assert check.chain.is_zero
             # construction only ever adds one fiber step on top of the floor
             assert result.theta.floor == xi.floor + params.tau
             for g in result.theta.terms:
@@ -498,7 +498,7 @@ def test_class_split_and_gap_certificates(neg2_params):
     }
     result_a = find_primitive(d, xi_a)
     assert result_a.ok
-    assert result_a.case.tag is CaseTag.C_VERY_NEGATIVE
+    assert d.params.case.tag is CaseTag.C_VERY_NEGATIVE
     assert result_a.gap_constant == (
         neg2_params.tau / 2 * neg2_params.dim_m
         + neg2_params.max_value
@@ -573,7 +573,7 @@ def test_class_gap_is_measured_within_the_class():
     assert xi.terms == {G("p0", -7, -2, "+"), G("p1", -8, -3, "+")}
     assert action(params, G("p1", -7, -3, "-")) - action(params, G("p0", -7, -2, "+")) == Fraction(-9, 5)
     result = find_primitive(d, xi)
-    assert result.ok and result.case.tag is CaseTag.C_VERY_NEGATIVE
+    assert result.ok and d.params.case.tag is CaseTag.C_VERY_NEGATIVE
     assert result.class_reports == (
         ClassReport(-3, 1, 1, Fraction(3), True),
         ClassReport(-2, 1, 1, Fraction(3), True),
