@@ -24,8 +24,13 @@ are written ``p/q`` and generators as ``(base,cover,sphere,sign)``:
 
 ``_SECTION_KEYS`` is the one table of the sections and of the keys their
 ``key = value`` lines may set; ``[meta]`` holds only the seed, which defaults
-to 0.  Parse errors carry 1-based line numbers.  Loading validates the bundle,
-the cycle references, and cycle homogeneity, but deliberately not the
+to 0.  Each crit, entry and cycle line and each generator tuple goes through
+one grammar check (``_fields``: match its grammar in ``_GRAMMARS`` in full, or
+refuse), and each value through one reader per type: ``_parse_int`` reads every
+integer and ``parse_fraction`` every rational, so a value the interpreter
+cannot convert, such as an integer of too many digits, is a parse error too.
+Parse errors carry 1-based line numbers.  Loading validates the bundle, the
+cycle references, and cycle homogeneity, but deliberately not the
 differential table: reporting table violations is the job of the validate
 command.
 """
@@ -43,8 +48,19 @@ from .chains import Chain, build_chain
 from .differentials import HigherDifferentialEntry
 from .generators import Generator
 
-_GEN_RE = re.compile(r"\(\s*([A-Za-z_]\w*)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*([+-])\s*\)")
+# The grammar of each line kind and of a generator tuple, matched in full,
+# with the form a text that does not match is told to take.
+_GEN_RE = re.compile(r"\s*\(\s*([A-Za-z_]\w*)\s*,\s*(-?\d+)\s*,\s*(-?\d+)\s*,\s*([+-])\s*\)\s*")
 _CRIT_RE = re.compile(r"crit\s*\(\s*([A-Za-z_]\w*)\s*,\s*(\d+)\s*,\s*([^,\s()]+)\s*\)")
+_ENTRY_RE = re.compile(r"entry\s+(\d+)\s+(\(.*?\))\s*->\s*(\(.*?\))")
+_CYCLE_RE = re.compile(r"cycle\s+([A-Za-z_]\w*)\s+degree\s+(-?\d+)\s+floor\s+(\S+)\s*(.*)")
+_GRAMMARS = {
+    "generator tuple": (_GEN_RE, "(base,cover,sphere,sign)"),
+    "crit line": (_CRIT_RE, "crit (id, index, value)"),
+    "entry line": (_ENTRY_RE, "entry <i> <src> -> <tgt>"),
+    "cycle line": (_CYCLE_RE, "cycle <name> degree <odd> floor <p/q> <terms...>"),
+}
+_TERM_RE = re.compile(r"\([^()]*\)")  # one generator tuple among a cycle line's terms
 # Each section of a scenario file, with the keys its ``key = value`` lines may set.
 _SECTION_KEYS = {
     "bundle": ("dim_m", "sphericity", "nu", "c", "tau"),
@@ -74,18 +90,26 @@ def parse_fraction(text: str, line: int | None = None) -> Fraction:
         raise ScenarioError(f"bad rational {text!r}: {err}", line) from None
 
 
-def _parse_int(name: str, text: str, line: int) -> int:
+def _parse_int(name: str, text: str, line: int | None) -> int:
     try:
         return int(text)
-    except ValueError:
+    except ValueError:  # not an integer, or more digits than the interpreter converts
         raise ScenarioError(f"{name} must be an integer, got {text!r}", line) from None
 
 
-def parse_generator(text: str, line: int | None = None) -> Generator:
-    m = _GEN_RE.fullmatch(text.strip())
+def _fields(kind: str, text: str, line: int | None) -> tuple[str, ...]:
+    """The groups of ``text`` matched in full by the grammar of ``kind``, else a parse error."""
+    grammar, want = _GRAMMARS[kind]
+    m = grammar.fullmatch(text)
     if not m:
-        raise ScenarioError(f"bad generator tuple {text!r} (want (base,cover,sphere,sign))", line)
-    return Generator(m.group(1), int(m.group(2)), int(m.group(3)), m.group(4))
+        raise ScenarioError(f"bad {kind} {text!r} (want {want})", line)
+    return m.groups()
+
+
+def parse_generator(text: str, line: int | None = None) -> Generator:
+    base, cover, sphere, sign = _fields("generator tuple", text, line)
+    cover, sphere = _parse_int("cover", cover, line), _parse_int("sphere", sphere, line)
+    return Generator(base, cover, sphere, sign)
 
 
 def parse_scenario(text: str) -> Scenario:
@@ -107,11 +131,16 @@ def parse_scenario(text: str) -> Scenario:
         if section is None:
             raise ScenarioError("content before any section header", lineno)
         if section == "differentials":
-            entries.append(_parse_entry_line(stripped, lineno))
+            drop, source, target = _fields("entry line", stripped, lineno)
+            drop = _parse_int("entry drop", drop, lineno)
+            source, target = parse_generator(source, lineno), parse_generator(target, lineno)
+            entries.append(HigherDifferentialEntry(drop, source, target))
         elif section == "cycles":
             raw_cycles.append(_parse_cycle_line(stripped, lineno))
         elif section == "bundle" and stripped.startswith("crit"):
-            crits.append(_parse_crit_line(stripped, lineno))
+            name, index, value = _fields("crit line", stripped, lineno)
+            index = _parse_int("crit index", index, lineno)
+            crits.append(CritPoint(name, index, parse_fraction(value, lineno)))
         else:
             _read_kv(stripped, lineno, kv[section], section)
             if section == "meta":
@@ -149,40 +178,13 @@ def _read_kv(line: str, lineno: int, kv: dict, section: str) -> None:
     kv[key] = (value.strip(), lineno)
 
 
-def _parse_crit_line(line: str, lineno: int) -> CritPoint:
-    m = _CRIT_RE.fullmatch(line)
-    if not m:
-        raise ScenarioError(f"bad crit line {line!r} (want crit (id, index, value))", lineno)
-    return CritPoint(m.group(1), int(m.group(2)), parse_fraction(m.group(3), lineno))
-
-
-def _parse_entry_line(line: str, lineno: int) -> HigherDifferentialEntry:
-    m = re.fullmatch(r"entry\s+(\d+)\s+(\(.*?\))\s*->\s*(\(.*?\))", line)
-    if not m:
-        raise ScenarioError(f"bad entry line {line!r} (want entry <i> <src> -> <tgt>)", lineno)
-    return HigherDifferentialEntry(
-        int(m.group(1)),
-        parse_generator(m.group(2), lineno),
-        parse_generator(m.group(3), lineno),
-    )
-
-
 def _parse_cycle_line(line: str, lineno: int):
-    m = re.match(
-        r"cycle\s+([A-Za-z_]\w*)\s+degree\s+(-?\d+)\s+floor\s+(\S+)\s*(.*)", line
-    )
-    if not m:
-        raise ScenarioError(
-            f"bad cycle line {line!r} (want cycle <name> degree <odd> floor <p/q> <terms...>)",
-            lineno,
-        )
-    name, degree = m.group(1), int(m.group(2))
-    floor = parse_fraction(m.group(3), lineno)
-    tail = m.group(4)
-    tokens = re.findall(r"\([^()]*\)", tail)
-    if re.sub(r"\([^()]*\)", "", tail).strip():
+    name, degree, floor, tail = _fields("cycle line", line, lineno)
+    degree = _parse_int("cycle degree", degree, lineno)
+    floor = parse_fraction(floor, lineno)
+    if _TERM_RE.sub("", tail).strip():
         raise ScenarioError(f"unparsed text in cycle terms: {tail!r}", lineno)
-    gens = [parse_generator(tok, lineno) for tok in tokens]
+    gens = [parse_generator(term, lineno) for term in _TERM_RE.findall(tail)]
     twice = " ".join(str(g) for g, count in Counter(gens).items() if count > 1)
     if twice:
         raise ScenarioError(f"cycle {name!r} lists {twice} twice (copies cancel over Z/2)", lineno)

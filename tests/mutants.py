@@ -347,6 +347,26 @@ MUTANTS = [
         '"meta": ("seed",),',
         '"meta": ("seed", "dim_m", "sphericity", "nu", "c", "tau"),',
     ),
+    (
+        "a generator's cover read with bare int()",
+        "scenario.py",
+        '_parse_int("cover", cover, line)',
+        "int(cover)",
+    ),
+    (
+        "the crit grammar matched as a prefix instead of in full",
+        "scenario.py",
+        r'([^,\s()]+)\s*\)")',
+        r'([^,\s()]+)\s*\).*")',
+    ),
+    (
+        "_read_kv's given-twice check removed",
+        "scenario.py",
+        "    if key in kv:\n"
+        '        raise ScenarioError(f"key {key!r} given twice '
+        '(first on line {kv[key][1]})", lineno)\n',
+        "",
+    ),
 ]
 
 

@@ -115,6 +115,23 @@ def test_every_lru_cache_is_bounded():
     assert memos >= 3  # _pool, _candidate_entries, _certified_bound
 
 
+def test_scenario_reads_each_value_type_in_one_reader():
+    # A bare int() or Fraction() lets a value the interpreter cannot convert
+    # (a 5,000-digit integer) escape as a ValueError traceback instead of a
+    # parse error with its line and exit code 4.
+    tree = ast.parse((SRC / "scenario.py").read_text())
+    functions = {node.name: node for node in ast.walk(tree) if isinstance(node, ast.FunctionDef)}
+
+    def calls(root, name):
+        return sum(isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                   and node.func.id == name for node in ast.walk(root))
+
+    for value_type, reader in (("int", "_parse_int"), ("Fraction", "parse_fraction")):
+        assert calls(tree, value_type) == calls(functions[reader], value_type) == 1, (
+            f"scenario.py calls {value_type} outside {reader}"
+        )
+
+
 def test_no_module_imports_dataclasses():
     # Every engine record is a named tuple; ``dataclasses`` (and ``inspect``
     # through it) would add to the import time of every CLI call.

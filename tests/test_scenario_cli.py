@@ -41,6 +41,10 @@ tau = 1/2
 crit (q0, 0, 1/10)
 crit (q2, 2, 1/5)
 """
+# The most digits int() converts here (0 when the interpreter sets no limit),
+# and an integer one digit longer.
+INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+LONG_INT = "9" * (INT_DIGITS + 1)
 
 
 def run_cli(*argv):
@@ -147,7 +151,7 @@ def test_cmd_validate_parse_error(tmp_path):
     assert "parse error" in out and "line 7" in out
     cp1_text = scenario_path("cp1").read_text()
     cp1_lines = cp1_text.splitlines()
-    for text, message in (
+    rows = [
         (MINIMAL.replace("dim_M = 2", "dim_M = 2.0"), "line 3: dim_M must be an integer, got '2.0'"),
         (MINIMAL.replace("nu = 1", "nu = x"), "line 5: nu must be an integer, got 'x'"),
         (MINIMAL.replace("c = 2", "c = 1/2"), "line 6: c must be an integer, got '1/2'"),
@@ -189,7 +193,19 @@ def test_cmd_validate_parse_error(tmp_path):
             MINIMAL.replace("sphericity = spherical", "sphericity = round"),
             "line 4: sphericity must be 'spherical' or 'aspherical', got 'round'",
         ),
-    ):
+    ]
+    if INT_DIGITS:  # an integer past the limit, in each field read as an integer
+        n = LONG_INT
+        for text, field in (
+            (MINIMAL.replace("crit (q0, 0,", f"crit (q0, {n},"), "line 8: crit index"),
+            (MINIMAL + f"[differentials]\nentry {n} (q0,1,0,-) -> (q2,1,0,+)\n",
+             "line 11: entry drop"),
+            (MINIMAL + f"[cycles]\ncycle x degree {n} floor -1\n", "line 11: cycle degree"),
+            (MINIMAL + f"[cycles]\ncycle x degree 3 floor -1 (q0,{n},0,+)\n", "line 11: cover"),
+            (MINIMAL + f"[differentials]\nentry 2 (q0,1,{n},-) -> (q2,1,0,+)\n", "line 11: sphere"),
+        ):
+            rows.append((text, f"{field} must be an integer, got '{n}'"))
+    for text, message in rows:
         bad.write_text(text)
         assert run_cli("validate", "--scenario", str(bad)) == (4, f"parse error: {message}\n")
 
@@ -583,7 +599,7 @@ def test_mutated_golden_files_end_in_a_documented_exit(tmp_path_factory, data):
     if edit == "token":
         spans = [m.span() for m in TOKEN.finditer(text)]
         start, end = spans[data.draw(st.integers(0, len(spans) - 1))]
-        new = data.draw(st.sampled_from(("x", "1/0", "(", "->", "=")))
+        new = data.draw(st.sampled_from(("x", "1/0", "(", "->", "=", LONG_INT)))
         text = text[:start] + new + text[end:]
     else:
         k = data.draw(st.integers(0, len(lines) - 2))
