@@ -165,22 +165,31 @@ class FilteredDifferential:
             self._by_source.setdefault((base, cover, sign), []).append(target)
 
 
-def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[Generator]:
-    """One application of the full differential on a bare Z/2 set, no floors.
+def _flip_table_image(d: FilteredDifferential, gens, acc: set[Generator]) -> set[Generator]:
+    """Flip the table image of a bare Z/2 set into ``acc`` in place; returns ``acc``.
 
-    The d0 images of distinct generators are distinct, so they seed the
-    accumulator as one set; each generator's table image, its entries' targets
-    shifted by the generator's sphere class, is then flipped into it in place.
-    This is the one place a table entry is extended under the Novikov shift.
+    Each generator's table image is its entries' targets shifted by the
+    generator's sphere class.  This is the one place a table entry is extended
+    under the Novikov shift.
     """
     by_source = d._by_source
-    acc = {Generator(q, n - 1, a, "+") for q, n, a, sign in gens if sign == "-"}
     flip = acc.symmetric_difference_update
     for q, n, a, sign in gens:
         hits = by_source.get((q, n, sign))
         if hits:
             flip([Generator(tq, tn, ta + a, ts) for tq, tn, ta, ts in hits])
-    return frozenset(acc)
+    return acc
+
+
+def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[Generator]:
+    """One application of the full differential on a bare Z/2 set, no floors.
+
+    The d0 images of distinct generators are distinct, so they seed the
+    accumulator as one set, and :func:`_flip_table_image` flips the table
+    image into it.
+    """
+    acc = {Generator(q, n - 1, a, "+") for q, n, a, sign in gens if sign == "-"}
+    return frozenset(_flip_table_image(d, gens, acc))
 
 
 def check_d_squared_window(
@@ -240,12 +249,8 @@ def load_table(
 
 
 def apply_table(d: FilteredDifferential, x: Chain) -> Truncated:
-    """The higher part of the differential (all drops i >= 1), truncated to x.floor.
-
-    It is the kernel's image with the fiber part flipped back out, exact
-    because distinct generators have distinct d0 images.
-    """
-    raw = _raw_step(d, x.terms) ^ apply_d0(d.params, x).terms
+    """The higher part of the differential (all drops i >= 1), truncated to x.floor."""
+    raw = frozenset(_flip_table_image(d, x.terms, set()))
     return truncate(d.params, Chain(x.degree - 2, x.floor, raw))
 
 

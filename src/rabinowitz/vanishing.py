@@ -5,10 +5,11 @@ descending induction over the filtration level: the top slice of xi is killed
 by the fiber differential's explicit primitive, and each lower slice is first
 corrected by the higher differentials of the already-built theta parts before
 being fed to the same primitive.  The remainder is level buckets of bare
-generators, corrected through the differential's one Z/2 kernel under one
-level check.  Termination is certified by level bounds that are themselves
-checked against exhaustive enumeration; each bound is certified once per
-(bundle, degree, floor) in a process.
+generators; d0 of each theta part is exactly the slice it kills, so only the
+part's table image is folded into them, under one level check.  Termination
+is certified by level bounds that are themselves checked against exhaustive
+enumeration; each bound is certified once per (bundle, degree, floor) in a
+process.
 
 In the very-negative regime (2*c*nu <= -dim_M) the differential preserves
 sphere classes, so each class component of the cycle is finitely supported
@@ -30,7 +31,14 @@ from typing import NamedTuple
 
 from .bundle import BundleParams, CaseTag
 from .chains import Chain, Truncated, serialize_chain, truncate, zero_chain
-from .differentials import FilteredDifferential, _by_level, _fiber_primitive, _raw_step, apply_total
+from .differentials import (
+    FilteredDifferential,
+    _by_level,
+    _fiber_primitive,
+    _flip_table_image,
+    _raw_step,
+    apply_total,
+)
 from .generators import (
     Generator,
     _invariants,
@@ -159,9 +167,11 @@ def _descend(
     levels.  A level is pushed when its bucket is created, and folds only
     create levels below the current one.  A correction r_l must consist of +
     generators, and its fiber primitive theta_l is the next theta part.
-    d(theta_l) + r_l from the one kernel ``_raw_step`` is theta_l's table
-    image; its terms above ``floor`` are folded into the buckets, and one
-    still at level >= l is refused.  A nonzero correction below ``stop``
+    d0(theta_l) = r_l by construction, so d(theta_l) + r_l is theta_l's
+    table image (:func:`_flip_table_image`); its terms above ``floor`` are
+    folded into the buckets, and one still at level >= l is refused.  A
+    wrong fiber primitive is caught not here but by :func:`find_primitive`'s
+    closing :func:`verify_primitive`.  A nonzero correction below ``stop``
     breaks the bound :func:`find_primitive` certified for the case.  In the
     very-negative regime a part may hold terms of several sphere classes that
     share its level.  Theta parts are bare sets until :func:`find_primitive`
@@ -189,7 +199,7 @@ def _descend(
                 f"higher-differential table inconsistent with the level induction at level {l}: {err}"
             ) from None
         theta.append((l, th))
-        for g in _raw_step(d, th) ^ terms:
+        for g in _flip_table_image(d, th, set()):
             lv = level_above(g)
             if lv is None:
                 continue

@@ -143,7 +143,7 @@ MUTANTS = [
         "return math.ceil((action_floor - peak + (params.tau + 1) * params.min_value) / per_class) + 1",
     ),
     (
-        "table targets not shifted by the source's sphere class in _raw_step",
+        "table targets not shifted by the source's sphere class in _flip_table_image",
         "differentials.py",
         "Generator(tq, tn, ta + a, ts)",
         "Generator(tq, tn, ta, ts)",
@@ -249,8 +249,20 @@ MUTANTS = [
     (
         "_descend dropping its correction terms",
         "vanishing.py",
-        "for g in _raw_step(d, th) ^ terms:",
+        "for g in _flip_table_image(d, th, set()):",
         "for g in ():",
+    ),
+    (
+        "_descend folding the table image of the correction term instead of its theta part",
+        "vanishing.py",
+        "for g in _flip_table_image(d, th, set()):",
+        "for g in _flip_table_image(d, terms, set()):",
+    ),
+    (
+        "_fiber_primitive keeping the cover: (q, n, a, +) -> (q, n, a, -)",
+        "differentials.py",
+        'Generator(q, n + 1, a, "-")',
+        'Generator(q, n, a, "-")',
     ),
     (
         "verify_primitive truncating d(theta) before adding xi",

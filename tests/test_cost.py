@@ -1,11 +1,14 @@
-"""Work counts: the calls of ``generators._invariants`` and of
-``differentials._raw_step`` a computation makes.
+"""Work counts: the calls of ``generators._invariants``,
+``differentials._raw_step`` and ``differentials._flip_table_image`` a
+computation makes.
 
-Every per-generator read passes through ``_invariants``, and every application
-of the differential through ``_raw_step``, so their call counts are units of
-work that are exact and the same on every machine.  These tests bound them by
-the size of the output, and check that they do not grow with the depth of a
-window end or of the action floor.
+Every per-generator read passes through ``_invariants``, every application
+of the full differential through ``_raw_step``, and every table image, for
+``_raw_step`` or for a fold of the level induction, through
+``_flip_table_image``, so their call counts are units of work that are exact
+and the same on every machine.  These tests bound them by the size of the
+output, and check that they do not grow with the depth of a window end or of
+the action floor.
 """
 
 import importlib
@@ -27,6 +30,7 @@ from rabinowitz.vanishing import _certified_bound, find_primitive
 BINDINGS = {
     "_invariants": (generators, chains, differentials, vanishing),
     "_raw_step": (differentials, vanishing),
+    "_flip_table_image": (differentials, vanishing),
 }
 
 
@@ -81,8 +85,9 @@ THETA_PARTS = {25: 14, 100: 58, 400: 200}
 
 @pytest.mark.parametrize("size", THETA_PARTS)
 def test_induction_reads_track_xi_and_theta(work, size):
-    # The differential is applied once to check that xi is closed, once per
-    # level the induction visits (one theta part each) and once to verify.
+    # The differential is applied once to check that xi is closed and once to
+    # verify; the induction folds one table image per level it visits (one
+    # theta part each), and each application flips one more.
     d = random_admissible_table(WIDE, 7, (3, 5, 7), Fraction(-20), -12, 12, size=4)
     xi, _ = random_boundary(WIDE, d, 11, 3, Fraction(-120), -200, 200, size=size)
     counts = set()
@@ -96,7 +101,8 @@ def test_induction_reads_track_xi_and_theta(work, size):
         assert len(result.theta_parts) == THETA_PARTS[size]
         assert warm["_invariants"] <= len(xi.terms) + len(result.theta.terms)
         assert cold["_invariants"] - warm["_invariants"] == CERTIFICATE_READS
-        assert warm["_raw_step"] == cold["_raw_step"] == THETA_PARTS[size] + 2
+        assert warm["_raw_step"] == cold["_raw_step"] == 2
+        assert warm["_flip_table_image"] == cold["_flip_table_image"] == THETA_PARTS[size] + 2
         counts.add((warm["_invariants"], len(result.theta.terms)))
     assert len(counts) == 1
 
@@ -116,7 +122,7 @@ INGEST = [
 def test_clean_ingest_work_tracks_entries_and_probes(work, c_nu_tau, size, entries, probes):
     # A load that passes reads each entry's two ends in the rules and twice
     # more in the canonical sort, reads each probe once to order the probes,
-    # and applies the differential twice per probe.
+    # and applies the differential, with its table image, twice per probe.
     params = synthetic_params(12, 4, *c_nu_tau)
     d = random_admissible_table(params, 5, (3, 5, 7), Fraction(-20), -30, 30, size=size)
     sources = {e.source for e in d.entries}
@@ -124,7 +130,9 @@ def test_clean_ingest_work_tracks_entries_and_probes(work, c_nu_tau, size, entri
     assert (len(d.entries), len(found)) == (entries, probes)
     again, counts = work(load_table, params, d.entries)
     assert again.entries == d.entries
-    assert counts == {"_invariants": 4 * entries + probes, "_raw_step": 2 * probes}
+    assert counts == {
+        "_invariants": 4 * entries + probes, "_raw_step": 2 * probes, "_flip_table_image": 2 * probes,
+    }
 
 
 def test_class_reports_read_each_term_once(work, monkeypatch, neg2_params):

@@ -37,7 +37,7 @@ from rabinowitz import (
     validate_entry,
     zero_chain,
 )
-from rabinowitz.differentials import _raw_step
+from rabinowitz.differentials import _flip_table_image, _raw_step
 from rabinowitz.randomized import _load_with_repair
 
 G = Generator
@@ -326,11 +326,14 @@ def test_kernel_matches_a_per_term_reference(name):
     # generator's image cannot cancel within itself (d0 keeps the level,
     # each entry drops it, and two entries with one source and one target
     # are shift-duplicates), so the sizes of the one-generator images, less
-    # the size of the whole image, count the terms that cancel.
+    # the size of the whole image, count the terms that cancel.  The table
+    # image alone, of the set and of each sign's part, is the image with the
+    # image of d0 alone (no entries) flipped back out.
     params = params_of(name)
     floor = Fraction(-1)
     shifts = (0,) if params.aspherical else (-2, -1, 1, 3)
-    images = cancelled = 0
+    images = cancelled = tables = 0
+    signed = dict.fromkeys(("+", "-", None), 0)  # nonempty parts of each sign, or both
     for seed in range(10):
         d = random_admissible_table(params, seed, (3, 5, 7), floor, -8, 8, size=8)
         sources = [e.source for e in d.entries]
@@ -343,9 +346,16 @@ def test_kernel_matches_a_per_term_reference(name):
             )
             odd = ck.differential(d.entries, gens)
             assert _raw_step(d, gens) == odd
+            for sign in ("+", "-", None):
+                part = {g for g in gens if sign in (None, g.sign)}
+                table = ck.differential(d.entries, part) ^ ck.differential((), part)
+                acc: set[Generator] = set()
+                assert _flip_table_image(d, part, acc) is acc and acc == table
+                signed[sign] += bool(part)
+                tables += bool(table)
             images += len(odd)
             cancelled += sum(len(ck.differential(d.entries, {g})) for g in gens) - len(odd)
-    assert images > 0 and cancelled > 0
+    assert images > 0 and cancelled > 0 and tables > 0 and all(signed.values())
 
 
 @pytest.mark.parametrize("name", CASE_SCENARIOS)

@@ -40,7 +40,7 @@ from rabinowitz import (
     verify_primitive,
     zero_chain,
 )
-from rabinowitz import vanishing
+from rabinowitz import cli, vanishing
 from rabinowitz.bundle import BundleParams, CritPoint
 from rabinowitz.cli import _default_window
 from rabinowitz.differentials import _fiber_primitive, _raw_step
@@ -276,10 +276,14 @@ def _add_a_minus_term(th, r):
     return th | {G(g.base, g.cover + 2, g.sphere, "-")}
 
 
-@pytest.mark.parametrize("corrupt", [_drop_a_term, _add_a_minus_term])
-def test_induction_rejects_a_wrong_fiber_primitive(cp1, monkeypatch, corrupt):
-    # d0 of a wrong primitive no longer reproduces the correction term, so a
-    # term stays at the level being cleared.
+@pytest.mark.parametrize("corrupt, residual", [
+    (_drop_a_term, [G("q0", 0, 0, "+")]),
+    (_add_a_minus_term, [G("q0", 1, 0, "+"), G("q2", 2, 0, "+")]),
+], ids=["_drop_a_term", "_add_a_minus_term"])
+def test_induction_rejects_a_wrong_fiber_primitive(cp1, monkeypatch, capsys, corrupt, residual):
+    # The induction takes d0(theta_l) = r_l as given and folds only each
+    # part's table image, so a wrong primitive is caught by the closing
+    # verification: its residual is nonempty, and the CLI exits 3.
     real = vanishing._fiber_primitive
 
     def wrong(params, r):
@@ -287,8 +291,14 @@ def test_induction_rejects_a_wrong_fiber_primitive(cp1, monkeypatch, corrupt):
 
     monkeypatch.setattr(vanishing, "_fiber_primitive", wrong)
     d = load_table(cp1.bundle, cp1.entries)
-    with pytest.raises(InductionError, match=r"at (level )?1$"):
-        find_primitive(d, cp1.cycles["xi0"])
+    result = find_primitive(d, cp1.cycles["xi0"])
+    assert not result.ok
+    assert sorted(result.residual.terms) == residual and result.dropped == ()
+    code = cli.main(["primitive", "--scenario", str(scenario_path("cp1")), "--cycle", "xi0"])
+    out = capsys.readouterr().out.splitlines()
+    terms = " ".join(map(str, residual))
+    assert code == 3
+    assert out[-2:] == [f"residual: degree=3 floor=-1 terms: {terms}", "verification FAILED"]
 
 
 @pytest.mark.parametrize("name", CASE_SCENARIOS)
