@@ -23,8 +23,8 @@ from typing import Iterable, NamedTuple
 from .bundle import BundleParams
 from .generators import (
     Generator,
+    _above_floor,
     _invariants,
-    _level_above,
     _require_odd,
     action,
     canonical_sort,
@@ -74,7 +74,7 @@ def build_chain(
     if degree is not None:
         _require_odd(degree)
     floor = Fraction(floor)
-    level_above = _level_above(params, floor)
+    above = _above_floor(params, floor)
     terms = tuple(terms)
     for g in terms:
         d = _invariants(params, g)[1]
@@ -82,7 +82,7 @@ def build_chain(
             degree = d
         elif d != degree:
             raise ValueError(f"mixed degrees: term {g} has grading {d}, expected {degree}")
-        if level_above(g) is None:
+        if not above((g,)):
             raise ValueError(f"term {g} has action {action(params, g)} below the floor {floor}")
     if degree is None:
         raise ValueError("degree required for a chain with no terms")
@@ -91,8 +91,7 @@ def build_chain(
 
 def truncate(params: BundleParams, x: Chain) -> Truncated:
     """Drop the terms of ``x`` below its own floor, reporting them in canonical order."""
-    level_above = _level_above(params, x.floor)
-    kept = frozenset(g for g in x.terms if level_above(g) is not None)
+    kept = frozenset(_above_floor(params, x.floor)(x.terms))
     return Truncated(Chain(x.degree, x.floor, kept), canonical_sort(params, x.terms - kept))
 
 

@@ -35,6 +35,7 @@ from .chains import Chain, Truncated, truncate
 from .generators import (
     Generator,
     _invariants,
+    _new,
     action,
     canonical_sort,
     sort_key,
@@ -86,7 +87,7 @@ def _fiber_primitive(params: BundleParams, terms) -> frozenset[Generator]:
     is the one place the rule lives: :func:`d0_primitive` wraps it in a chain
     and the level induction calls it on its bare buckets.
     """
-    theta = frozenset([Generator(q, n + 1, a, "-") for q, n, a, sign in terms if sign == "+"])
+    theta = frozenset([_new(Generator, (q, n + 1, a, "-")) for q, n, a, sign in terms if sign == "+"])
     if len(theta) != len(terms):
         minus = [g for g in terms if g.sign == "-"]
         bad = " ".join(str(g) for g in canonical_sort(params, minus))
@@ -106,11 +107,11 @@ def d0_primitive(params: BundleParams, x: Chain) -> Chain:
 
 def _normalize(entry: HigherDifferentialEntry) -> HigherDifferentialEntry:
     """Shift both sides so the source has sphere class 0 (orbit representative)."""
-    drop, src, tgt = entry
-    if src.sphere == 0:
+    drop, (q, n, a, sign), (tq, tn, ta, ts) = entry
+    if a == 0:
         return entry
-    return HigherDifferentialEntry(
-        drop, src._replace(sphere=0), tgt._replace(sphere=tgt.sphere - src.sphere))
+    return _new(HigherDifferentialEntry, (
+        drop, _new(Generator, (q, n, 0, sign)), _new(Generator, (tq, tn, ta - a, ts))))
 
 
 def validate_entry(params: BundleParams, entry: HigherDifferentialEntry) -> tuple[str, ...]:
@@ -170,14 +171,15 @@ def _flip_table_image(d: FilteredDifferential, gens, acc: set[Generator]) -> set
 
     Each generator's table image is its entries' targets shifted by the
     generator's sphere class.  This is the one place a table entry is extended
-    under the Novikov shift.
+    under the Novikov shift; the stored targets sit at the shift of class 0,
+    so a generator of class 0 flips them as they are.
     """
     by_source = d._by_source
     flip = acc.symmetric_difference_update
     for q, n, a, sign in gens:
         hits = by_source.get((q, n, sign))
         if hits:
-            flip([Generator(tq, tn, ta + a, ts) for tq, tn, ta, ts in hits])
+            flip([_new(Generator, (tq, tn, ta + a, ts)) for tq, tn, ta, ts in hits] if a else hits)
     return acc
 
 
@@ -188,7 +190,7 @@ def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[
     accumulator as one set, and :func:`_flip_table_image` flips the table
     image into it.
     """
-    acc = {Generator(q, n - 1, a, "+") for q, n, a, sign in gens if sign == "-"}
+    acc = {_new(Generator, (q, n - 1, a, "+")) for q, n, a, sign in gens if sign == "-"}
     return frozenset(_flip_table_image(d, gens, acc))
 
 
@@ -267,7 +269,12 @@ def _by_level(params: BundleParams, terms: Iterable[Generator]) -> dict[int, set
     """The terms in buckets by level; each term's level is computed here once."""
     buckets: dict[int, set[Generator]] = {}
     for g in terms:
-        buckets.setdefault(_invariants(params, g)[0], set()).add(g)
+        lv = _invariants(params, g)[0]
+        bucket = buckets.get(lv)
+        if bucket is None:
+            buckets[lv] = {g}
+        else:
+            bucket.add(g)
     return buckets
 
 

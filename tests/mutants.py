@@ -119,10 +119,10 @@ MUTANTS = [
         "        if a_hi == inf:\n",
     ),
     (
-        "a strict floor test in _level_above",
+        "a strict floor test in _above_floor",
         "generators.py",
-        "return lv if key * den >= bar else None",
-        "return lv if key * den > bar else None",
+        "if key * den >= bar:",
+        "if key * den > bar:",
     ),
     (
         "a depth cutoff of dim_M + 1",
@@ -145,8 +145,14 @@ MUTANTS = [
     (
         "table targets not shifted by the source's sphere class in _flip_table_image",
         "differentials.py",
-        "Generator(tq, tn, ta + a, ts)",
-        "Generator(tq, tn, ta, ts)",
+        "_new(Generator, (tq, tn, ta + a, ts))",
+        "_new(Generator, (tq, tn, ta, ts))",
+    ),
+    (
+        "_flip_table_image reusing the stored targets at every sphere class",
+        "differentials.py",
+        "flip([_new(Generator, (tq, tn, ta + a, ts)) for tq, tn, ta, ts in hits] if a else hits)",
+        "flip(hits)",
     ),
     (
         "the +1 of (tau + 1) dropped from the critical-value term of the action",
@@ -249,20 +255,20 @@ MUTANTS = [
     (
         "_descend dropping its correction terms",
         "vanishing.py",
-        "for g in _flip_table_image(d, th, set()):",
-        "for g in ():",
+        "for g, lv in above(_flip_table_image(d, th, set())).items():",
+        "for g, lv in ():",
     ),
     (
         "_descend folding the table image of the correction term instead of its theta part",
         "vanishing.py",
-        "for g in _flip_table_image(d, th, set()):",
-        "for g in _flip_table_image(d, terms, set()):",
+        "_flip_table_image(d, th, set())",
+        "_flip_table_image(d, terms, set())",
     ),
     (
         "_fiber_primitive keeping the cover: (q, n, a, +) -> (q, n, a, -)",
         "differentials.py",
-        'Generator(q, n + 1, a, "-")',
-        'Generator(q, n, a, "-")',
+        '_new(Generator, (q, n + 1, a, "-"))',
+        '_new(Generator, (q, n, a, "-"))',
     ),
     (
         "verify_primitive truncating d(theta) before adding xi",
@@ -276,7 +282,7 @@ MUTANTS = [
     (
         "truncate keeping every term",
         "chains.py",
-        "kept = frozenset(g for g in x.terms if level_above(g) is not None)",
+        "kept = frozenset(_above_floor(params, x.floor)(x.terms))",
         "kept = x.terms",
     ),
     (

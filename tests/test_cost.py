@@ -9,6 +9,12 @@ of the full differential through ``_raw_step``, and every table image, for
 and the same on every machine.  These tests bound them by the size of the
 output, and check that they do not grow with the depth of a window end or of
 the action floor.
+
+``test_kernel_builds_no_generator_through_the_named_tuple_constructor``
+guards another per-term cost: the kernel builds generators through
+``generators._new`` (``tuple.__new__``), so a warm induction, an
+application of the differential and a clean table load make no call of the
+Python-level ``Generator.__new__`` that NamedTuple generates.
 """
 
 import importlib
@@ -21,8 +27,8 @@ import pytest
 import rabinowitz
 from conftest import synthetic_params
 from rabinowitz import chains, differentials, generators, vanishing
-from rabinowitz.differentials import load_table
-from rabinowitz.generators import enumerate_generators
+from rabinowitz.differentials import HigherDifferentialEntry, apply_total, load_table
+from rabinowitz.generators import Generator, enumerate_generators
 from rabinowitz.randomized import random_admissible_table, random_boundary
 from rabinowitz.vanishing import _certified_bound, find_primitive
 
@@ -148,3 +154,25 @@ def test_class_reports_read_each_term_once(work, monkeypatch, neg2_params):
     assert result.ok and (len(xi.terms), len(result.theta.terms)) == (35, 39)
     assert len(reads) == len(xi.terms) + len(result.theta.terms)
     assert counts["_invariants"] == 113
+
+
+def test_kernel_builds_no_generator_through_the_named_tuple_constructor(monkeypatch):
+    # The induction's folds and theta parts, both kernels of apply_total (on
+    # theta, all - terms) and the normalization of a table given off its
+    # shift representatives build only through generators._new.
+    d = random_admissible_table(WIDE, 7, (3, 5, 7), Fraction(-20), -12, 12, size=4)
+    xi, _ = random_boundary(WIDE, d, 11, 3, Fraction(-120), -200, 200, size=100)
+    theta = find_primitive(d, xi).theta  # certifies the level bounds
+    shifted = [HigherDifferentialEntry(e.drop, e.source._replace(sphere=2), e.target._replace(
+        sphere=e.target.sphere + 2)) for e in d.entries]
+    built, real = [], Generator.__new__
+    monkeypatch.setattr(Generator, "__new__", staticmethod(
+        lambda cls, *fields: built.append(fields) or real(cls, *fields)))
+    assert Generator("q0", 0, 0, "+") and len(built) == 1  # the patch counts
+    built.clear()
+    result = find_primitive(d, xi)
+    image, _ = apply_total(d, theta)
+    again = load_table(WIDE, shifted)
+    assert result.ok and result.theta == theta and image.terms and image.terms <= xi.terms
+    assert again.entries == d.entries and d.entries
+    assert built == []

@@ -11,6 +11,7 @@ from conftest import (
     ck_pool,
     decoded_candidates,
     params_of,
+    synthetic_params,
 )
 from rabinowitz import (
     BundleParams,
@@ -319,7 +320,18 @@ def test_apply_total_drop_report_partitions_the_image(name):
             assert_drop_partition(image.terms, dropped, _raw_step(d, x.terms))
 
 
-@pytest.mark.parametrize("name", CASE_SCENARIOS)
+# Spherical bases whose Morse indices (0, 1, 2) differ in parity, one per
+# spherical case tag.  On the golden spherical bases every index is even, so
+# a generator's sign is fixed by its degree mod 4, an entry (degree - 2)
+# flips it, and a sampled table, whose targets are all +, has - sources only.
+ODD_INDEX_BASES = {
+    "synthetic-c0": synthetic_params(3, 2, 0, 1, Fraction(1, 2)),
+    "synthetic-c2": synthetic_params(3, 2, 2, 1, Fraction(1, 2)),
+    "synthetic-neg1": synthetic_params(3, 2, -1, 1, Fraction(1, 2)),
+}
+
+
+@pytest.mark.parametrize("name", [*CASE_SCENARIOS, *ODD_INDEX_BASES])
 def test_kernel_matches_a_per_term_reference(name):
     # Sets mix chain terms and table sources, each also placed in a second
     # sphere class, so shift-extended images meet and cancel.  One
@@ -328,15 +340,19 @@ def test_kernel_matches_a_per_term_reference(name):
     # are shift-duplicates), so the sizes of the one-generator images, less
     # the size of the whole image, count the terms that cancel.  The table
     # image alone, of the set and of each sign's part, is the image with the
-    # image of d0 alone (no entries) flipped back out.
-    params = params_of(name)
+    # image of d0 alone (no entries) flipped back out.  Where the Morse
+    # indices differ in parity the tables hold + sources, and the sets hold
+    # them at the stored class 0 and, on a spherical base, shifted off it.
+    params = ODD_INDEX_BASES[name] if name in ODD_INDEX_BASES else params_of(name)
     floor = Fraction(-1)
     shifts = (0,) if params.aspherical else (-2, -1, 1, 3)
     images = cancelled = tables = 0
     signed = dict.fromkeys(("+", "-", None), 0)  # nonempty parts of each sign, or both
+    plus = set()  # whether the + table sources in the sets sat off class 0
     for seed in range(10):
         d = random_admissible_table(params, seed, (3, 5, 7), floor, -8, 8, size=8)
         sources = [e.source for e in d.entries]
+        plus_sources = {(g.base, g.cover) for g in sources if g.sign == "+"}
         rng = random.Random(seed)
         for k in range(10):
             x = random_chain(params, 1000 * seed + k, 5 + 2 * (k % 2), floor, -8, 8, size=10)
@@ -344,6 +360,7 @@ def test_kernel_matches_a_per_term_reference(name):
             gens = frozenset(
                 g._replace(sphere=g.sphere + s) for g in picked for s in {0, rng.choice(shifts)}
             )
+            plus |= {g.sphere != 0 for g in gens if g.sign == "+" and (g.base, g.cover) in plus_sources}
             odd = ck.differential(d.entries, gens)
             assert _raw_step(d, gens) == odd
             for sign in ("+", "-", None):
@@ -356,6 +373,8 @@ def test_kernel_matches_a_per_term_reference(name):
             images += len(odd)
             cancelled += sum(len(ck.differential(d.entries, {g})) for g in gens) - len(odd)
     assert images > 0 and cancelled > 0 and tables > 0 and all(signed.values())
+    odd_index = len({cp.index % 2 for cp in params.morse}) == 2
+    assert plus == (set() if not odd_index else {False} if params.aspherical else {False, True})
 
 
 @pytest.mark.parametrize("name", CASE_SCENARIOS)
