@@ -182,7 +182,7 @@ def cmd_primitive(scenario, args) -> int:
             f"level bound: degree {bound.degree} floor {bound.floor} -> l_min {bound.l_min}"
             f" (certified empty on {bound.certificate_window[0]}:{bound.certificate_window[1]})"
         )
-    for label, part in result.theta_parts:
+    for label, part in _labelled_parts(result):
         print(f"theta[{label}]: {serialize_chain(params, part)}")
     print(f"theta: {serialize_chain(params, result.theta)}")
     if result.gap_constant is not None:
@@ -201,6 +201,18 @@ def cmd_primitive(scenario, args) -> int:
         return FAIL_RESIDUAL
     print("verification OK")
     return OK
+
+
+def _labelled_parts(result) -> list[tuple]:
+    """Each theta part with its report label, as a chain at theta's degree and
+    floor.  The label is ``level=l``; a very-negative run's parts each hold
+    one sphere class, and their label is ``class=a,level=l``."""
+    per_class = result.gap_constant is not None
+    labelled = []
+    for lv, terms in result.theta_parts:
+        label = f"class={next(iter(terms)).sphere},level={lv}" if per_class else f"level={lv}"
+        labelled.append((label, result.theta._replace(terms=terms)))
+    return labelled
 
 
 def _default_window(params, cycle) -> tuple[int, int]:

@@ -9,8 +9,11 @@ so + generators span its kernel and d0 drops the action by exactly tau per
 term.  Higher differentials d_i (i >= 1) count trajectories no desk
 computation can produce; they enter as external tables of (drop, source,
 target) entries, validated structurally and extended equivariantly under the
-Novikov shift.  The engine's contract is conditional: any table that passes
-validation makes all downstream algebra hold.
+Novikov shift.  That extension is written once, in :func:`_table_image`,
+which yields a table image as a flat stream of targets; each consumer
+reduces the stream mod 2 by toggling.  The engine's contract is
+conditional: any table that passes validation makes all downstream algebra
+hold.
 
 Validation rules, each a rejection rule with its own id:
 
@@ -166,32 +169,48 @@ class FilteredDifferential:
             self._by_source.setdefault((base, cover, sign), []).append(target)
 
 
-def _flip_table_image(d: FilteredDifferential, gens, acc: set[Generator]) -> set[Generator]:
-    """Flip the table image of a bare Z/2 set into ``acc`` in place; returns ``acc``.
+def _table_image(d: FilteredDifferential, gens) -> Iterable[Generator]:
+    """The table image of a bare Z/2 set, as a flat stream of targets.
 
     Each generator's table image is its entries' targets shifted by the
     generator's sphere class.  This is the one place a table entry is extended
     under the Novikov shift; the stored targets sit at the shift of class 0,
-    so a generator of class 0 flips them as they are.
+    so a generator of class 0 yields them as they are.  A target comes once
+    per entry that reaches it, so the image is the stream reduced mod 2, and
+    every consumer toggles what it takes: :func:`_toggle_into` here, the
+    level buckets in the induction's fold.
     """
     by_source = d._by_source
-    flip = acc.symmetric_difference_update
     for q, n, a, sign in gens:
         hits = by_source.get((q, n, sign))
         if hits:
-            flip([_new(Generator, (tq, tn, ta + a, ts)) for tq, tn, ta, ts in hits] if a else hits)
-    return acc
+            if a:
+                for tq, tn, ta, ts in hits:
+                    yield _new(Generator, (tq, tn, ta + a, ts))
+            else:
+                yield from hits
+
+
+def _toggle_into(acc: set[Generator], gens: Iterable[Generator]) -> frozenset[Generator]:
+    """``acc`` plus ``gens`` over Z/2, frozen: each of ``gens`` is toggled into
+    ``acc`` in place, so one that comes twice cancels."""
+    for g in gens:
+        if g in acc:
+            acc.remove(g)
+        else:
+            acc.add(g)
+    return frozenset(acc)
 
 
 def _raw_step(d: FilteredDifferential, gens: frozenset[Generator]) -> frozenset[Generator]:
     """One application of the full differential on a bare Z/2 set, no floors.
 
     The d0 images of distinct generators are distinct, so they seed the
-    accumulator as one set, and :func:`_flip_table_image` flips the table
-    image into it.
+    accumulator as one set, and the table image (:func:`_table_image`) is
+    toggled into it.
     """
     acc = {_new(Generator, (q, n - 1, a, "+")) for q, n, a, sign in gens if sign == "-"}
-    return frozenset(_flip_table_image(d, gens, acc))
+    return _toggle_into(acc, _table_image(d, gens))
 
 
 def check_d_squared_window(
@@ -252,7 +271,7 @@ def load_table(
 
 def apply_table(d: FilteredDifferential, x: Chain) -> Truncated:
     """The higher part of the differential (all drops i >= 1), truncated to x.floor."""
-    raw = frozenset(_flip_table_image(d, x.terms, set()))
+    raw = _toggle_into(set(), _table_image(d, x.terms))
     return truncate(d.params, Chain(x.degree - 2, x.floor, raw))
 
 

@@ -20,11 +20,12 @@ formulas used throughout:
 Comparisons run on integers.  ``params.rows`` holds, per critical point, the
 one table of these formulas: integer coefficients that make (level, twice_mu,
 L*action), L = ``params.action_denominator``, three linear forms in (cover,
-sphere).  :func:`_invariants` reads a row forward; :func:`_above_floor` holds
-the one floor test.  :func:`_invariants` is also the one check of what a
-generator is: it refuses an unknown critical point id, a sign other than '+'
-or '-' and a nonzero sphere class on an aspherical base, so every invariant,
-order and report refuses them with the same named error.
+sphere).  :func:`_invariants` reads a row forward; :func:`_floor_key` holds
+the one floor test, as the least key at or above a floor.
+:func:`_invariants` is also the one check of what a generator is: it
+refuses an unknown critical point id, a sign other than '+' or '-' and a
+nonzero sphere class on an aspherical base, so every invariant, order and
+report refuses them with the same named error.
 :func:`enumerate_generators` solves each row for one slice of fixed degree:
 the degree pins the class-0 cover and sign, and the level window and action
 floor are solved for the sphere class on integers; a missing end of the
@@ -108,19 +109,26 @@ def _invariants(params: BundleParams, g: Generator) -> tuple[int, int, int]:
     return lv + l_a * a, mu + m_a * a, key + k_a * a
 
 
+def _floor_key(params: BundleParams, floor: Fraction) -> int:
+    """The least L*action key at or above ``floor``.  A generator has action
+    >= ``floor`` exactly when its integer key is >= this integer, so this is
+    the one statement of the floor test: :func:`_above_floor`, the level
+    induction's fold and :func:`enumerate_generators` compare keys with it."""
+    return -(-floor.numerator * params.action_denominator // floor.denominator)
+
+
 def _above_floor(
     params: BundleParams, floor: Fraction
 ) -> Callable[[Iterable[Generator]], dict[Generator, int]]:
     """The filter ``gens -> {g: level(g)}`` of the generators with action >=
-    ``floor``, in the order given: the one floor test, decided on the integer
-    action key with one invariants read per generator."""
-    bar, den = floor.numerator * params.action_denominator, floor.denominator
+    ``floor``, in the order given, with one invariants read per generator."""
+    bar = _floor_key(params, floor)
 
     def above(gens: Iterable[Generator]) -> dict[Generator, int]:
         kept: dict[Generator, int] = {}
         for g in gens:
             lv, _, key = _invariants(params, g)
-            if key * den >= bar:
+            if key >= bar:
                 kept[g] = lv
         return kept
 
@@ -231,8 +239,7 @@ def enumerate_generators(
     desc, base id, cover, sign.
     """
     _require_odd(twice_mu)
-    action_floor = Fraction(action_floor)
-    bar, den = action_floor.numerator * params.action_denominator, action_floor.denominator
+    bar = _floor_key(params, Fraction(action_floor))
     # Along a slice the degree m0 + 4n + m_a*a -+ 1 is fixed, so the cover
     # moves by -m_a/4 per class; every row shares (k_n, l_a, m_a, k_a).
     _, _, _, k_n, step, m_a, k_a, _ = next(iter(params.rows.values()), (None,) * 8)
@@ -240,7 +247,7 @@ def enumerate_generators(
         classes, step, cover_step, slope = (0, 0), 0, 0, 0
     else:
         classes, cover_step = (-inf, inf), -m_a // 4
-        slope = (k_a + cover_step * k_n) * den
+        slope = k_a + cover_step * k_n
     found: list[Generator] = []
     for lv0, m0, k0, _, _, _, _, cp in params.rows.values():
         # The degree pins the class-0 cover n0 and, by its parity, the sign.
@@ -251,7 +258,7 @@ def enumerate_generators(
         a_lo, a_hi = classes
         # The classes a with coef*a >= rhs: action >= floor, level >= lo, level <= hi;
         # a missing end is 0*a >= 0, no constraint.
-        bounds = ((slope, bar - (k0 + k_n * n0) * den),
+        bounds = ((slope, bar - k0 - k_n * n0),
                   (0, 0) if level_lo is None else (step, level_lo - lv0),
                   (0, 0) if level_hi is None else (-step, lv0 - level_hi))
         for coef, rhs in bounds:

@@ -6,17 +6,19 @@ by the fiber differential's explicit primitive, and each lower slice is first
 corrected by the higher differentials of the already-built theta parts before
 being fed to the same primitive.  The remainder is level buckets of bare
 generators; d0 of each theta part is exactly the slice it kills, so only the
-part's table image is folded into them, under one level check.  Termination
-is certified by level bounds that are themselves checked against exhaustive
-enumeration; each bound is certified once per (bundle, degree, floor) in a
-process.
+part's table image is folded into them, one target at a time as the stream
+of :func:`_table_image` yields it, under one floor test and one level check.
+Theta parts are bare (level, terms) pairs; the CLI labels them and prints
+them as chains.  Termination is certified by level bounds that are
+themselves checked against exhaustive enumeration; each bound is certified
+once per (bundle, degree, floor) in a process.
 
 In the very-negative regime (2*c*nu <= -dim_M) the differential preserves
 sphere classes, so each class component of the cycle is finitely supported
 and the cycle's highest class gives the run a finite stop.  The one induction
-is then reported per class: theta parts labelled by class and level, and per
-class the term counts and the action-gap certificate with the uniform
-constant C = tau/2 * dim_M + max f - min f.
+is then reported per class: theta parts split by class, and per class the
+term counts and the action-gap certificate with the uniform constant
+C = tau/2 * dim_M + max f - min f.
 
 Every run re-verifies its own output: the residual d(theta) + xi, truncated at
 the cycle's floor, is computed unconditionally and must be empty.
@@ -35,15 +37,14 @@ from .differentials import (
     FilteredDifferential,
     _by_level,
     _fiber_primitive,
-    _flip_table_image,
     _raw_step,
+    _table_image,
     apply_total,
 )
 from .generators import (
     Generator,
-    _above_floor,
+    _floor_key,
     _invariants,
-    _new,
     enumerate_generators,
     sphere_class_floor,
 )
@@ -88,8 +89,17 @@ class ClassReport(NamedTuple):
 
 
 class PrimitiveResult(NamedTuple):
+    """What :func:`find_primitive` built and checked.
+
+    ``theta_parts`` are the induction's theta parts as ``(level, terms)``
+    pairs, highest level first, whose terms sum to ``theta``.  In the
+    very-negative regime each part holds the terms of one sphere class, and
+    the parts are class-major, levels descending within a class.  The
+    residual and ``dropped`` are :func:`verify_primitive`'s record.
+    """
+
     theta: Chain
-    theta_parts: tuple[tuple[str, Chain], ...]
+    theta_parts: tuple[tuple[int, frozenset[Generator]], ...]
     residual: Chain
     dropped: tuple[Generator, ...]
     level_ceiling: int | None = None
@@ -169,17 +179,19 @@ def _descend(
     create levels below the current one.  A correction r_l must consist of +
     generators, and its fiber primitive theta_l is the next theta part.
     d0(theta_l) = r_l by construction, so d(theta_l) + r_l is theta_l's
-    table image (:func:`_flip_table_image`); its terms above ``floor`` are
-    folded into the buckets, and one still at level >= l is refused.  A
-    wrong fiber primitive is caught not here but by :func:`find_primitive`'s
-    closing :func:`verify_primitive`.  A nonzero correction below ``stop``
-    breaks the bound :func:`find_primitive` certified for the case.  In the
+    table image.  The fold takes it target by target from
+    :func:`_table_image`, reads each target's invariants once, skips one
+    below ``floor`` (:func:`_floor_key`), refuses one still at level >= l,
+    and toggles the rest into their buckets: a target that comes twice
+    cancels, over Z/2.  No set or dict is built per part.  A wrong fiber
+    primitive is caught not here but by :func:`find_primitive`'s closing
+    :func:`verify_primitive`.  A nonzero correction below ``stop`` breaks
+    the bound :func:`find_primitive` certified for the case.  In the
     very-negative regime a part may hold terms of several sphere classes that
-    share its level.  Theta parts are bare sets until :func:`find_primitive`
-    wraps them in chains.
+    share its level; :func:`find_primitive` splits it by class.
     """
     params = d.params
-    above = _above_floor(params, floor)
+    bar = _floor_key(params, floor)
     heap = [-lv for lv in pending]  # a max-heap of the pending levels
     heapify(heap)
     theta: list[tuple[int, frozenset[Generator]]] = []
@@ -200,7 +212,10 @@ def _descend(
                 f"higher-differential table inconsistent with the level induction at level {l}: {err}"
             ) from None
         theta.append((l, th))
-        for g, lv in above(_flip_table_image(d, th, set())).items():
+        for g in _table_image(d, th):
+            lv, _, key = _invariants(params, g)
+            if key < bar:
+                continue
             if lv >= l:
                 raise InductionError(f"higher differential failed to drop the level at {l}")
             bucket = pending.get(lv)
@@ -258,8 +273,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     theta = Chain(xi.degree + 2, theta_floor, frozenset().union(*(th for _, th in theta_parts)))
     residual, dropped = verify_primitive(d, xi, theta)
     if not very_negative:
-        labelled = [(f"level={l}", _new(Chain, (theta.degree, theta_floor, th))) for l, th in theta_parts]
-        return PrimitiveResult(theta, tuple(labelled), residual, dropped,
+        return PrimitiveResult(theta, tuple(theta_parts), residual, dropped,
                                level_ceiling=ceiling, stop_level=stop, bounds=bounds)
 
     # The same run, reported per sphere class.
@@ -271,10 +285,8 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     stray = sorted({a for a, _ in split} - classes)
     if stray:  # only a table that moves terms between classes gets here
         raise InductionError(f"theta has terms in sphere classes the cycle lacks: {stray}")
-    labelled = [
-        (f"class={a},level={l}", _new(Chain, (theta.degree, theta_floor, frozenset(split[a, l]))))
-        for a, l in sorted(split, key=lambda al: (al[0], -al[1]))  # class-major
-    ]
+    parts = [(l, frozenset(split[a, l]))
+             for a, l in sorted(split, key=lambda al: (al[0], -al[1]))]  # class-major
     gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value
     reports = []
     # Gaps compare L*action keys, each term's read once; only the largest
@@ -287,5 +299,5 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
         reports.append(ClassReport(
             a, len(xi_keys), len(gaps), max_gap, max_gap is None or max_gap <= gap_bound,
         ))
-    return PrimitiveResult(theta, tuple(labelled), residual, dropped,
+    return PrimitiveResult(theta, tuple(parts), residual, dropped,
                            gap_constant=gap_bound, class_reports=tuple(reports))

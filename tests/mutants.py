@@ -121,8 +121,15 @@ MUTANTS = [
     (
         "a strict floor test in _above_floor",
         "generators.py",
-        "if key * den >= bar:",
-        "if key * den > bar:",
+        "if key >= bar:",
+        "if key > bar:",
+    ),
+    (
+        # The one threshold of _above_floor, the fold and enumerate_generators.
+        "_floor_key rounding down: a key just below a fractional floor counted above it",
+        "generators.py",
+        "return -(-floor.numerator * params.action_denominator // floor.denominator)",
+        "return floor.numerator * params.action_denominator // floor.denominator",
     ),
     (
         "a depth cutoff of dim_M + 1",
@@ -143,16 +150,20 @@ MUTANTS = [
         "return math.ceil((action_floor - peak + (params.tau + 1) * params.min_value) / per_class) + 1",
     ),
     (
-        "table targets not shifted by the source's sphere class in _flip_table_image",
+        "table targets not shifted by the source's sphere class in _table_image",
         "differentials.py",
         "_new(Generator, (tq, tn, ta + a, ts))",
         "_new(Generator, (tq, tn, ta, ts))",
     ),
     (
-        "_flip_table_image reusing the stored targets at every sphere class",
+        "_table_image reusing the stored targets at every sphere class",
         "differentials.py",
-        "flip([_new(Generator, (tq, tn, ta + a, ts)) for tq, tn, ta, ts in hits] if a else hits)",
-        "flip(hits)",
+        "            if a:\n"
+        "                for tq, tn, ta, ts in hits:\n"
+        "                    yield _new(Generator, (tq, tn, ta + a, ts))\n"
+        "            else:\n"
+        "                yield from hits\n",
+        "            yield from hits\n",
     ),
     (
         "the +1 of (tau + 1) dropped from the critical-value term of the action",
@@ -255,14 +266,31 @@ MUTANTS = [
     (
         "_descend dropping its correction terms",
         "vanishing.py",
-        "for g, lv in above(_flip_table_image(d, th, set())).items():",
-        "for g, lv in ():",
+        "for g in _table_image(d, th):",
+        "for g in ():",
     ),
     (
         "_descend folding the table image of the correction term instead of its theta part",
         "vanishing.py",
-        "_flip_table_image(d, th, set())",
-        "_flip_table_image(d, terms, set())",
+        "_table_image(d, th)",
+        "_table_image(d, terms)",
+    ),
+    (
+        "the fold ignoring cancellation: a target always added to its bucket",
+        "vanishing.py",
+        "            elif g in bucket:\n"
+        "                bucket.remove(g)\n"
+        "            else:\n"
+        "                bucket.add(g)\n",
+        "            else:\n"
+        "                bucket.add(g)\n",
+    ),
+    (
+        "_descend keeping a bucket between calls: a level's first bucket reused by later runs",
+        "vanishing.py",
+        "                pending[lv] = {g}\n",
+        "                pending[lv] = bucket = _descend.__dict__.setdefault(lv, set())\n"
+        "                bucket.add(g)\n",
     ),
     (
         "_fiber_primitive keeping the cover: (q, n, a, +) -> (q, n, a, -)",

@@ -1,14 +1,16 @@
 """Work counts: the calls of ``generators._invariants``,
-``differentials._raw_step`` and ``differentials._flip_table_image`` a
+``differentials._raw_step`` and ``differentials._table_image`` a
 computation makes.
 
 Every per-generator read passes through ``_invariants``, every application
 of the full differential through ``_raw_step``, and every table image, for
 ``_raw_step`` or for a fold of the level induction, through
-``_flip_table_image``, so their call counts are units of work that are exact
-and the same on every machine.  These tests bound them by the size of the
-output, and check that they do not grow with the depth of a window end or of
-the action floor.
+``_table_image``, so their call counts are units of work that are exact and
+the same on every machine.  A warm induction reads each term of the cycle
+once for its level buckets and each target its folds take from
+``_table_image`` once; only a very-negative run's class reports read more.  These tests pin the counts to the
+size of the input and output, and check that they do not grow with the
+depth of a window end or of the action floor.
 
 ``test_kernel_builds_no_generator_through_the_named_tuple_constructor``
 guards another per-term cost: the kernel builds generators through
@@ -36,7 +38,7 @@ from rabinowitz.vanishing import _certified_bound, find_primitive
 BINDINGS = {
     "_invariants": (generators, chains, differentials, vanishing),
     "_raw_step": (differentials, vanishing),
-    "_flip_table_image": (differentials, vanishing),
+    "_table_image": (differentials, vanishing),
 }
 
 
@@ -63,6 +65,21 @@ def work(monkeypatch):
     return run
 
 
+@pytest.fixture
+def folded(work, monkeypatch):
+    """The targets the induction's folds take from the table image, in order,
+    tapped from ``vanishing``'s (counted) binding of ``_table_image``."""
+    taken, counted = [], vanishing._table_image
+
+    def tapped(*args):
+        for g in counted(*args):
+            taken.append(g)
+            yield g
+
+    monkeypatch.setattr(vanishing, "_table_image", tapped)
+    return taken
+
+
 def test_the_counted_bindings_are_all_of_them():
     modules = [importlib.import_module(f"rabinowitz.{m.name}")
                for m in pkgutil.iter_modules(rabinowitz.__path__)]
@@ -85,30 +102,35 @@ def test_enumeration_reads_track_the_generators_returned(work, c1_params):
 # empty window, which reads no generator.
 WIDE = synthetic_params(3, 2, 1, 2, Fraction(3, 4))
 CERTIFICATE_READS = 0
-# The theta parts of the boundary of each size: one per level visited.
+# The boundary of each size: its theta parts, one per level visited, and the
+# warm induction's reads, one per term of xi and one per target its folds take.
 THETA_PARTS = {25: 14, 100: 58, 400: 200}
+INDUCTION_READS = {25: 30, 100: 104, 400: 204}
 
 
 @pytest.mark.parametrize("size", THETA_PARTS)
-def test_induction_reads_track_xi_and_theta(work, size):
+def test_induction_reads_track_xi_and_theta(work, folded, size):
     # The differential is applied once to check that xi is closed and once to
     # verify; the induction folds one table image per level it visits (one
-    # theta part each), and each application flips one more.
+    # theta part each), and each application takes one more.  Both
+    # applications come out empty here, d(xi) = 0 and d(theta) = xi exactly,
+    # so their truncations read nothing.
     d = random_admissible_table(WIDE, 7, (3, 5, 7), Fraction(-20), -12, 12, size=4)
     xi, _ = random_boundary(WIDE, d, 11, 3, Fraction(-120), -200, 200, size=size)
     counts = set()
     for floor in (Fraction(-120), Fraction(-10**6)):
         cycle = xi._replace(floor=floor)
         find_primitive(d, cycle)  # certifies the level bounds
+        folded.clear()
         result, warm = work(find_primitive, d, cycle)
+        assert warm["_invariants"] == len(xi.terms) + len(folded) == INDUCTION_READS[size]
         _certified_bound.cache_clear()
         _, cold = work(find_primitive, d, cycle)
-        assert result.ok and not xi.is_zero
+        assert result.ok and not result.dropped and not xi.is_zero
         assert len(result.theta_parts) == THETA_PARTS[size]
-        assert warm["_invariants"] <= len(xi.terms) + len(result.theta.terms)
         assert cold["_invariants"] - warm["_invariants"] == CERTIFICATE_READS
         assert warm["_raw_step"] == cold["_raw_step"] == 2
-        assert warm["_flip_table_image"] == cold["_flip_table_image"] == THETA_PARTS[size] + 2
+        assert warm["_table_image"] == cold["_table_image"] == THETA_PARTS[size] + 2
         counts.add((warm["_invariants"], len(result.theta.terms)))
     assert len(counts) == 1
 
@@ -137,22 +159,25 @@ def test_clean_ingest_work_tracks_entries_and_probes(work, c_nu_tau, size, entri
     again, counts = work(load_table, params, d.entries)
     assert again.entries == d.entries
     assert counts == {
-        "_invariants": 4 * entries + probes, "_raw_step": 2 * probes, "_flip_table_image": 2 * probes,
+        "_invariants": 4 * entries + probes, "_raw_step": 2 * probes, "_table_image": 2 * probes,
     }
 
 
-def test_class_reports_read_each_term_once(work, monkeypatch, neg2_params):
+def test_class_reports_read_each_term_once(work, folded, monkeypatch, neg2_params):
     # A warm very-negative run reads each term of xi and theta once, through
-    # vanishing's own binding, for the class reports' gaps.  The other 39
-    # reads are the level buckets' (one per xi term) and the folds' 4.
+    # vanishing's own binding, for the class reports' gaps; the folds' 4
+    # reads, one per target taken, go through the same binding.  The other
+    # 35 reads are the level buckets', one per xi term.
     d = random_admissible_table(neg2_params, 3, (3, 5, 7), Fraction(-20), -30, 30, size=6)
     xi, _ = random_boundary(neg2_params, d, 11, 3, Fraction(-20), -30, 30, size=40)
     find_primitive(d, xi)
+    folded.clear()
     reads, counted = [], vanishing._invariants
     monkeypatch.setattr(vanishing, "_invariants", lambda *args: reads.append(args) or counted(*args))
     result, counts = work(find_primitive, d, xi)
     assert result.ok and (len(xi.terms), len(result.theta.terms)) == (35, 39)
-    assert len(reads) == len(xi.terms) + len(result.theta.terms)
+    assert len(folded) == 4
+    assert len(reads) == len(xi.terms) + len(result.theta.terms) + len(folded)
     assert counts["_invariants"] == 113
 
 

@@ -37,6 +37,8 @@ from rabinowitz import (
     load_table,
     random_admissible_table,
     random_boundary,
+    scalar_shift,
+    truncate,
     verify_primitive,
     zero_chain,
 )
@@ -207,7 +209,7 @@ def test_cp1_with_scenario_table(cp1):
     assert result.theta.terms == {G("q0", 1, 0, "-"), G("q2", 2, 0, "-")}
     # the induction walked two levels and recorded both certified bounds
     assert result.level_ceiling == 1
-    assert [label for label, _ in result.theta_parts] == ["level=1", "level=-1"]
+    assert [lv for lv, _ in result.theta_parts] == [1, -1]
     assert len(result.bounds) == 2
 
 
@@ -219,9 +221,9 @@ def test_theta_parts_independent_of_floor_depth(cp1):
     for floor in (-1, -1000, -20000):
         result = find_primitive(d, Chain(xi.degree, Fraction(floor), xi.terms))
         assert result.ok
-        assert [(label, part.terms) for label, part in result.theta_parts] == [
-            ("level=1", {G("q0", 1, 0, "-")}),
-            ("level=-1", {G("q2", 2, 0, "-")}),
+        assert list(result.theta_parts) == [
+            (1, {G("q0", 1, 0, "-")}),
+            (-1, {G("q2", 2, 0, "-")}),
         ]
 
 
@@ -232,7 +234,7 @@ def test_each_level_is_visited_once():
     d = random_admissible_table(params, 7, (3, 5, 7), Fraction(-20), -12, 12, size=4)
     xi, _ = random_boundary(params, d, 1, 3, Fraction(-120), -200, 200, size=100)
     result = find_primitive(d, xi)
-    levels = [int(label.removeprefix("level=")) for label, _ in result.theta_parts]
+    levels = [lv for lv, _ in result.theta_parts]
     assert result.ok and len(levels) > 50
     assert all(a > b for a, b in zip(levels, levels[1:]))
 
@@ -323,7 +325,10 @@ def test_results_do_not_depend_on_the_level_bound_memo(name):
         vanishing._certified_bound.cache_clear()
         cold = find_primitive(d, xi)
         assert find_primitive(d, xi) == cold
-        for _, part in cold.theta_parts:
+        # The CLI prints each part as a chain at theta's degree and floor.
+        rendered = cli._labelled_parts(cold)
+        assert [part.terms for _, part in rendered] == [terms for _, terms in cold.theta_parts]
+        for _, part in rendered:
             assert (part.degree, part.floor) == (xi.degree + 2, xi.floor + params.tau)
             r = apply_d0(params, part)
             assert d0_primitive(params, r).terms == _fiber_primitive(params, r.terms) == part.terms
@@ -443,6 +448,24 @@ def test_battery_neg4(neg4_params):
     _battery(neg4_params, 4000, 5)
 
 
+def _random_case(draw, kind: str):
+    """A supported random base of the kind, a seeded table on degrees
+    (degree, degree + 2, degree + 4) and the sampling window (floor -20)."""
+    params = draw_bundle(draw, kind)
+    assume(params.refusal is None)
+    degree = 2 * draw(st.integers(-3, 3)) + 1
+    pad = params.dim_m + 2 * abs(params.level_step) + 2
+    window = (Fraction(-20), -pad, pad)
+    d = random_admissible_table(params, draw(st.integers(0, 999)),
+                                (degree, degree + 2, degree + 4), *window)
+    return params, d, degree, window
+
+
+def _boundary_of(draw, params, d, degree, window):
+    """A random boundary xi = d(eta) on the case's window, as (xi, eta)."""
+    return random_boundary(params, d, draw(st.integers(0, 999)), degree, *window, size=5)
+
+
 @pytest.mark.parametrize("kind", BUNDLE_KINDS)
 @settings(max_examples=40, deadline=None,
           phases=[Phase.explicit, Phase.reuse, Phase.generate, Phase.shrink])
@@ -458,21 +481,14 @@ def test_primitive_on_random_bundles_checked_by_the_checker(kind, data):
     # A failure is shrunk but not explained: the explain phase traces every
     # line of each replayed induction, which doubled the time of a failing run.
     tag = BUNDLE_KINDS[kind][0]
-    draw = data.draw
-    params = draw_bundle(draw, kind)
-    assume(params.refusal is None)
+    params, d, degree, window = _random_case(data.draw, kind)
     assert params.case.tag is tag
-    dim, tau = params.dim_m, params.tau
-    degree = 2 * draw(st.integers(-3, 3)) + 1
-    pad = dim + 2 * abs(params.level_step) + 2
-    window = (Fraction(-20), -pad, pad)
-    d = random_admissible_table(params, draw(st.integers(0, 999)),
-                                (degree, degree + 2, degree + 4), *window)
+    tau = params.tau
     base = ck_base(params)
     assert ck.table_violations(base, d.entries) == []
     assert ck.square_defects(base, d.entries, shifts=(-1, 0, 1)) == []
     for _ in range(3):
-        xi, _ = random_boundary(params, d, draw(st.integers(0, 999)), degree, *window, size=5)
+        xi, _ = _boundary_of(data.draw, params, d, degree, window)
         result = find_primitive(d, xi)
         theta = result.theta.terms
         assert ck.boundary_above(base, d.entries, theta, xi.floor) == xi.terms
@@ -487,6 +503,71 @@ def test_primitive_on_random_bundles_checked_by_the_checker(kind, data):
                     for g in theta if g[2] == rep.sphere]
             assert (rep.cycle_terms, rep.theta_terms) == (len(xs), len(gaps))
             assert rep.max_gap == (max(gaps) if gaps else None)
+
+
+# --- the Z/2 laws of the construction ------------------------------------------
+#
+# When find_primitive succeeds, theta is a function of xi that is linear over
+# Z/2, commutes with refining the floor (up to xi's least action) and with
+# the Novikov shift, and differs from any primitive of xi by a cycle.  The
+# laws hold at any size, and the first three need no oracle, so a fold that
+# loses a cancellation, a bucket kept between calls, a wrong floor test or a
+# wrong shift breaks one of them.
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_theta_is_linear_over_z2(kind, data):
+    params, d, degree, window = _random_case(data.draw, kind)
+    (xi1, _), (xi2, _) = (_boundary_of(data.draw, params, d, degree, window) for _ in range(2))
+    xi, dropped = add(params, xi1, xi2)
+    assert not dropped
+    theta = find_primitive(d, xi).theta
+    assert theta.terms == find_primitive(d, xi1).theta.terms ^ find_primitive(d, xi2).theta.terms
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_theta_commutes_with_refining_the_floor(kind, data):
+    # xi at floor f, for any f from -20 up to xi's least action, has the
+    # primitive theta(xi at -20) truncated at f + tau.  The floors run
+    # through the actions of theta(xi at -20), less tau, so the truncations
+    # cut terms.  A floor above a term of xi is left out: there a kept theta
+    # term may only cancel the table image of a dropped one, so the primitive
+    # of what is left need not be a truncation.
+    params, d, degree, window = _random_case(data.draw, kind)
+    xi_deep, _ = _boundary_of(data.draw, params, d, degree, window)
+    theta_deep = find_primitive(d, xi_deep).theta
+    least = min((action(params, g) for g in xi_deep.terms), default=Fraction(0))
+    floors = {least} | {action(params, g) - params.tau for g in theta_deep.terms}
+    for f in sorted(f for f in floors if f <= least):
+        expected = truncate(params, theta_deep._replace(floor=f + params.tau)).chain
+        assert find_primitive(d, xi_deep._replace(floor=f)).theta == expected
+
+
+@pytest.mark.parametrize("kind", [kind for kind in BUNDLE_KINDS if kind != "aspherical"])
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_theta_commutes_with_the_novikov_shift(kind, data):
+    params, d, degree, window = _random_case(data.draw, kind)
+    xi, _ = _boundary_of(data.draw, params, d, degree, window)
+    theta = find_primitive(d, xi).theta
+    for a in (-1, 1, 2):
+        assert find_primitive(d, scalar_shift(params, xi, a)).theta == scalar_shift(params, theta, a)
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_theta_differs_from_a_known_primitive_by_a_cycle(kind, data):
+    # xi = d(eta), and d(theta) = xi above the floor, so by the checker's
+    # differential theta + eta is a cycle above it.
+    params, d, degree, window = _random_case(data.draw, kind)
+    xi, eta = _boundary_of(data.draw, params, d, degree, window)
+    theta = find_primitive(d, xi).theta.terms
+    assert ck.boundary_above(ck_base(params), d.entries, theta ^ eta.terms, xi.floor) == set()
 
 
 # --- very negative case: class split, counts, gaps -----------------------------
@@ -554,15 +635,22 @@ def test_multi_class_result_is_pinned(neg4_params):
     ]
     result = find_primitive(d, xi)
     assert result.ok and not result.dropped
-    assert [(label, sorted(map(str, part.terms))) for label, part in result.theta_parts] == [
-        ("class=-2,level=10", ["(r0,-5,-2,-)"]),
-        ("class=-2,level=6", ["(r4,-3,-2,-)"]),
-        ("class=0,level=2", ["(r0,1,0,-)"]),
-        ("class=0,level=-2", ["(r4,3,0,-)"]),
-        ("class=1,level=-2", ["(r0,4,1,-)"]),
-        ("class=2,level=-10", ["(r4,9,2,-)"]),
+    assert [(lv, sorted(map(str, terms))) for lv, terms in result.theta_parts] == [
+        (10, ["(r0,-5,-2,-)"]),
+        (6, ["(r4,-3,-2,-)"]),
+        (2, ["(r0,1,0,-)"]),
+        (-2, ["(r4,3,0,-)"]),
+        (-2, ["(r0,4,1,-)"]),
+        (-10, ["(r4,9,2,-)"]),
     ]
-    assert {(part.degree, part.floor) for _, part in result.theta_parts} == {(7, Fraction(-59, 2))}
+    # The CLI labels each part by its one class and its level, and prints it
+    # as a chain at theta's degree and floor.
+    rendered = cli._labelled_parts(result)
+    assert [label for label, _ in rendered] == [
+        "class=-2,level=10", "class=-2,level=6", "class=0,level=2",
+        "class=0,level=-2", "class=1,level=-2", "class=2,level=-10",
+    ]
+    assert {(part.degree, part.floor) for _, part in rendered} == {(7, Fraction(-59, 2))}
     assert result.class_reports == (
         ClassReport(-2, 1, 2, Fraction(3, 4), True),
         ClassReport(0, 1, 2, Fraction(3, 4), True),
