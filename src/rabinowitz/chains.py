@@ -23,7 +23,7 @@ from typing import Iterable, NamedTuple
 from .bundle import BundleParams
 from .generators import (
     Generator,
-    _above_floor,
+    _floor_key,
     _invariants,
     _require_odd,
     action,
@@ -74,15 +74,15 @@ def build_chain(
     if degree is not None:
         _require_odd(degree)
     floor = Fraction(floor)
-    above = _above_floor(params, floor)
+    bar = _floor_key(params, floor)
     terms = tuple(terms)
     for g in terms:
-        d = _invariants(params, g)[1]
+        _, d, key = _invariants(params, g)
         if degree is None:
             degree = d
         elif d != degree:
             raise ValueError(f"mixed degrees: term {g} has grading {d}, expected {degree}")
-        if not above((g,)):
+        if key < bar:
             raise ValueError(f"term {g} has action {action(params, g)} below the floor {floor}")
     if degree is None:
         raise ValueError("degree required for a chain with no terms")
@@ -91,7 +91,8 @@ def build_chain(
 
 def truncate(params: BundleParams, x: Chain) -> Truncated:
     """Drop the terms of ``x`` below its own floor, reporting them in canonical order."""
-    kept = frozenset(_above_floor(params, x.floor)(x.terms))
+    bar = _floor_key(params, x.floor)
+    kept = frozenset([g for g in x.terms if _invariants(params, g)[2] >= bar])
     return Truncated(Chain(x.degree, x.floor, kept), canonical_sort(params, x.terms - kept))
 
 

@@ -47,7 +47,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from math import inf
-from typing import Callable, Iterable, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .bundle import BundleParams
 
@@ -112,27 +112,10 @@ def _invariants(params: BundleParams, g: Generator) -> tuple[int, int, int]:
 def _floor_key(params: BundleParams, floor: Fraction) -> int:
     """The least L*action key at or above ``floor``.  A generator has action
     >= ``floor`` exactly when its integer key is >= this integer, so this is
-    the one statement of the floor test: :func:`_above_floor`, the level
-    induction's fold and :func:`enumerate_generators` compare keys with it."""
+    the one statement of the floor test: ``truncate``, ``build_chain``, the
+    level induction's fold and :func:`enumerate_generators` compare keys with
+    it."""
     return -(-floor.numerator * params.action_denominator // floor.denominator)
-
-
-def _above_floor(
-    params: BundleParams, floor: Fraction
-) -> Callable[[Iterable[Generator]], dict[Generator, int]]:
-    """The filter ``gens -> {g: level(g)}`` of the generators with action >=
-    ``floor``, in the order given, with one invariants read per generator."""
-    bar = _floor_key(params, floor)
-
-    def above(gens: Iterable[Generator]) -> dict[Generator, int]:
-        kept: dict[Generator, int] = {}
-        for g in gens:
-            lv, _, key = _invariants(params, g)
-            if key >= bar:
-                kept[g] = lv
-        return kept
-
-    return above
 
 
 def action(params: BundleParams, g: Generator) -> Fraction:

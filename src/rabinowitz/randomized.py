@@ -13,10 +13,10 @@ byte-reproducible.
 A candidate is one integer code over the window's generators in canonical
 order, so the seeded shuffle permutes plain ints; only the codes the greedy
 loop reads are decoded into entries.  :func:`_shuffled` permutes them with
-``random.Random(seed).shuffle``'s own loop and draws, inlined; a test pins
-the two together.  Its draws depend only on the list's length, so a seeded
-table depends on the candidates and their order, not on how they are
-stored.
+``random.Random(seed).shuffle``'s own loop and draws, inlined and walked in
+runs of indices whose draws take the same number of bits; a test pins the
+two together.  Its draws depend only on the list's length, so a seeded table
+depends on the candidates and their order, not on how they are stored.
 
 Fixtures sample many seeds on one window, so the pools and the candidate
 codes are built once per (params, degrees, floor, level window) and
@@ -131,20 +131,27 @@ def _shuffled(items: tuple[int, ...], seed: int) -> list[int]:
     """A copy of ``items`` permuted as ``random.Random(seed).shuffle`` would.
 
     This is the stdlib's Fisher-Yates loop with its ``_randbelow`` draw
-    inlined: for each ``i`` it draws ``(i + 1).bit_length()`` random bits
-    until they fall below ``i + 1``.  Every draw is needed, since the last
-    one fixes ``x[0]``; inlining saves only the Python call per draw, which
-    is most of a stock shuffle's time.
+    inlined: for each ``i`` it draws ``k = (i + 1).bit_length()`` random bits
+    until they fall at or below ``i``.  That ``k`` is the same for every ``i``
+    from ``2**(k-1) - 1`` up to ``2**k - 2``, so the loop walks the indices in
+    runs of equal bit length and computes ``k`` once per run, not once per
+    draw.  The draws themselves are the stdlib's, one ``getrandbits`` call
+    each, and every one is needed, since the last fixes ``x[0]``; what the
+    inlining saves is the Python call of ``_randbelow`` and its arithmetic
+    per draw, which is most of a stock shuffle's time.
     """
     x = list(items)
     getrandbits = random.Random(seed).getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        m = i + 1
-        k = m.bit_length()
-        j = getrandbits(k)
-        while j >= m:
+    top = len(x) - 1
+    while top > 0:
+        k = (top + 1).bit_length()
+        low = (1 << (k - 1)) - 1  # the least i whose i + 1 has k bits
+        for i in range(top, low - 1, -1):
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
     return x
 
 

@@ -119,13 +119,14 @@ MUTANTS = [
         "        if a_hi == inf:\n",
     ),
     (
-        "a strict floor test in _above_floor",
-        "generators.py",
-        "if key >= bar:",
-        "if key > bar:",
+        "a strict floor test in truncate and build_chain",
+        "chains.py",
+        "if _invariants(params, g)[2] >= bar]",
+        "if _invariants(params, g)[2] > bar]",
+        ("chains.py", "if key < bar:", "if key <= bar:"),
     ),
     (
-        # The one threshold of _above_floor, the fold and enumerate_generators.
+        # The one threshold of truncate, build_chain, the fold and enumerate_generators.
         "_floor_key rounding down: a key just below a fractional floor counted above it",
         "generators.py",
         "return -(-floor.numerator * params.action_denominator // floor.denominator)",
@@ -220,14 +221,16 @@ MUTANTS = [
     (
         "the shuffle keeping a draw equal to i + 1: an index past the list",
         "randomized.py",
-        "while j >= m:",
-        "while j > m:",
+        "while j > i:",
+        "while j > i + 1:",
     ),
     (
-        "the shuffle drawing i.bit_length() bits: one too few at each power of two",
+        # Each run of k-bit draws reaches one index too far down, where the
+        # stdlib draws k - 1 bits.
+        "a shuffle run boundary off by one: k bits drawn at i = 2**(k-1) - 2",
         "randomized.py",
-        "k = m.bit_length()",
-        "k = i.bit_length()",
+        "low = (1 << (k - 1)) - 1",
+        "low = (1 << (k - 1)) - 2",
     ),
     (
         "a + source admitted without its fiber companion",
@@ -310,7 +313,7 @@ MUTANTS = [
     (
         "truncate keeping every term",
         "chains.py",
-        "kept = frozenset(_above_floor(params, x.floor)(x.terms))",
+        "kept = frozenset([g for g in x.terms if _invariants(params, g)[2] >= bar])",
         "kept = x.terms",
     ),
     (

@@ -379,6 +379,36 @@ def test_kernel_matches_a_per_term_reference(name):
     assert plus == (set() if not odd_index else {False} if params.aspherical else {False, True})
 
 
+# Two entries with one target, which has no entries of its own, so the
+# square vanishes: the sources are - generators, whose d0 images have no
+# entries either.
+SHARED_TARGET = {
+    "aspherical4": [E(2, G("p2", 2, 0, "-"), G("p4", 2, 0, "+")),
+                    E(4, G("p0", 1, 0, "-"), G("p4", 2, 0, "+"))],
+    "cp1": [E(2, G("q2", 2, 0, "-"), G("q0", 1, -1, "+")),
+            E(4, G("q0", 1, 0, "-"), G("q0", 1, -1, "+"))],
+}
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_TARGET))
+def test_table_targets_cancel_each_other(name):
+    # The table image of both sources yields the shared target twice, once
+    # per entry, and the full differential cancels it, at the stored class
+    # and, on a spherical base, with both sources shifted off it.
+    params = params_of(name)
+    entries = SHARED_TARGET[name]
+    d = load_table(params, entries)
+    target = entries[0].target
+    for a in (0,) if params.aspherical else (0, -1, 2):
+        sources = frozenset(e.source._replace(sphere=a) for e in entries)
+        shifted = target._replace(sphere=target.sphere + a)
+        assert Counter(_table_image(d, sources)) == {shifted: 2}
+        for g in sources:
+            assert _raw_step(d, frozenset({g})) == {g.fiber_partner(), shifted}
+        image = _raw_step(d, sources)
+        assert image == {g.fiber_partner() for g in sources} == ck.differential(d.entries, sources)
+
+
 @pytest.mark.parametrize("name", CASE_SCENARIOS)
 def test_chain_level_helpers_agree_with_apply_total(name):
     # apply_table and split_by_level stay public API off the induction's

@@ -136,10 +136,14 @@ def test_candidates_match_brute_scan_where_actions_tie():
 def test_sampling_validates_only_the_loaded_entries(monkeypatch):
     # Candidates come from integer tests, so the per-entry validator runs only
     # inside load_table, once per entry it is handed, never once per pool pair.
+    # The first load is handed the sampled table, and each reload one entry
+    # fewer, so a call validates each sampled entry once per load it takes part in.
     params, degrees, floor, lo, hi = SAMPLE_TABLE
     real_validate, real_load = differentials.validate_entry, differentials.load_table
+    real_repair = randomized._load_with_repair
     calls = {"validate": 0, "outside_load": 0}
     loads: list[int] = []
+    sampled: list[int] = []
     depth = [0]
 
     def counting_validate(*args):
@@ -160,13 +164,23 @@ def test_sampling_validates_only_the_loaded_entries(monkeypatch):
             monkeypatch.setattr(mod, "validate_entry", counting_validate)
         if hasattr(mod, "load_table"):
             monkeypatch.setattr(mod, "load_table", tracking_load)
-    d = random_admissible_table(params, 0, degrees, floor, lo, hi, size=3)
+    monkeypatch.setattr(randomized, "_load_with_repair",
+                        lambda p, entries: sampled.append(len(entries)) or real_repair(p, entries))
+    repaired = 0
+    for seed in range(40):
+        calls.update(validate=0, outside_load=0)
+        loads.clear()
+        sampled.clear()
+        d = random_admissible_table(params, seed, degrees, floor, lo, hi, size=3)
+        (n,) = sampled
+        assert len(d.entries) <= n <= 2 * 3
+        assert loads == list(range(n, len(d.entries) - 1, -1))
+        assert calls == {"validate": sum(loads), "outside_load": 0}
+        repaired += len(loads) > 1
+    assert repaired == 3
     pools = {deg: _pool(params, deg, floor, lo, hi) for deg in degrees}
     pairs = sum(len(pools[deg]) * len(pools[deg - 2]) for deg in degrees if deg - 2 in pools)
     assert pairs == 1922
-    assert loads and calls["outside_load"] == 0
-    assert calls["validate"] == sum(loads)
-    assert len(d.entries) <= loads[0] <= 2 * 3
 
 
 def test_seeded_tables_are_pinned():
