@@ -47,11 +47,11 @@ class BundleParams(_BundleFields):
     ``c * omega`` on spheres) and are both ``None`` for aspherical ones.  The
     C^2-smallness of the Morse function is an unchecked modelling assumption;
     no quantitative bound is available, so none is validated.  The action
-    denominator L, the per-point rows, the extreme critical values, the case
-    and the case's rules (level step, refusal, depth cutoff) are cached, not
-    fields, so equality, hashing and repr ignore them; the hash of the fields
-    is cached too.  The fields live on a named-tuple base; this subclass keeps
-    a ``__dict__`` for the caches.
+    denominator L, the per-point rows, the extreme critical values, the
+    action-gap constant C, the case and the case's rules (level step,
+    refusal, depth cutoff) are cached, not fields, so equality, hashing and
+    repr ignore them; the hash of the fields is cached too.  The fields live
+    on a named-tuple base; this subclass keeps a ``__dict__`` for the caches.
 
     ``rows`` is the one table of the generator formulas: one row of integer
     coefficients per critical point, with the point itself.
@@ -132,6 +132,11 @@ class BundleParams(_BundleFields):
     @cached_property
     def max_value(self) -> Fraction:
         return max(cp.value for cp in self.morse)
+
+    @cached_property
+    def gap_constant(self) -> Fraction:
+        """C = tau/2 * dim_M + max f - min f, the very-negative action-gap constant."""
+        return self.tau / 2 * self.dim_m + self.max_value - self.min_value
 
 
 class CaseTag(Enum):

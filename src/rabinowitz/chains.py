@@ -8,7 +8,8 @@ truncates it once, at the result chain's own floor; no operation takes a
 second floor.  :class:`Truncated` is the one record every truncating
 operation returns, ``verify_primitive`` included: the kept chain and
 "dropped below floor", the terms of that result below the floor, each once,
-after cancellation.  To coarsen a chain ``x`` to a floor
+after cancellation, in canonical order; the drop list is sorted only when it
+is non-empty, and an empty one is ``()``.  To coarsen a chain ``x`` to a floor
 ``f >= x.floor``, call ``truncate(params, x._replace(floor=f))``.
 
 Chains are homogeneous in degree; mixed-degree data are maps degree -> Chain.
@@ -25,6 +26,7 @@ from .generators import (
     Generator,
     _floor_key,
     _invariants,
+    _new,
     _require_odd,
     action,
     canonical_sort,
@@ -93,7 +95,10 @@ def truncate(params: BundleParams, x: Chain) -> Truncated:
     """Drop the terms of ``x`` below its own floor, reporting them in canonical order."""
     bar = _floor_key(params, x.floor)
     kept = frozenset([g for g in x.terms if _invariants(params, g)[2] >= bar])
-    return Truncated(Chain(x.degree, x.floor, kept), canonical_sort(params, x.terms - kept))
+    chain = _new(Chain, (x.degree, x.floor, kept))
+    if len(kept) < len(x.terms):
+        return _new(Truncated, (chain, canonical_sort(params, x.terms - kept)))
+    return _new(Truncated, (chain, ()))
 
 
 def add(params: BundleParams, x: Chain, y: Chain) -> Truncated:
@@ -116,7 +121,7 @@ def scalar_shift(params: BundleParams, x: Chain, a0: int) -> Chain:
         return x
     shift = params.nu * a0
     degree = x.degree + 4 * (params.c - 1) * shift
-    terms = frozenset(Generator(g.base, g.cover, g.sphere + a0, g.sign) for g in x.terms)
+    terms = frozenset([_new(Generator, (q, n, a + a0, sign)) for q, n, a, sign in x.terms])
     return Chain(degree, x.floor + shift, terms)
 
 

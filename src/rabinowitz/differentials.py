@@ -272,7 +272,7 @@ def load_table(
 def apply_table(d: FilteredDifferential, x: Chain) -> Truncated:
     """The higher part of the differential (all drops i >= 1), truncated to x.floor."""
     raw = _toggle_into(set(), _table_image(d, x.terms))
-    return truncate(d.params, Chain(x.degree - 2, x.floor, raw))
+    return truncate(d.params, _new(Chain, (x.degree - 2, x.floor, raw)))
 
 
 def apply_total(d: FilteredDifferential, x: Chain) -> Truncated:
@@ -281,7 +281,7 @@ def apply_total(d: FilteredDifferential, x: Chain) -> Truncated:
     "Dropped below floor" lists the terms of the Z/2 image that lie below
     x.floor, each once, after cancellation.
     """
-    return truncate(d.params, Chain(x.degree - 2, x.floor, _raw_step(d, x.terms)))
+    return truncate(d.params, _new(Chain, (x.degree - 2, x.floor, _raw_step(d, x.terms))))
 
 
 def _by_level(params: BundleParams, terms: Iterable[Generator]) -> dict[int, set[Generator]]:

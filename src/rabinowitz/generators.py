@@ -37,9 +37,14 @@ named tuple, so hashing and ordering one is tuple work.  Building one is
 not: the ``__new__`` that NamedTuple generates is a Python function, which
 only checks the field count and calls ``tuple.__new__``, at about 1.7 times
 that call's cost.  So every construction site that runs once per term
-(enumeration, the fiber pairing, the table image, table normalization and
-sampling, the induction's theta parts) calls :data:`_new`, which is
-``tuple.__new__``, on a field tuple it writes out in full.
+(enumeration, the fiber pairing, the Novikov shift, the table image, table
+normalization and sampling, the induction's theta parts) calls :data:`_new`,
+which is ``tuple.__new__``, on a field tuple it writes out in full.  So do
+the kernel's per-call records, which are most of the fixed cost of a level
+induction that visits few levels: ``truncate``'s ``Chain`` and
+``Truncated``, the raw chains of ``apply_total``, ``apply_table`` and
+``verify_primitive``, the induction's theta chain and every
+``PrimitiveResult``, defaulted fields included.
 """
 
 from __future__ import annotations

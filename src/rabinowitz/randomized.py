@@ -187,7 +187,8 @@ def random_admissible_table(
             continue
         unit = [entry]
         if source.sign == "+":
-            unit.append(HigherDifferentialEntry(drop, source.fiber_partner(), target.fiber_partner()))
+            unit.append(_new(HigherDifferentialEntry,
+                             (drop, source.fiber_partner(), target.fiber_partner())))
         endpoints = {e.source for e in unit} | {e.target for e in unit}
         if endpoints & used:
             continue

@@ -18,7 +18,8 @@ sphere classes, so each class component of the cycle is finitely supported
 and the cycle's highest class gives the run a finite stop.  The one induction
 is then reported per class: theta parts split by class, and per class the
 term counts and the action-gap certificate with the uniform constant
-C = tau/2 * dim_M + max f - min f.
+C = tau/2 * dim_M + max f - min f, which the base computes once
+(``BundleParams.gap_constant``).
 
 Every run re-verifies its own output: the residual d(theta) + xi, truncated at
 the cycle's floor, is computed unconditionally and must be empty.
@@ -45,6 +46,7 @@ from .generators import (
     Generator,
     _floor_key,
     _invariants,
+    _new,
     enumerate_generators,
     sphere_class_floor,
 )
@@ -162,7 +164,7 @@ def verify_primitive(d: FilteredDifferential, xi: Chain, theta: Chain) -> Trunca
         raise ValueError(
             f"degree mismatch: theta has degree {theta.degree}, expected {xi.degree + 2}"
         )
-    raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)
+    raw = _new(Chain, (xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms))
     return truncate(d.params, raw)
 
 
@@ -251,9 +253,9 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
         )
     theta_floor = xi.floor + params.tau
     if xi.is_zero:
-        return PrimitiveResult(
-            zero_chain(xi.degree + 2, theta_floor), (), zero_chain(xi.degree, xi.floor), ()
-        )
+        return _new(PrimitiveResult, (
+            zero_chain(xi.degree + 2, theta_floor), (), zero_chain(xi.degree, xi.floor), (),
+            None, None, (), None, ()))
 
     pending = _by_level(params, xi.terms)
     very_negative = params.case.tag is CaseTag.C_VERY_NEGATIVE
@@ -264,17 +266,18 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
     else:
         # c = 0 pins the start at the top of the level range [-dim_M/2, dim_M/2].
         ceiling = params.dim_m // 2 if params.c == 0 else max(pending)
-        bounds = (level_floor(params, xi.degree, xi.floor),
-                  level_floor(params, xi.degree + 2, xi.floor))
-        stop = min(b.l_min for b in bounds)
+        xi_bound = level_floor(params, xi.degree, xi.floor)
+        theta_bound = level_floor(params, xi.degree + 2, xi.floor)
+        bounds, stop = (xi_bound, theta_bound), min(xi_bound.l_min, theta_bound.l_min)
 
     theta_parts = _descend(d, pending, xi.floor, stop)
     # Each part sits at its own level, so theta is their disjoint union.
-    theta = Chain(xi.degree + 2, theta_floor, frozenset().union(*(th for _, th in theta_parts)))
+    theta_terms = frozenset().union(*[th for _, th in theta_parts])
+    theta = _new(Chain, (xi.degree + 2, theta_floor, theta_terms))
     residual, dropped = verify_primitive(d, xi, theta)
     if not very_negative:
-        return PrimitiveResult(theta, tuple(theta_parts), residual, dropped,
-                               level_ceiling=ceiling, stop_level=stop, bounds=bounds)
+        return _new(PrimitiveResult, (
+            theta, tuple(theta_parts), residual, dropped, ceiling, stop, bounds, None, ()))
 
     # The same run, reported per sphere class.
     split: dict[tuple[int, int], set[Generator]] = {}
@@ -287,7 +290,7 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
         raise InductionError(f"theta has terms in sphere classes the cycle lacks: {stray}")
     parts = [(l, frozenset(split[a, l]))
              for a, l in sorted(split, key=lambda al: (al[0], -al[1]))]  # class-major
-    gap_bound = params.tau / 2 * params.dim_m + params.max_value - params.min_value
+    gap_bound = params.gap_constant
     reports = []
     # Gaps compare L*action keys, each term's read once; only the largest
     # becomes a Fraction.
@@ -299,5 +302,5 @@ def find_primitive(d: FilteredDifferential, xi: Chain) -> PrimitiveResult:
         reports.append(ClassReport(
             a, len(xi_keys), len(gaps), max_gap, max_gap is None or max_gap <= gap_bound,
         ))
-    return PrimitiveResult(theta, tuple(parts), residual, dropped,
-                           gap_constant=gap_bound, class_reports=tuple(reports))
+    return _new(PrimitiveResult, (
+        theta, tuple(parts), residual, dropped, None, None, (), gap_bound, tuple(reports)))

@@ -68,8 +68,20 @@ MUTANTS = [
     (
         "stop_level=stop on very-negative results",
         "vanishing.py",
-        "gap_constant=gap_bound, class_reports=tuple(reports))",
-        "stop_level=stop, gap_constant=gap_bound, class_reports=tuple(reports))",
+        "None, None, (), gap_bound, tuple(reports)))",
+        "None, stop, (), gap_bound, tuple(reports)))",
+    ),
+    (
+        "level_ceiling and stop_level swapped in the PrimitiveResult of the other cases",
+        "vanishing.py",
+        "dropped, ceiling, stop, bounds, None, ()))",
+        "dropped, stop, ceiling, bounds, None, ()))",
+    ),
+    (
+        "the very-negative gap constant without the half: C = tau*dim_M + max f - min f",
+        "bundle.py",
+        "return self.tau / 2 * self.dim_m + self.max_value - self.min_value",
+        "return self.tau * self.dim_m + self.max_value - self.min_value",
     ),
     (
         # Levels descending with ties by ascending class order the labels of a
@@ -236,7 +248,8 @@ MUTANTS = [
         "a + source admitted without its fiber companion",
         "randomized.py",
         '        if source.sign == "+":\n'
-        "            unit.append(HigherDifferentialEntry(drop, source.fiber_partner(), target.fiber_partner()))\n",
+        "            unit.append(_new(HigherDifferentialEntry,\n"
+        "                             (drop, source.fiber_partner(), target.fiber_partner())))\n",
         "",
     ),
     (
@@ -261,8 +274,8 @@ MUTANTS = [
         "a + source without its fiber companion, with the square check switched off",
         "randomized.py",
         '        if source.sign == "+":\n'
-        "            unit.append(HigherDifferentialEntry("
-        "drop, source.fiber_partner(), target.fiber_partner()))\n",
+        "            unit.append(_new(HigherDifferentialEntry,\n"
+        "                             (drop, source.fiber_partner(), target.fiber_partner())))\n",
         "",
         ("differentials.py", "for w, residue in check_d_squared_window(d)", "for w, residue in ()"),
     ),
@@ -304,7 +317,7 @@ MUTANTS = [
     (
         "verify_primitive truncating d(theta) before adding xi",
         "vanishing.py",
-        "    raw = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms)\n"
+        "    raw = _new(Chain, (xi.degree, xi.floor, _raw_step(d, theta.terms) ^ xi.terms))\n"
         "    return truncate(d.params, raw)\n",
         "    image = Chain(xi.degree, xi.floor, _raw_step(d, theta.terms))\n"
         "    image, dropped = truncate(d.params, image)\n"
@@ -315,6 +328,12 @@ MUTANTS = [
         "chains.py",
         "kept = frozenset([g for g in x.terms if _invariants(params, g)[2] >= bar])",
         "kept = x.terms",
+    ),
+    (
+        "truncate skipping the sort of a one-term drop: the term dropped, the report empty",
+        "chains.py",
+        "if len(kept) < len(x.terms):",
+        "if len(kept) < len(x.terms) - 1:",
     ),
     (
         "truncate reporting the dropped terms unsorted",

@@ -15,8 +15,13 @@ depth of a window end or of the action floor.
 ``test_kernel_builds_no_generator_through_the_named_tuple_constructor``
 guards another per-term cost: the kernel builds generators through
 ``generators._new`` (``tuple.__new__``), so a warm induction, an
-application of the differential and a clean table load make no call of the
-Python-level ``Generator.__new__`` that NamedTuple generates.
+application of the differential, a Novikov shift and a clean table load make
+no call of the Python-level ``Generator.__new__`` that NamedTuple generates.
+``test_warm_induction_builds_its_records_as_tuples`` pins the fixed cost of
+a call the same way: a warm ``find_primitive`` builds every ``Chain``,
+``Truncated`` and ``PrimitiveResult`` through ``_new`` too, and builds one
+``Fraction``, theta's floor, plus one per class report on the very-negative
+path.
 """
 
 import importlib
@@ -27,12 +32,14 @@ from fractions import Fraction
 import pytest
 
 import rabinowitz
-from conftest import synthetic_params
+from conftest import scenario_path, synthetic_params
 from rabinowitz import chains, differentials, generators, vanishing
+from rabinowitz.chains import Chain, Truncated, scalar_shift
 from rabinowitz.differentials import HigherDifferentialEntry, apply_total, load_table
 from rabinowitz.generators import Generator, enumerate_generators
 from rabinowitz.randomized import random_admissible_table, random_boundary
-from rabinowitz.vanishing import _certified_bound, find_primitive
+from rabinowitz.scenario import load_scenario
+from rabinowitz.vanishing import PrimitiveResult, _certified_bound, find_primitive
 
 # Each counted function, with the modules that bind it.
 BINDINGS = {
@@ -183,8 +190,8 @@ def test_class_reports_read_each_term_once(work, folded, monkeypatch, neg2_param
 
 def test_kernel_builds_no_generator_through_the_named_tuple_constructor(monkeypatch):
     # The induction's folds and theta parts, both kernels of apply_total (on
-    # theta, all - terms) and the normalization of a table given off its
-    # shift representatives build only through generators._new.
+    # theta, all - terms), the Novikov shift and the normalization of a table
+    # given off its shift representatives build only through generators._new.
     d = random_admissible_table(WIDE, 7, (3, 5, 7), Fraction(-20), -12, 12, size=4)
     xi, _ = random_boundary(WIDE, d, 11, 3, Fraction(-120), -200, 200, size=100)
     theta = find_primitive(d, xi).theta  # certifies the level bounds
@@ -197,7 +204,41 @@ def test_kernel_builds_no_generator_through_the_named_tuple_constructor(monkeypa
     built.clear()
     result = find_primitive(d, xi)
     image, _ = apply_total(d, theta)
+    moved = scalar_shift(WIDE, theta, 1)
     again = load_table(WIDE, shifted)
     assert result.ok and result.theta == theta and image.terms and image.terms <= xi.terms
+    assert {g._replace(sphere=g.sphere - 1) for g in moved.terms} == theta.terms
     assert again.entries == d.entries and d.entries
     assert built == []
+
+
+# A warm find_primitive on the golden cycle of each case, cp1's re-floored far
+# down as deep_floor runs it, with its Fractions: theta's floor, and on the
+# very-negative path (neg2, one class) the class report's largest gap.
+RECORD_CALLS = {"cp1": (Fraction(-1520), 1), "c1": (None, 1), "aspherical4": (None, 1), "neg2": (None, 2)}
+
+
+@pytest.mark.parametrize("name", RECORD_CALLS)
+def test_warm_induction_builds_its_records_as_tuples(monkeypatch, name):
+    floor, fractions = RECORD_CALLS[name]
+    scenario = load_scenario(scenario_path(name))
+    d = load_table(scenario.bundle, scenario.entries)
+    xi = scenario.cycles["xi0"]
+    if floor is not None:
+        xi = xi._replace(floor=floor)
+    find_primitive(d, xi)  # certifies the level bounds
+    made = Counter()
+
+    def counted(real):
+        return lambda cls, *args, **kwargs: made.update([cls.__name__]) or real(cls, *args, **kwargs)
+
+    for cls in (Chain, Truncated, PrimitiveResult, Fraction):
+        monkeypatch.setattr(cls, "__new__", staticmethod(counted(cls.__new__)))
+    if hasattr(Fraction, "_from_coprime_ints"):  # where CPython 3.12+ builds arithmetic results
+        monkeypatch.setattr(Fraction, "_from_coprime_ints",
+                            classmethod(counted(Fraction._from_coprime_ints.__func__)))
+    assert Chain(1, Fraction(0), frozenset()) and made == {"Chain": 1, "Fraction": 1}  # the patches count
+    made.clear()
+    result = find_primitive(d, xi)
+    assert result.ok and len(result.class_reports) == fractions - 1
+    assert made == {"Fraction": fractions}

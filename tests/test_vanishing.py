@@ -9,6 +9,7 @@ from conftest import (
     CASE_SCENARIOS,
     assert_drop_partition,
     ck_base,
+    decoded_candidates,
     draw_bundle,
     params_of,
     scenario_path,
@@ -527,6 +528,34 @@ def test_theta_is_linear_over_z2(kind, data):
     assert theta.terms == find_primitive(d, xi1).theta.terms ^ find_primitive(d, xi2).theta.terms
 
 
+def _fold_target_case(draw, params, window):
+    """A one-entry table and a cycle xi whose one fold target lies under
+    xi's least action, as (table, xi).
+
+    The base gains a point of index 0 at value 1/100 and one of index 2 at
+    99/100, and the entry runs from a - generator s at the first to a +
+    generator t at the second, two levels down, with t's action under that
+    of d0(s).  Then xi = d(s + u), u the fiber primitive of t, is d0(s): its
+    induction folds t, and u, which kills t, is a theta term that the floor
+    at xi's least action cuts.  u is no table source, so the cut leaves
+    nothing of its table image above the floor.  The pair at sphere class 0
+    and cover 0 has t 98/100*(tau+1) under d0(s), more than tau for every
+    tau the kinds draw (at most 3), so every base has one; the entry is
+    drawn from all such pairs on the window.
+    """
+    points = (CritPoint("top", 0, Fraction(1, 100)), CritPoint("bottom", 2, Fraction(99, 100)))
+    params = BundleParams(params.dim_m, params.tau, params.morse + points, params.nu, params.c)
+    degree = params.dim_m - 3  # the degree of d0(s) and t
+    pairs = [e for e in decoded_candidates(params, (degree, degree + 2), *window)
+             if (e.source.base, e.source.sign) == ("top", "-")
+             and (e.target.base, e.target.sign) == ("bottom", "+")
+             and action(params, e.target) < action(params, e.source) - params.tau]
+    entry = draw(st.sampled_from(pairs))
+    d = load_table(params, [entry])
+    xi, _ = apply_total(d, build_chain(params, [entry.source, entry.target.fiber_partner()], window[0]))
+    return d, xi
+
+
 @pytest.mark.parametrize("kind", BUNDLE_KINDS)
 @settings(max_examples=25, deadline=None)
 @given(data=st.data())
@@ -534,17 +563,23 @@ def test_theta_commutes_with_refining_the_floor(kind, data):
     # xi at floor f, for any f from -20 up to xi's least action, has the
     # primitive theta(xi at -20) truncated at f + tau.  The floors run
     # through the actions of theta(xi at -20), less tau, so the truncations
-    # cut terms.  A floor above a term of xi is left out: there a kept theta
-    # term may only cancel the table image of a dropped one, so the primitive
-    # of what is left need not be a truncation.
+    # may cut terms; a sampled table seldom places a fold target under a
+    # random boundary's least action, so each example also checks a cycle
+    # whose floors cut theta on every kind.  A floor above a term of xi is
+    # left out: there a kept theta term may only cancel the table image of a
+    # dropped one, so the primitive of what is left need not be a truncation.
     params, d, degree, window = _random_case(data.draw, kind)
     xi_deep, _ = _boundary_of(data.draw, params, d, degree, window)
-    theta_deep = find_primitive(d, xi_deep).theta
-    least = min((action(params, g) for g in xi_deep.terms), default=Fraction(0))
-    floors = {least} | {action(params, g) - params.tau for g in theta_deep.terms}
-    for f in sorted(f for f in floors if f <= least):
-        expected = truncate(params, theta_deep._replace(floor=f + params.tau)).chain
-        assert find_primitive(d, xi_deep._replace(floor=f)).theta == expected
+    for d, xi_deep in [(d, xi_deep), _fold_target_case(data.draw, params, window)]:
+        theta_deep = find_primitive(d, xi_deep).theta
+        least = min((action(d.params, g) for g in xi_deep.terms), default=Fraction(0))
+        floors = {least} | {action(d.params, g) - d.params.tau for g in theta_deep.terms}
+        cut = 0
+        for f in sorted(f for f in floors if f <= least):
+            expected, dropped = truncate(d.params, theta_deep._replace(floor=f + d.params.tau))
+            assert find_primitive(d, xi_deep._replace(floor=f)).theta == expected
+            cut += len(dropped)
+    assert cut  # on the fold-target cycle, checked last
 
 
 @pytest.mark.parametrize("kind", [kind for kind in BUNDLE_KINDS if kind != "aspherical"])
