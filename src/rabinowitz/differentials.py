@@ -9,9 +9,12 @@ so + generators span its kernel and d0 drops the action by exactly tau per
 term.  Higher differentials d_i (i >= 1) count trajectories no desk
 computation can produce; they enter as external tables of (drop, source,
 target) entries, validated structurally and extended equivariantly under the
-Novikov shift.  That extension is written once, in :func:`_table_image`,
-which yields a table image as a flat stream of targets; each consumer
-reduces the stream mod 2 by toggling.  The engine's contract is
+Novikov shift.  That extension is written in :func:`_table_image`, which
+yields a table image as a flat stream of targets that :func:`_raw_step` and
+:func:`apply_table` reduce mod 2 by toggling.  The level induction's fold
+(``vanishing._descend``) states it a second time, inline, and every
+induction's closing verification recomputes its result through
+:func:`_table_image`.  The engine's contract is
 conditional: any table that passes validation makes all downstream algebra
 hold.
 
@@ -86,9 +89,16 @@ def apply_d0(params: BundleParams, x: Chain) -> Chain:
 def _fiber_primitive(params: BundleParams, terms) -> frozenset[Generator]:
     """The canonical d0-preimage of a bare set of + generators.
 
-    Termwise (q, n, a, +) -> (q, n+1, a, -); a - generator is refused.  This
-    is the one place the rule lives: :func:`d0_primitive` wraps it in a chain
-    and the level induction calls it on its bare buckets.
+    Termwise (q, n, a, +) -> (q, n+1, a, -); a - generator is refused.
+    :func:`d0_primitive` wraps it in a chain, and the level induction calls
+    it to refuse a bucket that holds a - term, so the refusal and its text
+    live only here.  The pairing itself has a second statement: the
+    induction's fold (``vanishing._descend``) builds each theta part's terms
+    inline, without a call per level.  That is safe because
+    ``find_primitive`` always ends with ``verify_primitive``, which
+    recomputes d(theta) through :func:`_raw_step` and :func:`_table_image`:
+    a theta term that disagreed with this rule would leave a residual, and
+    the CLI exits 3.
     """
     theta = frozenset([_new(Generator, (q, n + 1, a, "-")) for q, n, a, sign in terms if sign == "+"])
     if len(theta) != len(terms):
@@ -173,12 +183,16 @@ def _table_image(d: FilteredDifferential, gens) -> Iterable[Generator]:
     """The table image of a bare Z/2 set, as a flat stream of targets.
 
     Each generator's table image is its entries' targets shifted by the
-    generator's sphere class.  This is the one place a table entry is extended
-    under the Novikov shift; the stored targets sit at the shift of class 0,
-    so a generator of class 0 yields them as they are.  A target comes once
-    per entry that reaches it, so the image is the stream reduced mod 2, and
-    every consumer toggles what it takes: :func:`_toggle_into` here, the
-    level buckets in the induction's fold.
+    generator's sphere class.  The stored targets sit at the shift of class
+    0, so a generator of class 0 yields them as they are.  A target comes
+    once per entry that reaches it, so the image is the stream reduced mod 2,
+    and every consumer toggles what it takes into :func:`_toggle_into`.
+    The shift has a second statement: the level induction's fold
+    (``vanishing._descend``) shifts each theta term's stored targets inline,
+    without a generator per level.  That is safe because ``find_primitive``
+    always ends with ``verify_primitive``, which recomputes d(theta) through
+    :func:`_raw_step` and so through this function: a fold that shifted a
+    target otherwise would leave a residual, and the CLI exits 3.
     """
     by_source = d._by_source
     for q, n, a, sign in gens:

@@ -21,8 +21,10 @@ depends on the candidates and their order, not on how they are stored.
 Fixtures sample many seeds on one window, so the pools and the candidate
 codes are built once per (params, degrees, floor, level window) and
 memoised; ``BundleParams`` is frozen and hashable by value, so an equal base
-built elsewhere finds the same entry.  Both memos are bounded, like every
-``lru_cache`` in the package.  Every cached value is a tuple: all callers
+built elsewhere finds the same entry.  Both memos are bounded: the pools'
+by window count, like every ``lru_cache`` in the package, and the candidate
+codes' by the codes it holds (:data:`CODE_BUDGET`), since one window may
+hold hundreds of thousands.  Every cached value is a tuple: all callers
 get the same object, so a mutable one would let one sample's shuffle reorder
 the next one's candidates.  The public entry points turn degrees into a
 tuple and the floor into a ``Fraction`` before the lookup, so a list of
@@ -75,8 +77,41 @@ def _pool(
     return enumerate_generators(params, degree, floor, level_lo, level_hi)
 
 
-@lru_cache(maxsize=32)
+# The candidate memo holds at most this many codes over all its windows.  One
+# window of a 100-point base with dim_M = 20, c = 2, nu = 1, tau = 1/2
+# (degrees 3/5/7, floor -20, levels -20:20) holds 734,952 codes, which take
+# about 35 MB.
+CODE_BUDGET = 1 << 20
+_candidates: dict[tuple, tuple[tuple[int, ...], tuple[Generator, ...]]] = {}
+
+
 def _candidate_entries(
+    params: BundleParams,
+    degrees: tuple[int, ...],
+    floor: Fraction,
+    level_lo: int,
+    level_hi: int,
+) -> tuple[tuple[int, ...], tuple[Generator, ...]]:
+    """The window's :func:`_candidate_codes`, memoised.
+
+    A new window is stored after the oldest windows are evicted, in the
+    order they were stored, until the codes held fit in
+    :data:`CODE_BUDGET` or no window is left; so a window larger than the
+    budget is still kept, alone, until the next one comes.
+    """
+    key = (params, degrees, floor, level_lo, level_hi)
+    found = _candidates.get(key)
+    if found is None:
+        found = _candidate_codes(*key)
+        held = len(found[0]) + sum(len(codes) for codes, _ in _candidates.values())
+        while held > CODE_BUDGET and _candidates:
+            codes, _ = _candidates.pop(next(iter(_candidates)))
+            held -= len(codes)
+        _candidates[key] = found
+    return found
+
+
+def _candidate_codes(
     params: BundleParams,
     degrees: tuple[int, ...],
     floor: Fraction,

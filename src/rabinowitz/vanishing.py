@@ -6,8 +6,12 @@ by the fiber differential's explicit primitive, and each lower slice is first
 corrected by the higher differentials of the already-built theta parts before
 being fed to the same primitive.  The remainder is level buckets of bare
 generators; d0 of each theta part is exactly the slice it kills, so only the
-part's table image is folded into them, one target at a time as the stream
-of :func:`_table_image` yields it, under one floor test and one level check.
+part's table image is folded into them.  One inline loop per level builds the
+part and folds, target by target under one floor test and one level check,
+the stored table targets of its terms, each shifted by its term's sphere
+class.  That loop states the fiber pairing of :func:`_fiber_primitive` and
+the shift of :func:`_table_image` a second time, without a call per level;
+the closing verification recomputes d(theta) through both.
 Theta parts are bare (level, terms) pairs; the CLI labels them and prints
 them as chains.  Termination is certified by level bounds that are
 themselves checked against exhaustive enumeration; each bound is certified
@@ -39,7 +43,6 @@ from .differentials import (
     _by_level,
     _fiber_primitive,
     _raw_step,
-    _table_image,
     apply_total,
 )
 from .generators import (
@@ -179,20 +182,27 @@ def _descend(
     terms are visited, each once, popped from a max-heap of the pending
     levels.  A level is pushed when its bucket is created, and folds only
     create levels below the current one.  A correction r_l must consist of +
-    generators, and its fiber primitive theta_l is the next theta part.
-    d0(theta_l) = r_l by construction, so d(theta_l) + r_l is theta_l's
-    table image.  The fold takes it target by target from
-    :func:`_table_image`, reads each target's invariants once, skips one
-    below ``floor`` (:func:`_floor_key`), refuses one still at level >= l,
-    and toggles the rest into their buckets: a target that comes twice
-    cancels, over Z/2.  No set or dict is built per part.  A wrong fiber
-    primitive is caught not here but by :func:`find_primitive`'s closing
-    :func:`verify_primitive`.  A nonzero correction below ``stop`` breaks
-    the bound :func:`find_primitive` certified for the case.  In the
-    very-negative regime a part may hold terms of several sphere classes that
-    share its level; :func:`find_primitive` splits it by class.
+    generators: the whole bucket is checked before any of its targets is
+    folded, and a - term is refused by :func:`_fiber_primitive`, where the
+    refusal and its text live.  The fiber primitive theta_l of r_l, termwise
+    (q, n, a, +) -> (q, n+1, a, -), is the next theta part.  d0(theta_l) =
+    r_l by construction, so d(theta_l) + r_l is theta_l's table image.  The
+    fold takes it target by target in one loop over the part: each term's
+    stored targets from ``d._by_source``, shifted by the term's sphere
+    class.  It reads each target's invariants once, skips one below
+    ``floor`` (:func:`_floor_key`), refuses one still at level >= l, and
+    toggles the rest into their buckets: a target that comes twice cancels,
+    over Z/2.  No image set or dict is built per part, and a level makes no
+    call of :func:`_fiber_primitive` or :func:`_table_image`, whose rules the
+    loop restates.  A wrong theta term or a wrong shift is caught not here
+    but by :func:`find_primitive`'s closing :func:`verify_primitive`, which
+    recomputes d(theta) through :func:`_raw_step` and :func:`_table_image`.
+    A nonzero correction below ``stop`` breaks the bound
+    :func:`find_primitive` certified for the case.  In the very-negative
+    regime a part may hold terms of several sphere classes that share its
+    level; :func:`find_primitive` splits it by class.
     """
-    params = d.params
+    params, by_source = d.params, d._by_source
     bar = _floor_key(params, floor)
     heap = [-lv for lv in pending]  # a max-heap of the pending levels
     heapify(heap)
@@ -207,27 +217,42 @@ def _descend(
             raise InductionError(
                 f"correction terms survived below the certified stop level {stop}: levels {leftovers}"
             )
-        try:
-            th = _fiber_primitive(params, terms)
-        except ValueError as err:
-            raise InductionError(
-                f"higher-differential table inconsistent with the level induction at level {l}: {err}"
-            ) from None
-        theta.append((l, th))
-        for g in _table_image(d, th):
-            lv, _, key = _invariants(params, g)
-            if key < bar:
+        # The bucket's fiber primitive; a - term anywhere in the bucket is
+        # refused before any target is folded.
+        part = []
+        for q, n, a, sign in terms:
+            if sign != "+":
+                try:
+                    _fiber_primitive(params, terms)  # raises its refusal
+                except ValueError as err:
+                    raise InductionError(
+                        f"higher-differential table inconsistent with the level induction at level {l}: {err}"
+                    ) from None
+            part.append(_new(Generator, (q, n + 1, a, "-")))
+        theta.append((l, frozenset(part)))
+        # The fold of the part's table image: each stored target shifted by
+        # the class of its source.
+        for q, n, a, _ in part:
+            hits = by_source.get((q, n, "-"))
+            if not hits:
                 continue
-            if lv >= l:
-                raise InductionError(f"higher differential failed to drop the level at {l}")
-            bucket = pending.get(lv)
-            if bucket is None:
-                pending[lv] = {g}
-                heappush(heap, -lv)
-            elif g in bucket:
-                bucket.remove(g)
-            else:
-                bucket.add(g)
+            for g in hits:
+                if a:
+                    tq, tn, ta, ts = g
+                    g = _new(Generator, (tq, tn, ta + a, ts))
+                lv, _, key = _invariants(params, g)
+                if key < bar:
+                    continue
+                if lv >= l:
+                    raise InductionError(f"higher differential failed to drop the level at {l}")
+                bucket = pending.get(lv)
+                if bucket is None:
+                    pending[lv] = {g}
+                    heappush(heap, -lv)
+                elif g in bucket:
+                    bucket.remove(g)
+                else:
+                    bucket.add(g)
     return theta
 
 

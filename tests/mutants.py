@@ -282,31 +282,49 @@ MUTANTS = [
     (
         "_descend dropping its correction terms",
         "vanishing.py",
-        "for g in _table_image(d, th):",
-        "for g in ():",
+        'hits = by_source.get((q, n, "-"))',
+        "hits = None",
     ),
     (
         "_descend folding the table image of the correction term instead of its theta part",
         "vanishing.py",
-        "_table_image(d, th)",
-        "_table_image(d, terms)",
+        'by_source.get((q, n, "-"))',
+        'by_source.get((q, n - 1, "+"))',
     ),
     (
         "the fold ignoring cancellation: a target always added to its bucket",
         "vanishing.py",
-        "            elif g in bucket:\n"
-        "                bucket.remove(g)\n"
-        "            else:\n"
-        "                bucket.add(g)\n",
-        "            else:\n"
-        "                bucket.add(g)\n",
+        "                elif g in bucket:\n"
+        "                    bucket.remove(g)\n"
+        "                else:\n"
+        "                    bucket.add(g)\n",
+        "                else:\n"
+        "                    bucket.add(g)\n",
     ),
     (
         "_descend keeping a bucket between calls: a level's first bucket reused by later runs",
         "vanishing.py",
-        "                pending[lv] = {g}\n",
-        "                pending[lv] = bucket = _descend.__dict__.setdefault(lv, set())\n"
-        "                bucket.add(g)\n",
+        "                    pending[lv] = {g}\n",
+        "                    pending[lv] = bucket = _descend.__dict__.setdefault(lv, set())\n"
+        "                    bucket.add(g)\n",
+    ),
+    (
+        "the fold skipping the class shift of a target",
+        "vanishing.py",
+        "g = _new(Generator, (tq, tn, ta + a, ts))",
+        "g = _new(Generator, (tq, tn, ta, ts))",
+    ),
+    (
+        "the fold's theta term keeping the cover: (q, n, a, +) -> (q, n, a, -)",
+        "vanishing.py",
+        'part.append(_new(Generator, (q, n + 1, a, "-")))',
+        'part.append(_new(Generator, (q, n, a, "-")))',
+    ),
+    (
+        "the bucket's - check skipped: a - term paired as a + term",
+        "vanishing.py",
+        'if sign != "+":',
+        "if False:",
     ),
     (
         "_fiber_primitive keeping the cover: (q, n, a, +) -> (q, n, a, -)",

@@ -112,7 +112,9 @@ def test_every_lru_cache_is_bounded():
                     assert _named(dec) != "lru_cache", f"{where}: lru_cache without maxsize"
                     if _named(dec) == "cache":
                         assert not ast.unparse(node.args), f"{where}: unbounded cache"
-    assert memos >= 3  # _pool, _candidate_entries, _certified_bound
+    # _pool and _certified_bound; the candidate memo is bounded by the codes
+    # it holds (test_randomized.py::test_candidate_memo_is_bounded_by_the_codes_it_holds).
+    assert memos >= 2
 
 
 def test_scenario_reads_each_value_type_in_one_reader():

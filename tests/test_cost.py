@@ -3,14 +3,16 @@
 computation makes.
 
 Every per-generator read passes through ``_invariants``, every application
-of the full differential through ``_raw_step``, and every table image, for
-``_raw_step`` or for a fold of the level induction, through
-``_table_image``, so their call counts are units of work that are exact and
-the same on every machine.  A warm induction reads each term of the cycle
-once for its level buckets and each target its folds take from
-``_table_image`` once; only a very-negative run's class reports read more.  These tests pin the counts to the
-size of the input and output, and check that they do not grow with the
-depth of a window end or of the action floor.
+of the full differential through ``_raw_step``, and every table image of
+``_raw_step`` or ``apply_table`` through ``_table_image``, so their call
+counts are units of work that are exact and the same on every machine.  The
+level induction's fold takes its table images inline, with no call of
+``_table_image``, so a warm induction makes two, those of the closedness
+check and the verification.  It reads each term of the cycle once for its
+level buckets and each target its folds take once; only a very-negative
+run's class reports read more.  These tests pin the counts to the size of
+the input and output, and check that they do not grow with the depth of a
+window end or of the action floor.
 
 ``test_kernel_builds_no_generator_through_the_named_tuple_constructor``
 guards another per-term cost: the kernel builds generators through
@@ -45,7 +47,7 @@ from rabinowitz.vanishing import PrimitiveResult, _certified_bound, find_primiti
 BINDINGS = {
     "_invariants": (generators, chains, differentials, vanishing),
     "_raw_step": (differentials, vanishing),
-    "_table_image": (differentials, vanishing),
+    "_table_image": (differentials,),
 }
 
 
@@ -74,16 +76,26 @@ def work(monkeypatch):
 
 @pytest.fixture
 def folded(work, monkeypatch):
-    """The targets the induction's folds take from the table image, in order,
-    tapped from ``vanishing``'s (counted) binding of ``_table_image``."""
-    taken, counted = [], vanishing._table_image
+    """The targets the induction's folds take, in order: the generators that
+    ``vanishing``'s (counted) binding of ``_invariants`` reads while
+    ``_descend`` runs, which reads nothing else."""
+    taken, descending = [], []
+    counted, descend = vanishing._invariants, vanishing._descend
 
-    def tapped(*args):
-        for g in counted(*args):
+    def tapped(params, g):
+        if descending:
             taken.append(g)
-            yield g
+        return counted(params, g)
 
-    monkeypatch.setattr(vanishing, "_table_image", tapped)
+    def run(*args):
+        descending.append(True)
+        try:
+            return descend(*args)
+        finally:
+            descending.clear()
+
+    monkeypatch.setattr(vanishing, "_invariants", tapped)
+    monkeypatch.setattr(vanishing, "_descend", run)
     return taken
 
 
@@ -118,8 +130,8 @@ INDUCTION_READS = {25: 30, 100: 104, 400: 204}
 @pytest.mark.parametrize("size", THETA_PARTS)
 def test_induction_reads_track_xi_and_theta(work, folded, size):
     # The differential is applied once to check that xi is closed and once to
-    # verify; the induction folds one table image per level it visits (one
-    # theta part each), and each application takes one more.  Both
+    # verify, each with one table image; the induction folds the table image
+    # of each level it visits (one theta part each) inline.  Both
     # applications come out empty here, d(xi) = 0 and d(theta) = xi exactly,
     # so their truncations read nothing.
     d = random_admissible_table(WIDE, 7, (3, 5, 7), Fraction(-20), -12, 12, size=4)
@@ -137,7 +149,7 @@ def test_induction_reads_track_xi_and_theta(work, folded, size):
         assert len(result.theta_parts) == THETA_PARTS[size]
         assert cold["_invariants"] - warm["_invariants"] == CERTIFICATE_READS
         assert warm["_raw_step"] == cold["_raw_step"] == 2
-        assert warm["_table_image"] == cold["_table_image"] == THETA_PARTS[size] + 2
+        assert warm["_table_image"] == cold["_table_image"] == 2
         counts.add((warm["_invariants"], len(result.theta.terms)))
     assert len(counts) == 1
 

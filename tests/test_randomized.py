@@ -225,24 +225,52 @@ def test_sampling_memo_cannot_leak_state():
     codes, gens = _candidate_entries(params, degrees, floor, lo, hi)
     assert type(codes) is tuple and type(gens) is tuple
     assert type(_pool(params, 5, floor, lo, hi)) is tuple
-    assert _candidate_entries.cache_info().maxsize and _pool.cache_info().maxsize
+    assert randomized.CODE_BUDGET and _pool.cache_info().maxsize  # both memos are bounded
 
 
-def test_equal_params_share_the_sampling_memo():
+def test_equal_params_share_the_sampling_memo(monkeypatch):
     # BundleParams is hashed by value: an equal base built separately finds
     # the memoised window, and a base with another tau does not.
     params, degrees, floor, lo, hi = SAMPLE_TABLE
     twin = synthetic_params(3, 2, 2, 1, Fraction(1, 2))
     assert twin is not params and twin == params
     random_admissible_table(params, 0, degrees, floor, lo, hi)
-    before = _candidate_entries.cache_info()
+    built, real = [], randomized._candidate_codes
+    monkeypatch.setattr(randomized, "_candidate_codes", lambda *key: built.append(key) or real(*key))
     random_admissible_table(twin, 0, degrees, floor, lo, hi)
-    after = _candidate_entries.cache_info()
-    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
+    assert built == []
     retuned = params._replace(tau=Fraction(2, 7))
     random_admissible_table(retuned, 0, degrees, floor, lo, hi)
-    final = _candidate_entries.cache_info()
-    assert (final.hits, final.misses) == (after.hits, after.misses + 1)
+    assert built == [(retuned, degrees, floor, lo, hi)]
+
+
+def test_candidate_memo_is_bounded_by_the_codes_it_holds(monkeypatch):
+    # Windows sampled past the budget evict the oldest ones, in the order
+    # they were stored, until the codes held fit; a window larger than the
+    # budget is kept alone.  A table sampled on an evicted window is the one
+    # sampled before.
+    params, degrees, floor, lo, hi = SAMPLE_TABLE
+    windows = [(floor, lo - k, hi + k) for k in (0, 1, 3, 4)]
+    sizes = [len(_candidate_entries(params, degrees, *w)[0]) for w in windows]
+    assert sizes == sorted(set(sizes))  # 930 < 1056 < 1190 < 1332 codes
+
+    def sample(w):
+        return random_admissible_table(params, 3, degrees, *w).entries
+
+    def held():
+        return [key[2:] for key in randomized._candidates], sum(
+            len(codes) for codes, _ in randomized._candidates.values())
+
+    tables = [sample(w) for w in windows]
+    monkeypatch.setattr(randomized, "_candidates", {})
+    monkeypatch.setattr(randomized, "CODE_BUDGET", sizes[0] + sizes[1])
+    assert [sample(w) for w in windows] == tables
+    assert held() == ([windows[3]], sizes[3])
+    sample(windows[0]), sample(windows[1]), sample(windows[0])
+    assert held() == (windows[:2], sizes[0] + sizes[1])
+    monkeypatch.setattr(randomized, "CODE_BUDGET", sizes[0] - 1)
+    assert sample(windows[2]) == tables[2]
+    assert held() == ([windows[2]], sizes[2])
 
 
 def test_pool_enumerates_on_the_twin_only_when_c_is_0(monkeypatch):

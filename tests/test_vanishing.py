@@ -1,4 +1,5 @@
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
 import pytest
 from hypothesis import Phase, assume, given, settings, strategies as st
@@ -46,7 +47,8 @@ from rabinowitz import (
 from rabinowitz import cli, vanishing
 from rabinowitz.bundle import BundleParams, CritPoint
 from rabinowitz.cli import _default_window
-from rabinowitz.differentials import _fiber_primitive, _raw_step
+from rabinowitz.differentials import _fiber_primitive, _raw_step, _table_image
+from rabinowitz.generators import _floor_key, _invariants
 
 G = Generator
 FLOOR = Fraction(-30)
@@ -270,13 +272,13 @@ def test_induction_rejects_terms_below_stop(cp1, monkeypatch):
     )
 
 
-def _drop_a_term(th, r):
+def _drop_a_term(th):
     return th - {min(th)}
 
 
-def _add_a_minus_term(th, r):
-    g = min(r)  # same base and class, so the same level
-    return th | {G(g.base, g.cover + 2, g.sphere, "-")}
+def _add_a_minus_term(th):
+    g = min(th)  # same base and class, so the same level
+    return th | {G(g.base, g.cover + 1, g.sphere, "-")}
 
 
 @pytest.mark.parametrize("corrupt, residual", [
@@ -286,13 +288,14 @@ def _add_a_minus_term(th, r):
 def test_induction_rejects_a_wrong_fiber_primitive(cp1, monkeypatch, capsys, corrupt, residual):
     # The induction takes d0(theta_l) = r_l as given and folds only each
     # part's table image, so a wrong primitive is caught by the closing
-    # verification: its residual is nonempty, and the CLI exits 3.
-    real = vanishing._fiber_primitive
+    # verification: its residual is nonempty, and the CLI exits 3.  Each
+    # theta part the induction returns is corrupted.
+    real = vanishing._descend
 
-    def wrong(params, r):
-        return frozenset(corrupt(real(params, r), r))
+    def wrong(*args):
+        return [(l, frozenset(corrupt(th))) for l, th in real(*args)]
 
-    monkeypatch.setattr(vanishing, "_fiber_primitive", wrong)
+    monkeypatch.setattr(vanishing, "_descend", wrong)
     d = load_table(cp1.bundle, cp1.entries)
     result = find_primitive(d, cp1.cycles["xi0"])
     assert not result.ok
@@ -302,6 +305,116 @@ def test_induction_rejects_a_wrong_fiber_primitive(cp1, monkeypatch, capsys, cor
     terms = " ".join(map(str, residual))
     assert code == 3
     assert out[-2:] == [f"residual: degree=3 floor=-1 terms: {terms}", "verification FAILED"]
+
+
+# --- the fold against the per-level reference ---------------------------------
+
+
+def _reference_descend(d, pending, floor, stop):
+    """The level induction with a call per level, the oracle of the engine's
+    inline fold: each bucket's fiber primitive from ``_fiber_primitive``,
+    then the part's table image from ``_table_image``, one read per target.
+    The loop, heap, checks and error texts are the engine's."""
+    params = d.params
+    bar = _floor_key(params, floor)
+    heap = [-lv for lv in pending]
+    heapify(heap)
+    theta = []
+    while heap:
+        l = -heappop(heap)
+        terms = pending.pop(l)
+        if not terms:
+            continue
+        if l < stop:
+            leftovers = sorted([l] + [lv for lv, gens in pending.items() if gens])
+            raise InductionError(
+                f"correction terms survived below the certified stop level {stop}: levels {leftovers}"
+            )
+        try:
+            th = _fiber_primitive(params, terms)
+        except ValueError as err:
+            raise InductionError(
+                f"higher-differential table inconsistent with the level induction at level {l}: {err}"
+            ) from None
+        theta.append((l, th))
+        for g in _table_image(d, th):
+            lv, _, key = _invariants(params, g)
+            if key < bar:
+                continue
+            if lv >= l:
+                raise InductionError(f"higher differential failed to drop the level at {l}")
+            bucket = pending.get(lv)
+            if bucket is None:
+                pending[lv] = {g}
+                heappush(heap, -lv)
+            elif g in bucket:
+                bucket.remove(g)
+            else:
+                bucket.add(g)
+    return theta
+
+
+def _outcome(d, xi):
+    """find_primitive's result, or the text of the InductionError it raises."""
+    try:
+        return find_primitive(d, xi)
+    except InductionError as err:
+        return str(err)
+
+
+def _reference_outcome(d, xi):
+    """:func:`_outcome` with the reference induction in place of the engine's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(vanishing, "_descend", _reference_descend)
+        return _outcome(d, xi)
+
+
+@pytest.mark.parametrize("kind", BUNDLE_KINDS)
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_fold_matches_the_per_level_reference(kind, data):
+    # Seeded tables on every kind of base, boundaries spread over sphere
+    # classes, and the fold-target cycle whose fold skips a target under the
+    # floor: the two inductions give equal results, theta parts included.
+    params, d, degree, window = _random_case(data.draw, kind)
+    (xi1, _), (xi2, _) = (_boundary_of(data.draw, params, d, degree, window) for _ in range(2))
+    for d, xi in [(d, xi1), (d, xi2), _fold_target_case(data.draw, params, window)]:
+        engine = find_primitive(d, xi)
+        reference = _reference_outcome(d, xi)
+        assert engine.theta_parts == reference.theta_parts and engine == reference
+
+
+def test_fold_refuses_as_the_reference_does(cp1, neg2_params, monkeypatch):
+    # Tables built directly, so never validated: each refusal of the
+    # induction, with its full text, is the reference's.  The last cp1 table
+    # folds a - correction into the bucket at level -1 next to xi's term
+    # (q2,1,0,+), whose own target stays at level 1: the bucket's - check
+    # runs before any of its targets is folded, so the refusal names the -
+    # term and not the level.
+    xi = cp1.cycles["xi0"]
+    two = build_chain(cp1.bundle, [G("q0", 0, 0, "+"), G("q2", 1, 0, "+")], xi.floor)
+    entry = HigherDifferentialEntry
+    cases = [
+        (FilteredDifferential(cp1.bundle, (entry(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "-")),)), xi),
+        (FilteredDifferential(cp1.bundle, (entry(2, G("q0", 1, 0, "-"), G("q0", 0, 0, "+")),)), xi),
+        (FilteredDifferential(neg2_params, (entry(2, G("q0", 1, 0, "-"), G("q0", 0, 1, "+")),)),
+         build_chain(neg2_params, [G("q0", 0, 0, "+")], Fraction(-100))),
+        (FilteredDifferential(cp1.bundle, (entry(2, G("q0", 1, 0, "-"), G("q2", 1, 0, "-")),
+                                           entry(-2, G("q2", 2, 0, "-"), G("q0", 0, 0, "+")))), two),
+    ]
+    texts = [(_outcome(d, xi), _reference_outcome(d, xi)) for d, xi in cases]
+    real = vanishing.level_floor
+    monkeypatch.setattr(vanishing, "level_floor", lambda *args: real(*args)._replace(l_min=0))
+    d = load_table(cp1.bundle, cp1.entries)
+    texts.append((_outcome(d, xi), _reference_outcome(d, xi)))
+    refused = "higher-differential table inconsistent with the level induction at level -1: "
+    assert [engine for engine, _ in texts] == [reference for _, reference in texts] == [
+        refused + "not d0-closed: chain contains - generators: (q2,1,0,-)",
+        "higher differential failed to drop the level at 1",
+        "correction terms survived below the certified stop level -1: levels [-3]",
+        refused + "not d0-closed: chain contains - generators: (q2,1,0,-)",
+        "correction terms survived below the certified stop level 0: levels [-1]",
+    ]
 
 
 @pytest.mark.parametrize("name", CASE_SCENARIOS)
