@@ -374,14 +374,17 @@ def _reference_outcome(d, xi):
 @given(data=st.data())
 def test_fold_matches_the_per_level_reference(kind, data):
     # Seeded tables on every kind of base, boundaries spread over sphere
-    # classes, and the fold-target cycle whose fold skips a target under the
-    # floor: the two inductions give equal results, theta parts included.
+    # classes, and the fold-target cycle, each also at its least action as
+    # the floor, where the fold skips the targets below it: the two
+    # inductions give equal results, theta parts included.
     params, d, degree, window = _random_case(data.draw, kind)
     (xi1, _), (xi2, _) = (_boundary_of(data.draw, params, d, degree, window) for _ in range(2))
     for d, xi in [(d, xi1), (d, xi2), _fold_target_case(data.draw, params, window)]:
-        engine = find_primitive(d, xi)
-        reference = _reference_outcome(d, xi)
-        assert engine.theta_parts == reference.theta_parts and engine == reference
+        least = min((action(d.params, g) for g in xi.terms), default=xi.floor)
+        for cycle in (xi, xi._replace(floor=least)):
+            engine = find_primitive(d, cycle)
+            reference = _reference_outcome(d, cycle)
+            assert engine.theta_parts == reference.theta_parts and engine == reference
 
 
 def test_fold_refuses_as_the_reference_does(cp1, neg2_params, monkeypatch):
