@@ -186,15 +186,16 @@ def _descend(
     folded, and a - term is refused by :func:`_fiber_primitive`, where the
     refusal and its text live.  The fiber primitive theta_l of r_l, termwise
     (q, n, a, +) -> (q, n+1, a, -), is the next theta part.  d0(theta_l) =
-    r_l by construction, so d(theta_l) + r_l is theta_l's table image.  The
-    fold takes it target by target in one loop over the part: each term's
-    stored targets from ``d._by_source``, shifted by the term's sphere
-    class.  It reads each target's invariants once, skips one below
-    ``floor`` (:func:`_floor_key`), refuses one still at level >= l, and
-    toggles the rest into their buckets: a target that comes twice cancels,
-    over Z/2.  No image set or dict is built per part, and a level makes no
-    call of :func:`_fiber_primitive` or :func:`_table_image`, whose rules the
-    loop restates.  A wrong theta term or a wrong shift is caught not here
+    r_l by construction, so d(theta_l) + r_l is theta_l's table image.  One
+    loop over the bucket builds each term's theta term and folds that term's
+    table image target by target: its stored targets from
+    ``d._by_source``, shifted by its sphere class.  The fold reads each
+    target's invariants once, skips one below ``floor``
+    (:func:`_floor_key`), refuses one still at level >= l, and toggles the
+    rest into their buckets: a target that comes twice cancels, over Z/2.
+    No image set or dict is built per part, and a level makes no call of
+    :func:`_fiber_primitive` or :func:`_table_image`, whose rules the loop
+    restates.  A wrong theta term or a wrong shift is caught not here
     but by :func:`find_primitive`'s closing :func:`verify_primitive`, which
     recomputes d(theta) through :func:`_raw_step` and :func:`_table_image`.
     A nonzero correction below ``stop`` breaks the bound
@@ -217,22 +218,21 @@ def _descend(
             raise InductionError(
                 f"correction terms survived below the certified stop level {stop}: levels {leftovers}"
             )
-        # The bucket's fiber primitive; a - term anywhere in the bucket is
-        # refused before any target is folded.
-        part = []
-        for q, n, a, sign in terms:
-            if sign != "+":
+        # A - term anywhere in the bucket is refused before any target is folded.
+        for g in terms:
+            if g[3] != "+":
                 try:
                     _fiber_primitive(params, terms)  # raises its refusal
                 except ValueError as err:
                     raise InductionError(
                         f"higher-differential table inconsistent with the level induction at level {l}: {err}"
                     ) from None
-            part.append(_new(Generator, (q, n + 1, a, "-")))
-        theta.append((l, frozenset(part)))
-        # The fold of the part's table image: each stored target shifted by
-        # the class of its source.
-        for q, n, a, _ in part:
+        # Each term's theta term, and the fold of its table image: the stored
+        # targets of the theta term, shifted by its sphere class.
+        part = []
+        for q, n, a, _ in terms:
+            n += 1
+            part.append(_new(Generator, (q, n, a, "-")))
             hits = by_source.get((q, n, "-"))
             if not hits:
                 continue
@@ -253,6 +253,7 @@ def _descend(
                     bucket.remove(g)
                 else:
                     bucket.add(g)
+        theta.append((l, frozenset(part)))
     return theta
 
 

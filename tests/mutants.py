@@ -317,13 +317,13 @@ MUTANTS = [
     (
         "the fold's theta term keeping the cover: (q, n, a, +) -> (q, n, a, -)",
         "vanishing.py",
-        'part.append(_new(Generator, (q, n + 1, a, "-")))',
         'part.append(_new(Generator, (q, n, a, "-")))',
+        'part.append(_new(Generator, (q, n - 1, a, "-")))',
     ),
     (
         "the bucket's - check skipped: a - term paired as a + term",
         "vanishing.py",
-        'if sign != "+":',
+        'if g[3] != "+":',
         "if False:",
     ),
     (
